@@ -9,8 +9,10 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
+from bisect import bisect_right
 
 from . import __version__
 from .classify import BudgetExhaustedError, scan_identity_seeds
@@ -18,10 +20,10 @@ from .cycles import twin_cycle_gaps
 from .primorial import prime_ratio_series, primes_within_records_series
 from .records import (
     FIRST_RECORD,
+    _annotated,
     load_record_cache,
     next_record,
     record_values,
-    records_from_values,
     save_record_cache,
 )
 from .sequence import LimitExceededError, generate_prefix
@@ -82,12 +84,12 @@ def cmd_records(args) -> int:
     if cache_path and dirty:
         save_record_cache(cache_path, chain)
     if args.out or not cache_path:
-        recs = records_from_values([v for v in chain if v <= args.limit])
-        lines = ["index,record,turning_point,jump,is_composite"]
-        lines += [
-            f"{i},{r.value},{r.turning_point},{r.jump},{int(r.is_composite)}"
-            for i, r in enumerate(recs, start=1)
-        ]
+        del chain[bisect_right(chain, args.limit):]
+        rows = _annotated(chain)
+        lines = itertools.chain(
+            ["index,record,turning_point,jump,is_composite"],
+            (f"{i},{r},{t},{j},{c:d}" for i, (r, t, j, c) in enumerate(rows, start=1)),
+        )
         _write_lines(args.out, lines)
     return EXIT_OK
 
@@ -203,6 +205,16 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
+def _record_limit(text: str) -> int:
+    try:
+        limit = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if limit < FIRST_RECORD:
+        raise argparse.ArgumentTypeError(f"must be >= {FIRST_RECORD}, got {limit}")
+    return limit
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gcdperm",
@@ -224,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("records", help="enumerate f_3 records; CSV and/or cache file")
-    p.add_argument("--limit", type=int, required=True, help="largest record value")
+    p.add_argument("--limit", type=_record_limit, required=True,
+                   help=f"largest record value (>= {FIRST_RECORD})")
     p.add_argument("--out", help="CSV output path (default stdout unless only caching)")
     p.add_argument("--cache", help=f"plain record cache to reuse/write (or ${CACHE_ENV})")
     p.set_defaults(func=cmd_records)

@@ -69,11 +69,31 @@ def next_prime(n: int) -> int:
 # m < p_k# has a non-divisor among the first k primes.
 _NONDIV_CANDIDATES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
+# _WHEEL = 2*3*5*7*11*13.  _WHEEL_SPND[m % _WHEEL] is the least prime <= 13
+# not dividing m, or 0 when all of them divide m.  Built by overwriting with
+# each prime from the largest down, keeping the entries at its multiples.
+_WHEEL = 30030
+
+
+def _wheel_table() -> bytearray:
+    table = bytearray(_WHEEL)
+    for p in (13, 11, 7, 5, 3, 2):
+        row = bytearray([p]) * _WHEEL
+        row[::p] = table[::p]
+        table = row
+    return table
+
+
+_WHEEL_SPND = _wheel_table()
+
 
 def smallest_prime_not_dividing(m: int) -> int:
     """Least prime that is not a factor of m (m >= 1)."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
+    p = _WHEEL_SPND[m % _WHEEL]
+    if p:
+        return p
     for p in _NONDIV_CANDIDATES:
         if m % p:
             return p

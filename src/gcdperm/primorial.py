@@ -74,18 +74,19 @@ def nth_prime(n: int) -> int:
     return _TABLE.prime(n)
 
 
-def _counting_records(limit: int) -> list[int]:
-    # Interval counters treat 3 = f_3(2) as a record (the window [3, 3]
-    # holds one); the enumeration APIs start at 5.
-    return [3] + record_values(limit)
+def _count_records(lo: int, hi: int) -> int:
+    """Number of records in [lo, hi].
+
+    Interval counters treat 3 = f_3(2) as a record (the window [3, 3]
+    holds one); the shared cache starts at 5, hence the offset.
+    """
+    recs = cached_records(hi)
+    return bisect_right(recs, hi) - bisect_left(recs, lo) + (lo <= 3 <= hi)
 
 
 def s_count(n: int) -> int:
     """Number of records in [p_n, p_{n+1})."""
-    lo = _TABLE.prime(n)
-    hi = _TABLE.prime(n + 1)
-    recs = _counting_records(hi)
-    return bisect_left(recs, hi) - bisect_left(recs, lo)
+    return _count_records(_TABLE.prime(n), _TABLE.prime(n + 1) - 1)
 
 
 def w_count(n: int, check: bool = True) -> int:
@@ -94,10 +95,7 @@ def w_count(n: int, check: bool = True) -> int:
     With check=True (default) the count is cross-checked against the
     recurrence w_n = w_{n-1} * p_n - s_n for n >= 3.
     """
-    lo = _TABLE.prime(n + 1)
-    hi = _TABLE.primorial(n) + 1
-    recs = _counting_records(hi)
-    w = bisect_right(recs, hi) - bisect_left(recs, lo)
+    w = _count_records(_TABLE.prime(n + 1), _TABLE.primorial(n) + 1)
     if check and n >= 3:
         prev = w_count(n - 1, check=False)
         expected = prev * _TABLE.prime(n) - s_count(n)

@@ -13,17 +13,19 @@ is the smallest prime not dividing r-1.  The first record is 5 at index 4,
 every later record r sits at index (previous record) + 1, every prime >= 5
 shows up as a record, and every record is odd and congruent to 1 or 5 mod 6.
 
-Enumeration is seedable (the recurrence is local), so disjoint record
-ranges can be produced independently, e.g. in parallel workers.
+Enumeration is seedable (the recurrence is local): RecordStream can start
+at any known record and produce a later range without replaying the start.
+Annotation derives ``is_composite`` from one sieve up to the largest record
+of the list, not from a primality test per record.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .primes import is_prime, smallest_prime_not_dividing
+from .primes import is_prime, sieve_flags, smallest_prime_not_dividing
 from .sequence import SequenceBuffer
 
 FIRST_ETP = 4
@@ -150,21 +152,28 @@ def record_values(limit: int) -> list[int]:
     return recs[: bisect_right(recs, limit)]
 
 
-def records_from_values(values: Sequence[int]) -> list[Record]:
-    """Annotate a full ascending record-value list (starting at 5).
+def _annotated(values: Sequence[int]) -> Iterator[tuple[int, int, int, bool]]:
+    """(value, turning_point, jump, is_composite) per record of a full
+    ascending record-value list (starting at 5).
 
     The index of the first record is 4; each later record r follows the
     previous record q at index q + 1, so its jump is r - q - 1.
+    Compositeness is read from one sieve up to the last value.
     """
-    if values and values[0] != FIRST_RECORD:
+    if not values:
+        return
+    if values[0] != FIRST_RECORD:
         raise ValueError(f"annotation needs the full list from {FIRST_RECORD}, got {values[0]}")
-    out: list[Record] = []
-    prev = None
+    prime = sieve_flags(values[-1])
+    t = FIRST_ETP
     for r in values:
-        t = FIRST_ETP if prev is None else prev + 1
-        out.append(Record(r, t, r - t, not is_prime(r)))
-        prev = r
-    return out
+        yield r, t, r - t, not prime[r]
+        t = r + 1
+
+
+def records_from_values(values: Sequence[int]) -> list[Record]:
+    """Annotate a full ascending record-value list (starting at 5)."""
+    return [Record(*row) for row in _annotated(values)]
 
 
 def record_stream_upto(limit: int) -> list[Record]:

@@ -12,9 +12,9 @@ then walks upward from the frontier, the smallest value above everything
 assigned so far; values skipped on the way join the pool.  Away from jumps
 the pool stays tiny, so extension is O(1) amortized.
 
-A buffer is single-writer: generation is inherently sequential per buffer,
-but finished buffers are safe to read from several threads, and independent
-buffers (different seeds) can be generated in parallel.
+Generation is inherently sequential: each term depends on the one before,
+so a buffer grows one term at a time.  Buffers take no locks and the module
+starts no threads or processes.
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@ import os
 
 import pytest
 
+from gcdperm import record_values
 from gcdperm.cli import main
+from gcdperm.primes import is_prime
 
 
 def run(capsys, *argv):
@@ -85,6 +87,41 @@ def test_records_cache_roundtrip(tmp_path, capsys):
                      "--out", str(csv2))
     assert code == 0
     assert cache.read_text().splitlines()[-1] == "997"
+
+
+def test_records_composite_column_matches_miller_rabin(capsys):
+    code, out, _ = run(capsys, "records", "--limit", "100000")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [int(r) for _, r, _, _, _ in rows] == record_values(100_000)
+    assert [r for _, r, _, _, c in rows if int(c) != (not is_prime(int(r)))] == []
+
+
+def test_records_cache_past_limit_matches_uncached(tmp_path, capsys):
+    cache = tmp_path / "cache.txt"
+    cached = tmp_path / "cached.csv"
+    fresh = tmp_path / "fresh.csv"
+    assert run(capsys, "records", "--limit", "1000", "--cache", str(cache))[0] == 0
+    built = cache.read_bytes()
+    assert run(capsys, "records", "--limit", "500", "--cache", str(cache),
+               "--out", str(cached))[0] == 0
+    assert run(capsys, "records", "--limit", "500", "--out", str(fresh))[0] == 0
+    assert cached.read_bytes() == fresh.read_bytes()
+    assert cache.read_bytes() == built
+
+
+@pytest.mark.parametrize("limit", ["-5", "0", "4"])
+def test_records_limit_below_first_record_is_usage_error(tmp_path, capsys, limit):
+    cache = tmp_path / "cache.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["records", "--limit", limit, "--cache", str(cache)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not cache.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["records", "--limit", limit])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_records_cache_env(tmp_path, capsys, monkeypatch):

@@ -17,7 +17,7 @@ from gcdperm import (
     save_record_cache,
     twin_records,
 )
-from gcdperm.primes import primes_upto
+from gcdperm.primes import is_prime, primes_upto
 
 RECORDS_7_TO_211 = [
     7, 11, 13, 17, 19, 23, 25, 29, 31,
@@ -119,6 +119,13 @@ def test_record_annotations():
     by_value = {r.value: r for r in recs}
     assert by_value[25].turning_point == 24 and by_value[25].jump == 1
     assert by_value[25].is_composite and not by_value[23].is_composite
+
+
+def test_composite_flags_match_miller_rabin():
+    # The annotation reads compositeness from a sieve; Miller-Rabin is the oracle.
+    recs = record_stream_upto(100_000)
+    assert recs[-1].value > 99_000
+    assert [r.value for r in recs if r.is_composite != (not is_prime(r.value))] == []
 
 
 def test_record_jumps_match_inverse(f3_million):
