@@ -17,9 +17,6 @@ Two closed-form membership tests for the eventually-identity seeds are
 provided alongside, one in terms of records adjacent to a, one in terms of
 primorial-offset representations of a, plus the density of the multiples
 of 6 that both tests exclude.
-
-``scan_identity_seeds`` runs independent seeds; rows only depend on their
-own buffers, so the scan can be distributed across workers if wanted.
 """
 
 from __future__ import annotations
@@ -116,7 +113,8 @@ def classify(a: int, budget: int | None = None, window: int = MERGE_WINDOW) -> C
     BudgetExhaustedError signals an undecided run.  By default the budget
     starts at max(10a, 10^4) and doubles up to a hard cap; certificates
     normally appear near the first prime record above a, so the first
-    attempt almost always suffices.
+    attempt almost always suffices.  When the capped attempt fails, the
+    error reports the capped budget, the one actually tried.
     """
     if a < 2:
         raise ValueError(f"seed must be >= 2, got {a}")
@@ -127,11 +125,12 @@ def classify(a: int, budget: int | None = None, window: int = MERGE_WINDOW) -> C
         return label
     b = max(10 * a, DEFAULT_BUDGET_FLOOR)
     while True:
-        label = _attempt(a, min(b, HARD_BUDGET_CAP), window)
+        tried = min(b, HARD_BUDGET_CAP)
+        label = _attempt(a, tried, window)
         if label is not None:
             return label
-        if b >= HARD_BUDGET_CAP:
-            raise BudgetExhaustedError(a, b)
+        if tried == HARD_BUDGET_CAP:
+            raise BudgetExhaustedError(a, tried)
         b *= 2
 
 

@@ -13,6 +13,7 @@ import itertools
 import os
 import sys
 from bisect import bisect_right
+from contextlib import nullcontext
 
 from . import __version__
 from .classify import BudgetExhaustedError, scan_identity_seeds
@@ -21,6 +22,7 @@ from .primorial import prime_ratio_series, primes_within_records_series
 from .records import (
     FIRST_RECORD,
     _annotated,
+    f3_terms,
     load_record_cache,
     next_record,
     record_values,
@@ -36,28 +38,36 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
+# Lines joined into one write: large enough that per-write overhead
+# vanishes, small enough that a chunk stays a few MB.
+WRITE_CHUNK_LINES = 65_536
+
 
 def _write_lines(path: str | None, lines) -> None:
+    """Write an iterable of lines, LF-terminated, to path or to stdout."""
+    it = iter(lines)
     if path is None:
-        for line in lines:
-            sys.stdout.write(line + "\n")
-        return
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        sink = nullcontext(sys.stdout)
+    else:
+        sink = open(path, "w", encoding="ascii", newline="\n")
+    with sink as fh:
+        while chunk := list(itertools.islice(it, WRITE_CHUNK_LINES)):
+            fh.write("\n".join(chunk))
+            fh.write("\n")
 
 
 def cmd_generate(args) -> int:
     n = args.n + 1 if args.with_derivative else args.n
-    buf = generate_prefix(args.a, n)
-    terms = buf.terms
+    terms = f3_terms(n) if args.a == 3 else generate_prefix(args.a, n).terms
+    values = enumerate(itertools.islice(terms, 1, args.n + 1), start=1)
     if args.with_derivative:
-        lines = ["n,f_n,g_n"]
-        lines += [f"{i},{terms[i]},{terms[i + 1] - terms[i]}" for i in range(1, args.n + 1)]
+        lines = itertools.chain(
+            ["n,f_n,g_n"], (f"{i},{v},{terms[i + 1] - v}" for i, v in values)
+        )
     elif args.format == "plain":
-        lines = [f"{i} {terms[i]}" for i in range(1, args.n + 1)]
+        lines = (f"{i} {v}" for i, v in values)
     else:
-        lines = ["n,f_n"] + [f"{i},{terms[i]}" for i in range(1, args.n + 1)]
+        lines = itertools.chain(["n,f_n"], (f"{i},{v}" for i, v in values))
     _write_lines(args.out, lines)
     return EXIT_OK
 
@@ -152,7 +162,7 @@ def cmd_diff_bfile(args) -> int:
     return EXIT_OK
 
 
-def _figure_lines(which: str, limit: int | None) -> list[str]:
+def _figure_lines(which: str, limit: int | None):
     if which == "fig1":
         rows = twin_cycle_gaps(limit or 10_000)
         return ["j,m_j,M_j,gap_a,gap_b"] + [
@@ -160,13 +170,12 @@ def _figure_lines(which: str, limit: int | None) -> list[str]:
         ]
     if which == "fig2":
         span = limit or 12_000
-        buf = generate_prefix(3, span + 1)
-        terms = buf.terms
-        return ["t,g_t"] + [f"{t},{terms[t + 1] - terms[t]}" for t in range(1, span + 1)]
+        terms = f3_terms(span + 1)
+        return itertools.chain(
+            ["t,g_t"], (f"{t},{terms[t + 1] - terms[t]}" for t in range(1, span + 1))
+        )
     if which in ("fig3", "fig4"):
         count = limit or 1_000
-        if count < 1:
-            raise ValueError(f"need a positive record count, got {count}")
         recs = record_values(10 * count + 100)
         while len(recs) < count:
             recs = record_values(2 * recs[-1])
@@ -205,14 +214,23 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _record_limit(text: str) -> int:
-    try:
-        limit = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if limit < FIRST_RECORD:
-        raise argparse.ArgumentTypeError(f"must be >= {FIRST_RECORD}, got {limit}")
-    return limit
+def _int_at_least(lo: int):
+    """argparse type: an integer >= lo; anything else is a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
+
+
+_seed = _int_at_least(2)
+_positive = _int_at_least(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write terms of f_a")
-    p.add_argument("--a", type=int, default=3, help="seed value f(2) (default 3)")
-    p.add_argument("--n", type=int, required=True, help="number of terms")
+    p.add_argument("--a", type=_seed, default=3, help="seed value f(2) (default 3)")
+    p.add_argument("--n", type=_int_at_least(2), required=True, help="number of terms (>= 2)")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "plain"), default="csv",
                    help="csv with header, or plain 'n value' lines (b-file style)")
@@ -236,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("records", help="enumerate f_3 records; CSV and/or cache file")
-    p.add_argument("--limit", type=_record_limit, required=True,
+    p.add_argument("--limit", type=_int_at_least(FIRST_RECORD), required=True,
                    help=f"largest record value (>= {FIRST_RECORD})")
     p.add_argument("--out", help="CSV output path (default stdout unless only caching)")
     p.add_argument("--cache", help=f"plain record cache to reuse/write (or ${CACHE_ENV})")
@@ -250,16 +268,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("suite", choices=sorted(SUITES), metavar="suite",
                    help="one of: " + ", ".join(sorted(SUITES)))
-    p.add_argument("--limit", type=int, help="index/value limit where applicable")
-    p.add_argument("--bound", type=int, help="seed bound where applicable")
-    p.add_argument("--n", type=int, help="primorial index where applicable")
-    p.add_argument("--kmax", type=int, help="multiplier bound where applicable")
-    p.add_argument("--budget", type=int, help="explicit simulation budget")
+    p.add_argument("--limit", type=_positive, help="index/value limit where applicable")
+    p.add_argument("--bound", type=_positive, help="seed bound where applicable")
+    p.add_argument("--n", type=_positive, help="primorial index where applicable")
+    p.add_argument("--kmax", type=_positive, help="multiplier bound where applicable")
+    p.add_argument("--budget", type=_positive, help="explicit simulation budget")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("diff-bfile", help="compare a local OEIS-style b-file against f_a")
     p.add_argument("path", help="b-file: optional # comments, then 'n value' lines")
-    p.add_argument("--a", type=int, default=3, help="seed (default 3)")
+    p.add_argument("--a", type=_seed, default=3, help="seed (default 3)")
     p.add_argument("--offset", type=int, default=0,
                    help="add to file indices before comparing (absorbs indexing conventions)")
     p.add_argument("--from", dest="from_index", type=int, default=1,
@@ -269,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-figures", help="write the CSV series behind the figures")
     p.add_argument("which", choices=("fig1", "fig2", "fig3", "fig4", "all"))
     p.add_argument("--out-dir", default=".", help="directory for the CSV files")
-    p.add_argument("--limit", type=int,
+    p.add_argument("--limit", type=_positive,
                    help="fig1: twin-prime bound; fig2: last t; fig3/fig4: record count")
     p.set_defaults(func=cmd_export_figures)
 

@@ -17,16 +17,23 @@ Enumeration is seedable (the recurrence is local): RecordStream can start
 at any known record and produce a later range without replaying the start.
 Annotation derives ``is_composite`` from one sieve up to the largest record
 of the list, not from a primality test per record.
+
+The records pin f_3 down completely: ``reconstruct_f3`` answers one index,
+and ``f3_terms`` builds the whole prefix f_3(1..n) as an ``array('q')``
+(8 bytes per term) by patching the counting stretch f_3(n) = n - 1 at each
+turning point, with no simulation.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .primes import is_prime, sieve_flags, smallest_prime_not_dividing
-from .sequence import SequenceBuffer
+from .sequence import LimitExceededError, SequenceBuffer, max_terms_cap
 
 FIRST_ETP = 4
 FIRST_RECORD = 5
@@ -215,6 +222,30 @@ def reconstruct_f3(n: int, records: Sequence | None = None) -> int:
     if i < len(recs) and recs[i] == n - 1:
         return recs[i + 1]
     return n - 1
+
+
+def f3_terms(n: int) -> array:
+    """f_3(1..n) from the records, laid out like ``SequenceBuffer.terms``:
+    ``terms[i] == f_3(i)`` and slot 0 is padding (0).
+
+    Every index counts down, f_3(i) = i - 1, except the head 1, 3, 2, 5 and
+    the index after each record q, where f_3(q + 1) is the record after q.
+    Needs n >= 2 and obeys the engine's term cap (GCDPERM_MAX_TERMS).
+    """
+    if n < 2:
+        raise ValueError(f"need n >= 2 (f(1)=1 and f(2)=a are fixed), got {n}")
+    cap = max_terms_cap()
+    if n > cap:
+        raise LimitExceededError.terms(3, n, cap)
+    terms = array("q", range(-1, n))
+    head = (0, 1, 3, 2, 5)[: n + 1]
+    terms[: len(head)] = array("q", head)
+    recs = cached_records(n + 1)
+    # Records q <= n - 1 set terms[q + 1]; the cache extends past n + 1,
+    # so each of them has a successor.
+    for q, r in zip(islice(recs, bisect_right(recs, n - 1)), islice(recs, 1, None)):
+        terms[q + 1] = r
+    return terms
 
 
 def prime_multiple_records(p: int, limit: int) -> tuple[list[int], list[int]]:

@@ -15,6 +15,10 @@ the pool stays tiny, so extension is O(1) amortized.
 Generation is inherently sequential: each term depends on the one before,
 so a buffer grows one term at a time.  Buffers take no locks and the module
 starts no threads or processes.
+
+This engine is the general path, for every seed, and the oracle for f_3:
+bulk f_3 output is built from the records instead (``records.f3_terms``),
+and the tests hold the two equal.
 """
 
 from __future__ import annotations
@@ -30,11 +34,29 @@ MAX_TERMS_ENV = "GCDPERM_MAX_TERMS"
 class LimitExceededError(RuntimeError):
     """A generation or enumeration request exceeded the configured cap."""
 
+    @classmethod
+    def terms(cls, a: int, n: int, cap: int) -> "LimitExceededError":
+        """The error for a request of n terms of f_a above the term cap."""
+        return cls(
+            f"requested {n} terms of f_{a}; cap is {cap} (set {MAX_TERMS_ENV} to raise it)"
+        )
+
 
 def max_terms_cap() -> int:
-    """Term cap for a buffer; override with the GCDPERM_MAX_TERMS env var."""
+    """Term cap for a buffer; override with the GCDPERM_MAX_TERMS env var.
+
+    A value that is not a positive integer raises LimitExceededError.
+    """
     raw = os.environ.get(MAX_TERMS_ENV)
-    return int(raw) if raw else DEFAULT_MAX_TERMS
+    if not raw:
+        return DEFAULT_MAX_TERMS
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise LimitExceededError(f"{MAX_TERMS_ENV} must be a positive integer, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -144,10 +166,7 @@ class SequenceBuffer:
         if n <= len(self):
             return
         if n > self._cap:
-            raise LimitExceededError(
-                f"requested {n} terms of f_{self.a}; cap is {self._cap} "
-                f"(set {MAX_TERMS_ENV} to raise it)"
-            )
+            raise LimitExceededError.terms(self.a, n, self._cap)
         terms = self._terms
         pool = self._pool
         head = self._head

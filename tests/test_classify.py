@@ -13,6 +13,7 @@ from gcdperm import (
     generate_prefix,
     scan_identity_seeds,
 )
+from gcdperm.classify import HARD_BUDGET_CAP
 
 
 def test_identity_verdicts():
@@ -54,6 +55,14 @@ def test_budget_exhaustion():
     with pytest.raises(BudgetExhaustedError):
         classify(3, budget=3)
     assert classify(3, budget=100).verdict == C3
+
+
+def test_budget_exhaustion_reports_the_budget_tried():
+    # The default ladder starts at 10a = 10,000,030 and is clamped to the cap.
+    with pytest.raises(BudgetExhaustedError) as exc:
+        classify(1_000_003)
+    assert exc.value.budget == HARD_BUDGET_CAP
+    assert str(exc.value) == f"f_1000003: no certificate within {HARD_BUDGET_CAP} terms"
 
 
 def test_etps_recorded_and_even():

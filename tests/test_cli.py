@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from gcdperm import record_values
+from gcdperm import generate_prefix, record_values
 from gcdperm.cli import main
 from gcdperm.primes import is_prime
 
@@ -314,3 +314,99 @@ def test_verify_budget_exhaustion_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "thm3", "--bound", "120", "--budget", "3")
     assert code == 1
     assert "FAIL" in out
+
+
+def _simulated_generate(n, fmt="csv", with_derivative=False):
+    # Expected `generate --a 3` output, built from the simulation engine.
+    terms = generate_prefix(3, n + 1).terms
+    if with_derivative:
+        rows = ["n,f_n,g_n"]
+        rows += [f"{i},{terms[i]},{terms[i + 1] - terms[i]}" for i in range(1, n + 1)]
+    elif fmt == "plain":
+        rows = [f"{i} {terms[i]}" for i in range(1, n + 1)]
+    else:
+        rows = ["n,f_n"] + [f"{i},{terms[i]}" for i in range(1, n + 1)]
+    return "".join(row + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 70_000])
+@pytest.mark.parametrize(
+    "flags,kind",
+    [([], {}), (["--format", "plain"], {"fmt": "plain"}),
+     (["--with-derivative"], {"with_derivative": True})],
+)
+def test_generate_f3_matches_simulation(tmp_path, capsys, n, flags, kind):
+    want = _simulated_generate(n, **kind)
+    out_file = tmp_path / "f3.out"
+    code, out, _ = run(capsys, "generate", "--a", "3", "--n", str(n), *flags,
+                       "--out", str(out_file))
+    assert code == 0 and out == ""
+    assert out_file.read_bytes() == want.encode("ascii")
+    code, out, _ = run(capsys, "generate", "--a", "3", "--n", str(n), *flags)
+    assert code == 0
+    assert out == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--n", "1"],
+    ["generate", "--n", "-3"],
+    ["generate", "--n", "ten"],
+    ["generate", "--a", "1", "--n", "5"],
+    ["generate", "--a", "0", "--n", "5"],
+    ["diff-bfile", "b.txt", "--a", "1"],
+])
+def test_bad_seed_or_term_count_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-1"])
+@pytest.mark.parametrize("a", ["3", "5"])
+def test_bad_term_cap_env_is_usage_error(tmp_path, capsys, monkeypatch, raw, a):
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", raw)
+    target = tmp_path / "out.csv"
+    code, out, err = run(capsys, "generate", "--a", a, "--n", "10", "--out", str(target))
+    assert code == 2
+    assert "GCDPERM_MAX_TERMS" in err and out == ""
+    assert not target.exists()
+
+
+def test_cap_exit_code_f3_with_derivative(tmp_path, capsys, monkeypatch):
+    # --with-derivative needs one term past --n, and that term counts too.
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "100")
+    target = tmp_path / "out.csv"
+    code, _, err = run(capsys, "generate", "--a", "3", "--n", "100", "--with-derivative",
+                       "--out", str(target))
+    assert code == 2 and "cap" in err
+    assert not target.exists()
+    code, out, _ = run(capsys, "generate", "--a", "3", "--n", "99", "--with-derivative")
+    assert code == 0 and out == _simulated_generate(99, with_derivative=True)
+
+
+@pytest.mark.parametrize("flag", ["--limit", "--bound", "--n", "--kmax", "--budget"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_verify_flags_reject_non_positive(capsys, flag, value):
+    for suite in ("prop3", "thm2", "cor1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, flag, value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_export_figures_limit_rejects_non_positive(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["export-figures", "fig2", "--out-dir", str(tmp_path / "figs"), "--limit", value])
+    assert exc.value.code == 2
+    assert not (tmp_path / "figs").exists()
+
+
+def test_fig2_matches_simulation_at_default_span(tmp_path, capsys):
+    code, _, _ = run(capsys, "export-figures", "fig2", "--out-dir", str(tmp_path))
+    assert code == 0
+    terms = generate_prefix(3, 12_001).terms
+    want = "t,g_t\n" + "".join(f"{t},{terms[t + 1] - terms[t]}\n" for t in range(1, 12_001))
+    assert (tmp_path / "fig2.csv").read_bytes() == want.encode("ascii")
+

@@ -1,10 +1,13 @@
+import math
 import random
 
 import pytest
 
 from gcdperm import (
     InsufficientRecordsError,
+    LimitExceededError,
     RecordStream,
+    f3_terms,
     find_turning_points,
     generate_prefix,
     load_record_cache,
@@ -254,3 +257,52 @@ def test_record_cache_roundtrip(tmp_path):
     tampered.write_text("# a=3 records\n5\n7\n12\n")
     with pytest.raises(ValueError):
         load_record_cache(tampered, verify=True)
+
+
+def _naive_f3(n):
+    # f_3(1..n) by the definition, with a set of used values; slot 0 is 0.
+    terms = [0, 1, 3]
+    used = {1, 3}
+    low = 2
+    while len(terms) <= n:
+        while low in used:
+            low += 1
+        c, last = low, terms[-1]
+        while c in used or math.gcd(c, last) != 1:
+            c += 1
+        used.add(c)
+        terms.append(c)
+    return terms[: n + 1]
+
+
+def test_f3_terms_equals_simulation():
+    for n in range(2, 301):
+        assert list(f3_terms(n)) == generate_prefix(3, n).terms, n
+    n = 200_000
+    assert list(f3_terms(n)) == generate_prefix(3, n).terms
+
+
+def test_f3_terms_equals_naive_generator():
+    naive = _naive_f3(20_000)
+    for n in (2, 3, 4, 5, 6, 7, 1000, 20_000):
+        assert list(f3_terms(n)) == naive[: n + 1], n
+
+
+def test_f3_terms_layout_and_input_checks():
+    terms = f3_terms(12)
+    assert terms.typecode == "q" and terms.itemsize == 8
+    assert list(terms) == [0, 1, 3, 2, 5, 4, 7, 6, 11, 8, 9, 10, 13]
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError):
+            f3_terms(n)
+
+
+def test_f3_terms_obeys_term_cap(monkeypatch):
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "40")
+    with pytest.raises(LimitExceededError, match="cap is 40"):
+        f3_terms(41)
+    assert len(f3_terms(40)) == 41
+    for bad in ("abc", "0", "-5"):
+        monkeypatch.setenv("GCDPERM_MAX_TERMS", bad)
+        with pytest.raises(LimitExceededError, match="GCDPERM_MAX_TERMS"):
+            f3_terms(10)

@@ -189,3 +189,10 @@ def test_term_cap_env_override(monkeypatch):
     with pytest.raises(LimitExceededError):
         generate_prefix(3, 41)
     assert len(generate_prefix(3, 40)) == 40
+
+
+@pytest.mark.parametrize("raw", ["abc", "1.5", "0", "-40"])
+def test_term_cap_env_must_be_positive_integer(monkeypatch, raw):
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", raw)
+    with pytest.raises(LimitExceededError, match="positive integer"):
+        generate_prefix(5, 10)
