@@ -25,15 +25,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .primes import next_prime
+from .primorial import nth_prime, primorial
 from .records import cached_records, reconstruct_f3
-from .sequence import SequenceBuffer
+from .sequence import SequenceBuffer, max_terms_cap
 
 IDENTITY = "identity"
 C3 = "c3"
 
 DEFAULT_BUDGET_FLOOR = 10_000
-HARD_BUDGET_CAP = 1_000_000
 MERGE_WINDOW = 64
 
 
@@ -58,10 +57,6 @@ class ClassLabel:
     verdict: str
     witness: int
     etps: tuple[int, ...] = ()
-
-    @property
-    def is_identity(self) -> bool:
-        return self.verdict == IDENTITY
 
 
 def _attempt(a: int, budget: int, window: int) -> ClassLabel | None:
@@ -111,10 +106,11 @@ def classify(a: int, budget: int | None = None, window: int = MERGE_WINDOW) -> C
 
     With an explicit budget a single attempt is made and
     BudgetExhaustedError signals an undecided run.  By default the budget
-    starts at max(10a, 10^4) and doubles up to a hard cap; certificates
-    normally appear near the first prime record above a, so the first
-    attempt almost always suffices.  When the capped attempt fails, the
-    error reports the capped budget, the one actually tried.
+    starts at max(10a, 10^4) and doubles up to the term cap
+    (GCDPERM_MAX_TERMS) less the buffer's room for the merge window;
+    certificates normally appear near the first prime record above a, so
+    the first attempt almost always suffices.  When the capped attempt
+    fails, the error reports the capped budget, the one actually tried.
     """
     if a < 2:
         raise ValueError(f"seed must be >= 2, got {a}")
@@ -123,13 +119,15 @@ def classify(a: int, budget: int | None = None, window: int = MERGE_WINDOW) -> C
         if label is None:
             raise BudgetExhaustedError(a, budget)
         return label
+    # _attempt holds budget + window + 2 terms; keep that within the term cap.
+    ceiling = max(max_terms_cap() - window - 2, 0)
     b = max(10 * a, DEFAULT_BUDGET_FLOOR)
     while True:
-        tried = min(b, HARD_BUDGET_CAP)
+        tried = min(b, ceiling)
         label = _attempt(a, tried, window)
         if label is not None:
             return label
-        if tried == HARD_BUDGET_CAP:
+        if tried == ceiling:
             raise BudgetExhaustedError(a, tried)
         b *= 2
 
@@ -149,17 +147,6 @@ def eventually_identity_by_record(a: int) -> bool:
     return i > 0 and recs[i - 1] >= a - 1
 
 
-def _primes_next_to_primorials(a: int):
-    # Yields (p_n#, p_{n+1}) for n = 4, 5, ... while p_n# + 6 <= a.
-    primorial = 210
-    prime = 7
-    while primorial + 6 <= a:
-        nxt = next_prime(prime)
-        yield primorial, nxt
-        primorial *= nxt
-        prime = nxt
-
-
 def eventually_identity_by_primorial(a: int) -> bool:
     """Membership test for the eventually-identity seeds via primorials.
 
@@ -171,12 +158,14 @@ def eventually_identity_by_primorial(a: int) -> bool:
         return True
     if a < 2 or a % 6:
         return False
-    for primorial, nxt_prime in _primes_next_to_primorials(a):
-        t_max = (nxt_prime - 2) // 6
-        # 6*t_max < primorial, so only the largest m with a - m*P >= 6 can fit.
-        m = (a - 6) // primorial
-        if m >= 1 and 6 <= a - m * primorial <= 6 * t_max:
+    k = 4
+    while (pk := primorial(k)) + 6 <= a:
+        t_max = (nth_prime(k + 1) - 2) // 6
+        # 6*t_max < P_k, so only the largest m with a - m*P_k >= 6 can fit.
+        m = (a - 6) // pk
+        if m >= 1 and 6 <= a - m * pk <= 6 * t_max:
             return False
+        k += 1
     return True
 
 
@@ -188,17 +177,11 @@ def exceptional_seed_density(k_max: int) -> Fraction:
     set is a disjoint union of arithmetic progressions mod p_k#, one band
     of offsets per k, which is where the summand comes from.
     """
-    total = Fraction(0)
-    primorial = 210
-    prime = 7
-    k = 4
-    while k <= k_max:
-        nxt = next_prime(prime)
-        total += Fraction((nxt - 2) // 6 - (prime - 2) // 6, primorial)
-        primorial *= nxt
-        prime = nxt
-        k += 1
-    return total
+    return sum(
+        (Fraction((nth_prime(k + 1) - 2) // 6 - (nth_prime(k) - 2) // 6, primorial(k))
+         for k in range(4, k_max + 1)),
+        Fraction(0),
+    )
 
 
 @dataclass(frozen=True)

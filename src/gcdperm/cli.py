@@ -22,14 +22,14 @@ from .primorial import prime_ratio_series, primes_within_records_series
 from .records import (
     FIRST_RECORD,
     _annotated,
+    extend_records,
     f3_terms,
     load_record_cache,
-    next_record,
     record_values,
     save_record_cache,
 )
 from .sequence import LimitExceededError, generate_prefix
-from .suites import DESCRIPTIONS, SUITES
+from .suites import SUITES, TABLE
 
 CACHE_ENV = "GCDPERM_CACHE"
 
@@ -74,27 +74,21 @@ def cmd_generate(args) -> int:
 
 def cmd_records(args) -> int:
     cache_path = args.cache or os.environ.get(CACHE_ENV)
-    chain = None
-    dirty = False
     if cache_path and os.path.exists(cache_path):
         chain = load_record_cache(cache_path)
         if not chain or chain[0] != FIRST_RECORD:
             print(f"error: {cache_path} does not hold a full record list", file=sys.stderr)
             return EXIT_IO
-        # Extend the cached chain in place; the recurrence is local.
-        r = chain[-1]
-        while r < args.limit:
-            r = next_record(r)
-            if r <= args.limit:
-                chain.append(r)
-                dirty = True
-    if chain is None:
+        loaded = len(chain)
+        extend_records(chain, args.limit)
+        del chain[bisect_right(chain, args.limit):]
+        dirty = len(chain) > loaded
+    else:
         chain = record_values(args.limit)
         dirty = cache_path is not None
-    if cache_path and dirty:
+    if dirty:
         save_record_cache(cache_path, chain)
     if args.out or not cache_path:
-        del chain[bisect_right(chain, args.limit):]
         rows = _annotated(chain)
         lines = itertools.chain(
             ["index,record,turning_point,jump,is_composite"],
@@ -105,17 +99,30 @@ def cmd_records(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suite = SUITES[args.suite]
-    results = suite(limit=args.limit, bound=args.bound, n=args.n, kmax=args.kmax,
-                    budget=args.budget)
+    flags = TABLE[args.suite].flags
+    every_flag = dict.fromkeys(flag for suite in TABLE.values() for flag in suite.flags)
+    given = {flag: getattr(args, flag) for flag in every_flag if getattr(args, flag) is not None}
+    extra = [name for name in given if name not in flags]
+    if extra:
+        takes = ", ".join(f"--{name}" for name in flags)
+        print(f"error: verify {args.suite} does not take --{extra[0]}; it takes {takes}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        results = SUITES[args.suite](**given)
+    except ValueError as exc:
+        print(f"error: verify {args.suite}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     width = max(len(r.name) for r in results)
-    failed = 0
+    counted = [r for r in results if not r.vacuous]
+    failed = sum(not r.ok for r in counted)
     for r in results:
-        mark = "PASS" if r.ok else "FAIL"
-        failed += not r.ok
+        mark = "VACUOUS" if r.vacuous else "PASS" if r.ok else "FAIL"
         detail = f"  {r.detail}" if r.detail else ""
         print(f"{mark}  [{r.suite}] {r.name:<{width}}{detail}")
-    print(f"{args.suite}: {len(results) - failed}/{len(results)} checks passed")
+    vacuous = len(results) - len(counted)
+    print(f"{args.suite}: {len(counted) - failed}/{len(counted)} checks passed"
+          + (f", {vacuous} vacuous" if vacuous else ""))
     return EXIT_OK if not failed else EXIT_VERIFY_FAIL
 
 
@@ -233,6 +240,17 @@ _seed = _int_at_least(2)
 _positive = _int_at_least(1)
 
 
+def _suites_help() -> str:
+    lines = ["suites, each with the flags it takes and their defaults:"]
+    for name, suite in TABLE.items():
+        flags = " ".join(
+            f"--{flag} {'auto' if default is None else default}"
+            for flag, default in suite.flags.items()
+        )
+        lines += [f"  {name:<16} {suite.description}", f"  {'':<16} {flags}"]
+    return "\n".join(lines)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gcdperm",
@@ -264,15 +282,16 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="run a named verification suite",
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="suites:\n" + "\n".join(f"  {k:<16} {v}" for k, v in DESCRIPTIONS.items()),
+        epilog=_suites_help(),
     )
-    p.add_argument("suite", choices=sorted(SUITES), metavar="suite",
-                   help="one of: " + ", ".join(sorted(SUITES)))
-    p.add_argument("--limit", type=_positive, help="index/value limit where applicable")
-    p.add_argument("--bound", type=_positive, help="seed bound where applicable")
-    p.add_argument("--n", type=_positive, help="primorial index where applicable")
-    p.add_argument("--kmax", type=_positive, help="multiplier bound where applicable")
-    p.add_argument("--budget", type=_positive, help="explicit simulation budget")
+    p.add_argument("suite", choices=sorted(TABLE), metavar="suite",
+                   help="one of: " + ", ".join(sorted(TABLE)))
+    p.add_argument("--limit", type=_positive, help="index/value limit")
+    p.add_argument("--bound", type=_positive, help="seed bound")
+    p.add_argument("--n", type=_positive, help="primorial index")
+    p.add_argument("--kmax", type=_positive, help="multiplier bound")
+    p.add_argument("--budget", type=_positive,
+                   help="simulation budget (auto: max(10a, 10^4), doubling up to the term cap)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("diff-bfile", help="compare a local OEIS-style b-file against f_a")
@@ -292,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export_figures)
 
     p = sub.add_parser("scan", help="cross-check the eventually-identity tests over seeds")
-    p.add_argument("--bound", type=int, required=True, help="largest seed (2, 4, then 6k)")
+    p.add_argument("--bound", type=_positive, required=True, help="largest seed (2, 4, then 6k)")
     p.add_argument("--out", help="CSV output path (default stdout)")
-    p.add_argument("--budget", type=int, help="explicit simulation budget")
+    p.add_argument("--budget", type=_positive, help="explicit simulation budget")
     p.set_defaults(func=cmd_scan)
 
     return parser

@@ -6,9 +6,6 @@ to c3, and cm back to c1.  Cycles are listed by ascending smallest element
 and each tuple is rotated to start at its largest element, which for f_3
 reproduces the record-block form (r, r-1, ..., t) running from a record
 down to its turning point.
-
-Decomposition reads a finished prefix, so it is safe to run concurrently
-over disjoint starting elements once the buffer is generated.
 """
 
 from __future__ import annotations
@@ -38,10 +35,6 @@ class Cycle:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    @property
-    def smallest(self) -> int:
-        return min(self.elements)
 
 
 def decompose(a: int, n: int, include_fixed: bool = False, max_terms: int | None = None) -> list[Cycle]:
@@ -136,11 +129,6 @@ class CycleIndexMap:
         if 4 <= v <= self._limit:
             return 2 + bisect_right(self._records, v - 1)
         raise UnknownCycleValueError(v)
-
-
-def cycle_index(index_map: CycleIndexMap, v: int) -> int:
-    """1-based index of the nontrivial cycle containing v."""
-    return index_map.index_of(v)
 
 
 def twin_cycle_gaps(limit: int) -> list[tuple[int, int, int, int, int]]:

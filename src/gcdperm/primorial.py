@@ -10,9 +10,6 @@ primorial windows gives an exact recurrence
 with s_n the record count in [p_n, p_{n+1}) and w_n the count in
 [p_{n+1}, P_n + 1], from which the asymptotic record density (about 0.2948)
 is bracketed rigorously.
-
-All operations here read the shared record cache and prefix snapshots, so
-they are safe to run concurrently over different n or k ranges.
 """
 
 from __future__ import annotations
@@ -26,9 +23,6 @@ from .primes import is_prime, next_prime, sieve_flags
 from .records import cached_records, record_values, reconstruct_f3
 from .sequence import LimitExceededError, generate_prefix
 
-# Decimal value of the primorial reciprocal series 1/2 + 1/6 + 1/30 + ...
-PRIMORIAL_RECIPROCAL_SERIES = 0.7052301717918009
-
 # Enumeration guard for the record-heavy verifiers below.
 DEFAULT_RECORD_LIMIT_CAP = 20_000_000
 
@@ -40,25 +34,23 @@ class PrimorialTable:
         self.primes = [2]
         self.primorials = [2]
 
-    def _grow(self, n: int) -> None:
+    def _slot(self, n: int) -> int:
+        """List position of p_n and P_n (n >= 1), growing the table to reach it."""
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
         while len(self.primes) < n:
             p = next_prime(self.primes[-1])
             self.primes.append(p)
             self.primorials.append(self.primorials[-1] * p)
+        return n - 1
 
     def prime(self, n: int) -> int:
         """The n-th prime, 1-based."""
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
-        self._grow(n)
-        return self.primes[n - 1]
+        return self.primes[self._slot(n)]
 
     def primorial(self, n: int) -> int:
         """P_n, the product of the first n primes, exact."""
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
-        self._grow(n)
-        return self.primorials[n - 1]
+        return self.primorials[self._slot(n)]
 
 
 _TABLE = PrimorialTable()
@@ -189,9 +181,6 @@ class KappaBounds:
     lower: Fraction
     upper: Fraction
 
-    def as_floats(self) -> tuple[float, float]:
-        return float(self.lower), float(self.upper)
-
 
 def kappa_bounds(k_max: int) -> KappaBounds:
     """Bracket the record density via primorial partial sums.
@@ -250,6 +239,21 @@ def kappa_empirical(n: int) -> float:
     return bisect_right(recs, n) / n
 
 
+def _prime_record_counts(limit: int, stride: int) -> list[tuple[int, int, int]]:
+    """(r, k, prime records among the first k) for every stride-th record r <= limit,
+    r being the k-th record."""
+    if stride < 1:
+        raise ValueError(f"need stride >= 1, got {stride}")
+    flags = sieve_flags(limit)
+    out = []
+    prime_count = 0
+    for k, r in enumerate(record_values(limit), start=1):
+        prime_count += flags[r]
+        if k % stride == 0:
+            out.append((r, k, prime_count))
+    return out
+
+
 def prime_ratio_series(limit: int, stride: int = 1) -> list[tuple[int, float]]:
     """Sampled series of (prime records / records) * ln(record value).
 
@@ -257,32 +261,12 @@ def prime_ratio_series(limit: int, stride: int = 1) -> list[tuple[int, float]]:
     records up to and including r.  The series drifts toward the reciprocal
     of the record density.
     """
-    if stride < 1:
-        raise ValueError(f"need stride >= 1, got {stride}")
-    recs = record_values(limit)
-    flags = sieve_flags(limit)
-    out = []
-    prime_count = 0
-    for k, r in enumerate(recs, start=1):
-        prime_count += flags[r]
-        if k % stride == 0:
-            out.append((r, prime_count / k * math.log(r)))
-    return out
+    return [(r, primes / k * math.log(r)) for r, k, primes in _prime_record_counts(limit, stride)]
 
 
 def primes_within_records_series(limit: int, stride: int = 1) -> list[tuple[int, int]]:
     """Cumulative count of prime records at every stride-th record <= limit."""
-    if stride < 1:
-        raise ValueError(f"need stride >= 1, got {stride}")
-    recs = record_values(limit)
-    flags = sieve_flags(limit)
-    out = []
-    prime_count = 0
-    for k, r in enumerate(recs, start=1):
-        prime_count += flags[r]
-        if k % stride == 0:
-            out.append((r, prime_count))
-    return out
+    return [(r, primes) for r, _, primes in _prime_record_counts(limit, stride)]
 
 
 @dataclass(frozen=True)

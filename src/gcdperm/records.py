@@ -13,10 +13,11 @@ is the smallest prime not dividing r-1.  The first record is 5 at index 4,
 every later record r sits at index (previous record) + 1, every prime >= 5
 shows up as a record, and every record is odd and congruent to 1 or 5 mod 6.
 
-Enumeration is seedable (the recurrence is local): RecordStream can start
-at any known record and produce a later range without replaying the start.
-Annotation derives ``is_composite`` from one sieve up to the largest record
-of the list, not from a primality test per record.
+One loop, ``extend_records``, enumerates records: it extends an ascending
+record list in place until it passes a limit.  The shared cache
+(``cached_records``) and a record-cache file loaded by the CLI both grow
+through it.  Annotation derives ``is_composite`` from one sieve up to the
+largest record of the list, not from a primality test per record.
 
 The records pin f_3 down completely: ``reconstruct_f3`` answers one index,
 and ``f3_terms`` builds the whole prefix f_3(1..n) as an ``array('q')``
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from .primes import is_prime, sieve_flags, smallest_prime_not_dividing
+from .primes import sieve_flags, smallest_prime_not_dividing
 from .sequence import LimitExceededError, SequenceBuffer, max_terms_cap
 
 FIRST_ETP = 4
@@ -88,13 +89,6 @@ def find_turning_points(buffer: SequenceBuffer) -> list[TurningPoint]:
     return out
 
 
-def next_etp(t: int, f_t: int) -> int:
-    """Index of the ETP that follows the ETP t with record f_t: f_t + 1."""
-    if f_t <= t:
-        raise ValueError(f"({t}, {f_t}) cannot be an ETP with its record: need f(t) > t")
-    return f_t + 1
-
-
 def next_record(r: int) -> int:
     """The f_3 record that follows the record r (r >= 5).
 
@@ -108,29 +102,18 @@ def next_record(r: int) -> int:
     return m + smallest_prime_not_dividing(m)
 
 
-class RecordStream:
-    """Iterator over f_3 record values, strictly increasing.
+def extend_records(chain: list[int], limit: int) -> list[int]:
+    """Extend an ascending record list in place until its last value passes limit.
 
-    Seed with a known record to enumerate a later range without replaying
-    from the start.
+    chain must end in a record; the recurrence is local, so any chain that
+    does (a loaded cache, the shared list, ``[FIRST_RECORD]``) continues the
+    enumeration from where it stops.  Returns chain.
     """
-
-    def __init__(self, seed: int = FIRST_RECORD):
-        if seed < FIRST_RECORD or seed % 6 not in (1, 5):
-            raise ValueError(f"{seed} cannot be a record (records are 6k+-1, >= 5)")
-        self.last_record: int | None = None
-        self.count = 0
-        self._next = seed
-
-    def __iter__(self) -> "RecordStream":
-        return self
-
-    def __next__(self) -> int:
-        r = self._next
-        self._next = next_record(r)
-        self.last_record = r
-        self.count += 1
-        return r
+    r = chain[-1]
+    while r <= limit:
+        r = next_record(r)
+        chain.append(r)
+    return chain
 
 
 # Shared ascending record list, grown on demand.  Its tail always extends
@@ -144,11 +127,7 @@ def cached_records(limit: int) -> list[int]:
 
     Returns the live internal list for zero-copy bisecting; do not mutate.
     """
-    r = _CACHE[-1]
-    while r <= limit:
-        r = next_record(r)
-        _CACHE.append(r)
-    return _CACHE
+    return extend_records(_CACHE, limit)
 
 
 def record_values(limit: int) -> list[int]:
@@ -190,18 +169,12 @@ def record_stream_upto(limit: int) -> list[Record]:
     return records_from_values(record_values(limit))
 
 
-def _as_values(records: Sequence) -> Sequence[int]:
-    if records and isinstance(records[0], Record):
-        return [rec.value for rec in records]
-    return records
-
-
-def reconstruct_f3(n: int, records: Sequence | None = None) -> int:
+def reconstruct_f3(n: int, records: Sequence[int] | None = None) -> int:
     """f_3(n) straight from the record list, without sequential generation.
 
     If n-1 is a record, n is a turning point and f_3(n) is the next record;
     otherwise f_3(n) = n - 1 (counting stretch), with f(1)=1 and f(2)=3
-    handled directly.  ``records`` may be record values or Record objects
+    handled directly.  ``records`` is an ascending record-value list
     covering at least n+1; by default the shared cache is used and grown
     as needed.
     """
@@ -210,17 +183,15 @@ def reconstruct_f3(n: int, records: Sequence | None = None) -> int:
     if n <= 4:
         return (1, 3, 2, 5)[n - 1]
     if records is None:
-        recs = cached_records(n + 1)
-    else:
-        recs = _as_values(records)
-        if not recs or recs[-1] < n + 1:
-            have = recs[-1] if recs else None
-            raise InsufficientRecordsError(
-                f"reconstructing f_3({n}) needs records through {n + 1}, have {have}"
-            )
-    i = bisect_left(recs, n - 1)
-    if i < len(recs) and recs[i] == n - 1:
-        return recs[i + 1]
+        records = cached_records(n + 1)
+    elif not records or records[-1] < n + 1:
+        have = records[-1] if records else None
+        raise InsufficientRecordsError(
+            f"reconstructing f_3({n}) needs records through {n + 1}, have {have}"
+        )
+    i = bisect_left(records, n - 1)
+    if i < len(records) and records[i] == n - 1:
+        return records[i + 1]
     return n - 1
 
 
@@ -246,27 +217,6 @@ def f3_terms(n: int) -> array:
     for q, r in zip(islice(recs, bisect_right(recs, n - 1)), islice(recs, 1, None)):
         terms[q + 1] = r
     return terms
-
-
-def prime_multiple_records(p: int, limit: int) -> tuple[list[int], list[int]]:
-    """Records <= limit divisible by the prime p >= 5, with their gaps.
-
-    p itself (the only possible prime multiple) is excluded: the point is
-    the trail of composite multiples.  Returns (values, consecutive diffs).
-    """
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"need a prime p >= 5, got {p}")
-    vals = [r for r in record_values(limit) if r % p == 0 and r != p]
-    gaps = [b - a for a, b in zip(vals, vals[1:])]
-    return vals, gaps
-
-
-def twin_records(limit: int) -> list[tuple[int, int]]:
-    """Pairs of records (r, r+2), both <= limit.
-
-    Equivalently: records with jump 1, paired with their predecessor."""
-    recs = record_values(limit)
-    return [(lo, hi) for lo, hi in zip(recs, recs[1:]) if hi - lo == 2]
 
 
 def save_record_cache(path, records: Iterable[int]) -> None:

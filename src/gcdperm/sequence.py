@@ -92,8 +92,6 @@ class SequenceBuffer:
         "_head",
         "_frontier",
         "_cap",
-        "_index",
-        "_index_len",
     )
 
     def __init__(self, a: int, max_terms: int | None = None):
@@ -110,8 +108,6 @@ class SequenceBuffer:
             self._frontier = a + 1
         self._head = 0
         self.pool_peak = len(self._pool)
-        self._index: dict[int, int] | None = None
-        self._index_len = 0
 
     @property
     def a(self) -> int:
@@ -134,17 +130,9 @@ class SequenceBuffer:
         return f"SequenceBuffer(a={self.a}, terms={len(self)})"
 
     @property
-    def last(self) -> int:
-        return self._terms[-1]
-
-    @property
     def terms(self) -> list[int]:
         """Live term store with terms[n] == f(n); slot 0 is padding."""
         return self._terms
-
-    @property
-    def pool_size(self) -> int:
-        return len(self._pool) - self._head
 
     @property
     def pool(self) -> tuple[int, ...]:
@@ -204,34 +192,6 @@ class SequenceBuffer:
         self._head = head
         self._frontier = frontier
         self.pool_peak = peak
-
-    def inverse(self, v: int) -> int | None:
-        """Index n with f(n) = v, or None if v has not appeared yet."""
-        if self._index is None:
-            self._index = {}
-        idx = self._index
-        terms = self._terms
-        for i in range(self._index_len + 1, len(terms)):
-            idx[terms[i]] = i
-        self._index_len = len(terms) - 1
-        return idx.get(v)
-
-    def discrete_derivative(self, t: int) -> int:
-        """Forward difference f(t+1) - f(t); may be negative."""
-        if not 1 <= t <= len(self) - 1:
-            raise IndexError(f"derivative needs terms at {t} and {t + 1}; have {len(self)}")
-        return self._terms[t + 1] - self._terms[t]
-
-    def prefix_surjective_upto(self, n: int) -> bool:
-        """True iff every value in 1..n has already appeared."""
-        if n <= 0:
-            return True
-        if n >= self._frontier:
-            return False
-        # Unassigned values below the frontier are exactly pool[head:].
-        pool = self._pool
-        head = self._head
-        return head >= len(pool) or pool[head] > n
 
 
 def generate_prefix(a: int, n: int, max_terms: int | None = None) -> SequenceBuffer:

@@ -1,15 +1,20 @@
 """Named verification suites behind the ``verify`` CLI subcommand.
 
 Each suite re-checks one of the library's documented identities at a desk
-scale chosen by flags, and returns one line per check.  Suite names are
-short stable tokens (thm1, cor1, prop1, ..., cor2); ``DESCRIPTIONS`` maps
-them to what they actually verify.
+scale chosen by its parameters, and returns one line per check.  ``TABLE``
+maps each suite's short stable name (thm1, cor1, prop1, ..., cor2) to what
+it verifies and its check function.  The check's keyword parameters, with
+their defaults, are the suite's ``verify`` flags; an explicit value below a
+parameter's range raises ValueError.  ``SUITES`` maps each name to its
+check, and is the one place the CLI runs a suite from.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple, Sequence
 
 from .classify import (
     C3,
@@ -36,130 +41,126 @@ from .sequence import generate_prefix
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check line; ``items`` counts what the check covered, when countable."""
+
     suite: str
     name: str
     ok: bool
     detail: str = ""
+    items: int | None = None
+
+    @property
+    def vacuous(self) -> bool:
+        """True when the check covered nothing, so its verdict says nothing."""
+        return self.items == 0
 
 
-DESCRIPTIONS = {
-    "thm1": "ETP recursion: next ETP is record+1, no turning points in between",
-    "cor1": "odd-index identity f_3(2k+1)=2k; every prime >= 5 is a record; parities",
-    "prop1": "f_3(2k+1) = 2k for all k up to the limit",
-    "prop2": "f_3(3k+1) = 3k for all 2 <= k up to the limit",
-    "prop3": "forward difference >= 2n+1 at prime indices k*P_n + 1",
-    "thm2": "odd seeds merge into f_3 with every ETP even",
-    "thm3": "multiples of 6 settle to identity or merge, ETPs even",
-    "thm4": "record-adjacency membership test agrees with simulation",
-    "thm5": "P_n +- 1 and 2 P_n +- 1 are records",
-    "thm6": "translation f(P_n + k) = f(k) + P_n on [p_{n+1}, 2 P_n]",
-    "thm7": "r P_n +- 1 records for r < p_{n+1}; translation on the full range",
-    "thm8-recurrence": "window counts satisfy w_{n+1} = w_n p_{n+1} - s_{n+1}",
-    "thm10": "primorial-representation membership test agrees with simulation",
-    "cor2": "exceptional-seed density formula matches a brute-force count",
-}
+def _at_least(lo: int, **params) -> None:
+    """Reject an explicit parameter below lo; None leaves the choice automatic."""
+    for name, value in params.items():
+        if value is not None and value < lo:
+            raise ValueError(f"{name} must be >= {lo}, got {value}")
 
 
-def _result(suite: str, name: str, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(suite, name, bool(ok), detail)
+def _listed(bad: Sequence[int], detail: str, label: str = "failed") -> str:
+    """detail when nothing is bad, else the first few bad items."""
+    return f"{label}: {bad[:5]}" if bad else detail
 
 
-def suite_thm1(limit=None, bound=None, n=None, kmax=None, budget=None) -> list[CheckResult]:
-    limit = limit or 10_000
+def _index_identity(suite: str, terms, m: int, k_lo: int, k_max: int) -> CheckResult:
+    """f_3(m*k + 1) = m*k for k_lo <= k <= k_max, read from a prefix of f_3."""
+    ok = all(terms[m * k + 1] == m * k for k in range(k_lo, k_max + 1))
+    detail = f"k <= {k_max}" if k_lo == 1 else f"{k_lo} <= k <= {k_max}"
+    return CheckResult(suite, f"f_3({m}k+1) = {m}k", ok, detail, max(k_max - k_lo + 1, 0))
+
+
+def thm1(limit=10_000) -> list[CheckResult]:
+    _at_least(3, limit=limit)
     out = []
     for a in (3, 7):
-        buf = generate_prefix(a, limit)
-        etps = [tp for tp in find_turning_points(buf) if tp.is_etp]
-        chain_ok = all(
-            nxt.t == cur.record_value + 1
-            for cur, nxt in zip(etps, etps[1:])
-        )
-        out.append(_result("thm1", f"f_{a} ETP chain t' = f(t)+1", chain_ok, f"{len(etps)} ETPs"))
-        tps = [tp.t for tp in find_turning_points(buf)]
-        interior = [
-            t
-            for cur, nxt in zip(etps, etps[1:])
-            for t in tps
-            if cur.t < t < nxt.t
-        ]
-        out.append(_result("thm1", f"f_{a} no turning points between ETPs", not interior))
+        tps = find_turning_points(generate_prefix(a, limit))
+        etps = [tp for tp in tps if tp.is_etp]
+        pairs = max(len(etps) - 1, 0)
+        chain_ok = all(nxt.t == cur.record_value + 1 for cur, nxt in zip(etps, etps[1:]))
+        out.append(CheckResult("thm1", f"f_{a} ETP chain t' = f(t)+1", chain_ok,
+                               f"{len(etps)} ETPs", pairs))
+        # A turning point strictly between two consecutive ETPs is one that
+        # is not itself an ETP and lies between the first and the last ETP.
+        interior = [tp.t for tp in tps
+                    if not tp.is_etp and etps and etps[0].t < tp.t < etps[-1].t]
+        out.append(CheckResult("thm1", f"f_{a} no turning points between ETPs", not interior,
+                               items=pairs))
     return out
 
 
-def suite_cor1(limit=None, bound=None, n=None, kmax=None, budget=None) -> list[CheckResult]:
-    limit = limit or 100_000
+def cor1(limit=100_000) -> list[CheckResult]:
+    _at_least(3, limit=limit)
     buf = generate_prefix(3, limit)
-    terms = buf.terms
-    odd_ok = all(terms[2 * k + 1] == 2 * k for k in range(1, (limit - 1) // 2 + 1))
     recs = set(record_values(limit))
-    missing = [p for p in primes_upto(limit) if p >= 5 and p not in recs]
+    primes = [p for p in primes_upto(limit) if p >= 5]
+    missing = [p for p in primes if p not in recs]
     tps = find_turning_points(buf)
     parity_ok = all(tp.t % 2 == 0 and tp.record_value % 2 == 1 for tp in tps)
     form_ok = all(r % 6 in (1, 5) for r in recs)
     return [
-        _result("cor1", "f_3(2k+1) = 2k", odd_ok, f"k <= {(limit - 1) // 2}"),
-        _result("cor1", "every prime in [5, limit] is a record", not missing,
-                f"{len(missing)} missing" if missing else f"limit {limit}"),
-        _result("cor1", "turning points even, records odd", parity_ok),
-        _result("cor1", "records are 6k +- 1", form_ok),
+        _index_identity("cor1", buf.terms, 2, 1, (limit - 1) // 2),
+        CheckResult("cor1", "every prime in [5, limit] is a record", not missing,
+                    f"{len(missing)} missing" if missing else f"limit {limit}", len(primes)),
+        CheckResult("cor1", "turning points even, records odd", parity_ok, items=len(tps)),
+        CheckResult("cor1", "records are 6k +- 1", form_ok, items=len(recs)),
     ]
 
 
-def suite_prop1(limit=None, bound=None, n=None, kmax=None, budget=None) -> list[CheckResult]:
-    k_max = limit or 100_000
-    buf = generate_prefix(3, 2 * k_max + 1)
-    terms = buf.terms
-    ok = all(terms[2 * k + 1] == 2 * k for k in range(1, k_max + 1))
-    return [_result("prop1", "f_3(2k+1) = 2k", ok, f"k <= {k_max}")]
+def prop1(limit=100_000) -> list[CheckResult]:
+    _at_least(1, limit=limit)
+    return [_index_identity("prop1", generate_prefix(3, 2 * limit + 1).terms, 2, 1, limit)]
 
 
-def suite_prop2(limit=None, bound=None, n=None, kmax=None, budget=None) -> list[CheckResult]:
-    k_max = limit or 100_000
-    buf = generate_prefix(3, 3 * k_max + 1)
-    terms = buf.terms
-    ok = all(terms[3 * k + 1] == 3 * k for k in range(2, k_max + 1))
-    return [_result("prop2", "f_3(3k+1) = 3k", ok, f"2 <= k <= {k_max}")]
+def prop2(limit=100_000) -> list[CheckResult]:
+    _at_least(1, limit=limit)
+    return [_index_identity("prop2", generate_prefix(3, 3 * limit + 1).terms, 3, 2, limit)]
 
 
-def suite_prop3(limit=None, bound=None, n=None, kmax=None, budget=None) -> list[CheckResult]:
-    n_max = n or 4
-    k_max = kmax or 8
+def prop3(n=4, kmax=8) -> list[CheckResult]:
+    _at_least(1, n=n, kmax=kmax)
     out = []
-    for m in range(1, n_max + 1):
-        rows = derivative_bound_check(m, k_max)
+    for m in range(1, n + 1):
+        rows = derivative_bound_check(m, kmax)
         if not rows:
-            out.append(_result("prop3", f"n={m}", True, "vacuous: no prime index in range"))
+            out.append(CheckResult("prop3", f"n={m}", True, "vacuous: no prime index in range", 0))
             continue
         bad = [row for row in rows if not row.ok]
         out.append(
-            _result("prop3", f"n={m} derivative >= {2 * m + 1}", not bad,
-                    f"{len(rows)} prime indices, k <= {k_max}")
+            CheckResult("prop3", f"n={m} derivative >= {2 * m + 1}", not bad,
+                        f"{len(rows)} prime indices, k <= {kmax}", len(rows))
         )
     return out
 
 
-def suite_thm2(limit=None, bound=None, n=None, kmax=None, budget=None) -> list[CheckResult]:
-    bound = bound or 999
+def thm2(bound=999, budget=None) -> list[CheckResult]:
+    _at_least(1, bound=bound, budget=budget)
+    seeds = range(3, bound + 1, 2)
     bad_verdict = []
     bad_parity = []
-    for a in range(3, bound + 1, 2):
+    for a in seeds:
         label = classify(a, budget=budget)
         if label.verdict != C3:
             bad_verdict.append(a)
         if any(t % 2 for t in label.etps):
             bad_parity.append(a)
     return [
-        _result("thm2", "odd seeds merge into f_3", not bad_verdict,
-                f"a odd, 3..{bound}" if not bad_verdict else f"failed: {bad_verdict[:5]}"),
-        _result("thm2", "all ETPs even", not bad_parity),
+        CheckResult("thm2", "odd seeds merge into f_3", not bad_verdict,
+                    _listed(bad_verdict, f"a odd, 3..{bound}"), len(seeds)),
+        CheckResult("thm2", "all ETPs even", not bad_parity, items=len(seeds)),
     ]
 
 
-def suite_thm3(limit=None, bound=None, n=None, kmax=None, budget=None) -> list[CheckResult]:
-    bound = bound or 300
+def thm3(bound=300, budget=None) -> list[CheckResult]:
+    _at_least(1, bound=bound, budget=budget)
+    seeds = range(6, bound + 1, 6)
     undecided = []
     bad_parity = []
-    for a in range(6, bound + 1, 6):
+    for a in seeds:
         try:
             label = classify(a, budget=budget)
         except BudgetExhaustedError:
@@ -168,118 +169,135 @@ def suite_thm3(limit=None, bound=None, n=None, kmax=None, budget=None) -> list[C
         if any(t % 2 for t in label.etps):
             bad_parity.append(a)
     return [
-        _result("thm3", "multiples of 6 always decided", not undecided,
-                f"a = 6k <= {bound}" if not undecided else f"undecided: {undecided[:5]}"),
-        _result("thm3", "all ETPs even", not bad_parity),
+        CheckResult("thm3", "multiples of 6 always decided", not undecided,
+                    _listed(undecided, f"a = 6k <= {bound}", "undecided"), len(seeds)),
+        CheckResult("thm3", "all ETPs even", not bad_parity, items=len(seeds) - len(undecided)),
     ]
 
 
-def _agreement(bound: int, budget, which: str) -> list[CheckResult]:
+def _agreement(bound: int, budget) -> tuple[int, list[int], list[int]]:
+    """Seeds scanned, then the seeds where the record test and where the
+    primorial test disagree with simulation."""
     rows = scan_identity_seeds(bound, budget=budget)
-    mism_rec = [r.a for r in rows if (r.verdict == IDENTITY) != r.record_test]
-    mism_pri = [r.a for r in rows if (r.verdict == IDENTITY) != r.primorial_test]
+    bad_rec = [r.a for r in rows if (r.verdict == IDENTITY) != r.record_test]
+    bad_pri = [r.a for r in rows if (r.verdict == IDENTITY) != r.primorial_test]
+    return len(rows), bad_rec, bad_pri
+
+
+def thm4(bound=300, budget=None) -> list[CheckResult]:
+    _at_least(1, bound=bound, budget=budget)
+    seeds, bad_rec, _ = _agreement(bound, budget)
+    return [CheckResult("thm4", "record test == simulation", not bad_rec,
+                        _listed(bad_rec, f"{seeds} seeds"), seeds)]
+
+
+def thm10(bound=300, budget=None) -> list[CheckResult]:
+    _at_least(1, bound=bound, budget=budget)
+    seeds, bad_rec, bad_pri = _agreement(bound, budget)
+    return [
+        CheckResult("thm10", "primorial test == simulation", not bad_pri,
+                    _listed(bad_pri, f"{seeds} seeds"), seeds),
+        CheckResult("thm10", "all three tests agree", not (bad_rec or bad_pri), items=seeds),
+    ]
+
+
+def thm5(n=4) -> list[CheckResult]:
+    _at_least(2, n=n)
     out = []
-    if which in ("thm4", "both"):
-        out.append(_result("thm4", "record test == simulation", not mism_rec,
-                           f"{len(rows)} seeds" if not mism_rec else f"failed: {mism_rec[:5]}"))
-    if which in ("thm10", "both"):
-        out.append(_result("thm10", "primorial test == simulation", not mism_pri,
-                           f"{len(rows)} seeds" if not mism_pri else f"failed: {mism_pri[:5]}"))
-        out.append(_result("thm10", "all three tests agree", not (mism_rec or mism_pri)))
-    return out
-
-
-def suite_thm4(limit=None, bound=None, n=None, kmax=None, budget=None) -> list[CheckResult]:
-    return _agreement(bound or 300, budget, "thm4")
-
-
-def suite_thm10(limit=None, bound=None, n=None, kmax=None, budget=None) -> list[CheckResult]:
-    return _agreement(bound or 300, budget, "thm10")
-
-
-def suite_thm5(limit=None, bound=None, n=None, kmax=None, budget=None) -> list[CheckResult]:
-    n_max = n or 4
-    out = []
-    for m in range(2, n_max + 1):
+    for m in range(2, n + 1):
         pn = primorial(m)
         targets = [pn - 1, pn + 1, 2 * pn - 1, 2 * pn + 1]
         recs = set(record_values(2 * pn + 1))
         missing = [v for v in targets if v not in recs]
-        out.append(_result("thm5", f"P_{m} +- 1 and 2 P_{m} +- 1 are records", not missing,
-                           str(targets)))
+        out.append(CheckResult("thm5", f"P_{m} +- 1 and 2 P_{m} +- 1 are records", not missing,
+                               str(targets)))
     return out
 
 
-def suite_thm6(limit=None, bound=None, n=None, kmax=None, budget=None) -> list[CheckResult]:
-    m = n or 3
-    report = verify_translation(m)
-    p_next = nth_prime(m + 1)
-    short_hi = 2 * primorial(m)
+def thm6(n=3) -> list[CheckResult]:
+    _at_least(2, n=n)
+    report = verify_translation(n)
+    p_next = nth_prime(n + 1)
+    short_hi = 2 * primorial(n)
     fails_short = [k for k in report.failures if k <= short_hi]
     detail = f"maximal range k in [{report.maximal[0]}, {report.maximal[1]}]"
     return [
-        _result("thm6", f"f(P_{m}+k) = f(k)+P_{m} on [{p_next}, {short_hi}]",
-                not fails_short, detail)
+        CheckResult("thm6", f"f(P_{n}+k) = f(k)+P_{n} on [{p_next}, {short_hi}]",
+                    not fails_short, detail)
     ]
 
 
-def suite_thm7(limit=None, bound=None, n=None, kmax=None, budget=None) -> list[CheckResult]:
-    m = n or 3
-    rec_report = verify_primorial_records(m)
-    tr_report = verify_translation(m)
+def thm7(n=3) -> list[CheckResult]:
+    _at_least(2, n=n)
+    rec_report = verify_primorial_records(n)
+    tr_report = verify_translation(n)
     return [
-        _result("thm7", f"r P_{m} +- 1 records for r in [1, {rec_report.r_range[1]}]",
-                rec_report.passed,
-                f"{len(rec_report.checked)} values" if rec_report.passed
-                else f"missing: {rec_report.missing[:5]}"),
-        _result("thm7", f"translation on stated range {tr_report.stated}",
-                tr_report.holds_on_stated,
-                f"maximal {tr_report.maximal}"),
+        CheckResult("thm7", f"r P_{n} +- 1 records for r in [1, {rec_report.r_range[1]}]",
+                    rec_report.passed,
+                    _listed(rec_report.missing, f"{len(rec_report.checked)} values", "missing")),
+        CheckResult("thm7", f"translation on stated range {tr_report.stated}",
+                    tr_report.holds_on_stated,
+                    f"maximal {tr_report.maximal}"),
     ]
 
 
-def suite_thm8_recurrence(limit=None, bound=None, n=None, kmax=None, budget=None) -> list[CheckResult]:
-    n_max = n or 5
-    ledger = build_density_ledger(n_max)
+def thm8_recurrence(n=5) -> list[CheckResult]:
+    _at_least(2, n=n)
+    ledger = build_density_ledger(n)
     # Finite-range densities approach the limit from above, so test them
     # against the coarse interval; the sharp bounds describe the limit only.
     coarse = kappa_coarse_bounds()
     return [
-        _result("thm8-recurrence", "w_{n+1} = w_n p_{n+1} - s_{n+1}", ledger.recurrence_holds(),
-                f"w = {ledger.w}"),
-        _result("thm8-recurrence", "w_n / P_n non-increasing", ledger.ratios_non_increasing()),
-        _result("thm8-recurrence", "empirical density inside the coarse bounds",
-                coarse.lower <= Fraction(ledger.kappa_empirical) <= coarse.upper,
-                f"kappa ~ {ledger.kappa_empirical:.6f}"),
+        CheckResult("thm8-recurrence", "w_{n+1} = w_n p_{n+1} - s_{n+1}",
+                    ledger.recurrence_holds(), f"w = {ledger.w}"),
+        CheckResult("thm8-recurrence", "w_n / P_n non-increasing", ledger.ratios_non_increasing()),
+        CheckResult("thm8-recurrence", "empirical density inside the coarse bounds",
+                    coarse.lower <= Fraction(ledger.kappa_empirical) <= coarse.upper,
+                    f"kappa ~ {ledger.kappa_empirical:.6f}"),
     ]
 
 
-def suite_cor2(limit=None, bound=None, n=None, kmax=None, budget=None) -> list[CheckResult]:
-    horizon = limit or 1_000_000
-    count = sum(
-        1 for a in range(6, horizon + 1, 6) if not eventually_identity_by_primorial(a)
-    )
+def cor2(limit=1_000_000) -> list[CheckResult]:
+    _at_least(1, limit=limit)
+    seeds = range(6, limit + 1, 6)
+    count = sum(1 for a in seeds if not eventually_identity_by_primorial(a))
     partial = exceptional_seed_density(12)
-    diff = abs(float(partial) - count / horizon)
+    diff = abs(float(partial) - count / limit)
     return [
-        _result("cor2", "density formula vs brute-force count", diff < 2e-6,
-                f"count {count}, formula {float(partial):.9f}, diff {diff:.2e}"),
+        CheckResult("cor2", "density formula vs brute-force count", diff < 2e-6,
+                    f"count {count}, formula {float(partial):.9f}, diff {diff:.2e}", len(seeds)),
     ]
 
 
-SUITES = {
-    "thm1": suite_thm1,
-    "cor1": suite_cor1,
-    "prop1": suite_prop1,
-    "prop2": suite_prop2,
-    "prop3": suite_prop3,
-    "thm2": suite_thm2,
-    "thm3": suite_thm3,
-    "thm4": suite_thm4,
-    "thm5": suite_thm5,
-    "thm6": suite_thm6,
-    "thm7": suite_thm7,
-    "thm8-recurrence": suite_thm8_recurrence,
-    "thm10": suite_thm10,
-    "cor2": suite_cor2,
+class Suite(NamedTuple):
+    """One row of the suite table: what the suite verifies, and its check."""
+
+    description: str
+    check: Callable[..., list[CheckResult]]
+
+    @property
+    def flags(self) -> dict[str, int | None]:
+        """The suite's parameters, one ``verify`` flag each, with their defaults."""
+        return {p.name: p.default for p in inspect.signature(self.check).parameters.values()}
+
+
+TABLE = {
+    "thm1": Suite("ETP recursion: next ETP is record+1, no turning points in between", thm1),
+    "cor1": Suite("odd-index identity f_3(2k+1)=2k; every prime >= 5 is a record; parities",
+                  cor1),
+    "prop1": Suite("f_3(2k+1) = 2k for all k up to the limit", prop1),
+    "prop2": Suite("f_3(3k+1) = 3k for all 2 <= k up to the limit", prop2),
+    "prop3": Suite("forward difference >= 2n+1 at prime indices k*P_n + 1", prop3),
+    "thm2": Suite("odd seeds merge into f_3 with every ETP even", thm2),
+    "thm3": Suite("multiples of 6 settle to identity or merge, ETPs even", thm3),
+    "thm4": Suite("record-adjacency membership test agrees with simulation", thm4),
+    "thm5": Suite("P_n +- 1 and 2 P_n +- 1 are records", thm5),
+    "thm6": Suite("translation f(P_n + k) = f(k) + P_n on [p_{n+1}, 2 P_n]", thm6),
+    "thm7": Suite("r P_n +- 1 records for r < p_{n+1}; translation on the full range", thm7),
+    "thm8-recurrence": Suite("window counts satisfy w_{n+1} = w_n p_{n+1} - s_{n+1}",
+                             thm8_recurrence),
+    "thm10": Suite("primorial-representation membership test agrees with simulation", thm10),
+    "cor2": Suite("exceptional-seed density formula matches a brute-force count", cor2),
 }
+
+SUITES = {name: suite.check for name, suite in TABLE.items()}

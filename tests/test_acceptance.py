@@ -8,13 +8,14 @@ import time
 
 from gcdperm import (
     C3,
+    FIRST_RECORD,
     IDENTITY,
     CycleIndexMap,
-    RecordStream,
     classify,
     decompose,
     eventually_identity_by_primorial,
     eventually_identity_by_record,
+    extend_records,
     generate_prefix,
     kappa_coarse_bounds,
     kappa_empirical,
@@ -70,11 +71,7 @@ def test_criterion_01_golden_prefixes():
 def test_criterion_02_reconstruction_equals_simulation():
     t0 = time.perf_counter()
     buf = generate_prefix(3, MILLION)
-    recs = []
-    for r in RecordStream():
-        recs.append(r)
-        if r > MILLION + 2:
-            break
+    recs = extend_records([FIRST_RECORD], MILLION + 2)
     terms = buf.terms
     mismatches = [n for n in range(1, MILLION + 1) if reconstruct_f3(n, recs) != terms[n]]
     elapsed = time.perf_counter() - t0
@@ -113,7 +110,7 @@ def test_criterion_05_window_counts():
 def test_criterion_06_density(records_million):
     emp = kappa_empirical(MILLION)
     bounds = kappa_coarse_bounds()
-    lo, hi = bounds.as_floats()
+    lo, hi = float(bounds.lower), float(bounds.upper)
     ok = (
         0.26067 <= emp <= 0.296
         and abs(emp - 0.294) <= 0.005

@@ -13,14 +13,13 @@ from gcdperm import (
     generate_prefix,
     scan_identity_seeds,
 )
-from gcdperm.classify import HARD_BUDGET_CAP
+from gcdperm.classify import MERGE_WINDOW
 
 
 def test_identity_verdicts():
     for a, m in [(2, 1), (4, 5), (6, 7), (12, 13), (18, 19), (24, 25), (30, 31), (36, 38)]:
         label = classify(a)
         assert label.verdict == IDENTITY and label.witness == m, (a, label)
-        assert label.is_identity
 
 
 def test_merge_verdicts():
@@ -32,7 +31,7 @@ def test_merge_verdicts():
 def test_identity_tail_holds():
     for a in (4, 6, 12, 30, 36, 210):
         label = classify(a)
-        assert label.is_identity
+        assert label.verdict == IDENTITY
         m = label.witness
         buf = generate_prefix(a, m + 1000)
         terms = buf.terms
@@ -57,12 +56,26 @@ def test_budget_exhaustion():
     assert classify(3, budget=100).verdict == C3
 
 
-def test_budget_exhaustion_reports_the_budget_tried():
-    # The default ladder starts at 10a = 10,000,030 and is clamped to the cap.
+def test_budget_exhaustion_reports_the_budget_tried(monkeypatch):
+    # The default ladder (10a = 9950, then the floor 10^4) is clamped so that
+    # the attempt's buffer, budget + window + 2 terms, fits the term cap.
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "1000")
+    clamped = 1000 - MERGE_WINDOW - 2
     with pytest.raises(BudgetExhaustedError) as exc:
-        classify(1_000_003)
-    assert exc.value.budget == HARD_BUDGET_CAP
-    assert str(exc.value) == f"f_1000003: no certificate within {HARD_BUDGET_CAP} terms"
+        classify(995)  # certified at 998, beyond the clamped budget
+    assert exc.value.budget == clamped
+    assert str(exc.value) == f"f_995: no certificate within {clamped} terms"
+    assert classify(501).witness == 504  # certificates inside the clamp still come
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "10")  # no room for the merge window
+    with pytest.raises(BudgetExhaustedError, match="within 0 terms"):
+        classify(3)
+    monkeypatch.delenv("GCDPERM_MAX_TERMS")
+    assert classify(995).witness == 998
+
+
+def test_classify_decides_seeds_above_a_million():
+    label = classify(1_000_003)
+    assert label.verdict == C3 and label.witness == 1_000_004
 
 
 def test_etps_recorded_and_even():

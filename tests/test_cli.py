@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -410,3 +413,80 @@ def test_fig2_matches_simulation_at_default_span(tmp_path, capsys):
     want = "t,g_t\n" + "".join(f"{t},{terms[t + 1] - terms[t]}\n" for t in range(1, 12_001))
     assert (tmp_path / "fig2.csv").read_bytes() == want.encode("ascii")
 
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_scan_flags_reject_non_positive(tmp_path, capsys, value):
+    out = tmp_path / "scan.csv"
+    for argv in (["scan", "--bound", value], ["scan", "--bound", "40", "--budget", value]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,takes", [
+    (["prop3", "--bound", "7"], "--n, --kmax"),
+    (["prop3", "--n", "2", "--limit", "9"], "--n, --kmax"),
+    (["cor2", "--n", "3"], "--limit"),
+    (["thm6", "--budget", "100"], "--n"),
+])
+def test_verify_flag_the_suite_does_not_take_is_usage_error(capsys, argv, takes):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert f"takes {takes}" in err
+
+
+@pytest.mark.parametrize("argv", [["thm5", "--n", "1"], ["thm6", "--n", "1"],
+                                  ["thm1", "--limit", "2"]])
+def test_verify_value_below_the_suite_range_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert "must be >=" in err
+
+
+def test_vacuous_checks_print_vacuous(capsys):
+    # n=1 and n=6 have no prime index k*P_n + 1 with k <= 1.
+    code, out, _ = run(capsys, "verify", "prop3", "--n", "6", "--kmax", "1")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines[:-1]] == ["VACUOUS"] + ["PASS"] * 4 + ["VACUOUS"]
+    assert lines[-1] == "prop3: 4/4 checks passed, 2 vacuous"
+
+    # f_3 has one ETP up to index 5 and f_7 none: no pair of ETPs to check.
+    code, out, _ = run(capsys, "verify", "thm1", "--limit", "5")
+    assert code == 0
+    assert "PASS" not in out and out.count("VACUOUS") == 4
+    assert out.splitlines()[-1] == "thm1: 0/0 checks passed, 4 vacuous"
+
+    code, out, _ = run(capsys, "verify", "prop3", "--n", "6", "--kmax", "100")
+    assert code == 0 and "VACUOUS" not in out
+    assert out.splitlines()[-1] == "prop3: 6/6 checks passed"
+
+
+def test_verify_help_lists_each_suite_with_its_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for suite, flags in (("prop3", "--n 4 --kmax 8"), ("thm2", "--bound 999 --budget auto"),
+                         ("cor2", "--limit 1000000"), ("thm8-recurrence", "--n 5")):
+        i = next(i for i, line in enumerate(lines) if line.split()[:1] == [suite])
+        assert lines[i + 1].strip() == flags
+
+
+def test_traced_run_finds_every_hook_point():
+    # The traced benchmark run wraps library names from outside the package;
+    # it must still find each of them.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    script = ("import sys, tracer\n"
+              "tracer.Tracer().install()\n"
+              "from gcdperm import cli\n"
+              "sys.exit(cli.main(['verify', 'prop3', '--n', '2']))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=root,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "prop3: 2/2 checks passed"

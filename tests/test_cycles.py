@@ -4,7 +4,6 @@ from gcdperm import (
     CycleIndexMap,
     IncompleteCycleError,
     UnknownCycleValueError,
-    cycle_index,
     decompose,
     generate_prefix,
     record_values,
@@ -65,12 +64,12 @@ def test_fixed_points():
 
 def test_cycle_index_examples():
     cmap = CycleIndexMap.from_cycles(decompose(3, 25))
-    assert cycle_index(cmap, 23) == 8
-    assert cycle_index(cmap, 25) == 9
-    assert cycle_index(cmap, 5) == 2
-    assert cycle_index(cmap, 24) == 9  # whole block shares the index
+    assert cmap.index_of(23) == 8
+    assert cmap.index_of(25) == 9
+    assert cmap.index_of(5) == 2
+    assert cmap.index_of(24) == 9  # whole block shares the index
     with pytest.raises(UnknownCycleValueError):
-        cycle_index(cmap, 26)
+        cmap.index_of(26)
 
 
 def test_record_backed_index_agrees_with_decomposition():

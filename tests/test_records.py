@@ -4,21 +4,19 @@ import random
 import pytest
 
 from gcdperm import (
+    FIRST_RECORD,
     InsufficientRecordsError,
     LimitExceededError,
-    RecordStream,
+    extend_records,
     f3_terms,
     find_turning_points,
     generate_prefix,
     load_record_cache,
-    next_etp,
     next_record,
-    prime_multiple_records,
     reconstruct_f3,
     record_stream_upto,
     record_values,
     save_record_cache,
-    twin_records,
 )
 from gcdperm.primes import is_prime, primes_upto
 
@@ -76,13 +74,6 @@ def test_turning_points_match_direct_definition():
         assert [tp.t for tp in find_turning_points(buf)] == expected
 
 
-def test_next_etp():
-    assert next_etp(4, 5) == 6
-    assert next_etp(8, 11) == 12
-    with pytest.raises(ValueError):
-        next_etp(5, 5)
-
-
 def test_next_record_examples():
     assert next_record(23) == 25
     assert next_record(7) == 11
@@ -133,21 +124,29 @@ def test_composite_flags_match_miller_rabin():
 
 def test_record_jumps_match_inverse(f3_million):
     # jump = value - index of the value in the sequence itself
+    terms = f3_million.terms
     for rec in record_stream_upto(3000):
-        assert f3_million.inverse(rec.value) == rec.turning_point
+        assert terms[rec.turning_point] == rec.value
         assert rec.jump == rec.value - rec.turning_point
 
 
-def test_record_stream_iterator():
-    stream = RecordStream()
-    first = [next(stream) for _ in range(10)]
-    assert first == [5, 7, 11, 13, 17, 19, 23, 25, 29, 31]
-    assert stream.count == 10 and stream.last_record == 31
+def test_extend_records_from_a_seed_record():
+    chain = [FIRST_RECORD]
+    assert extend_records(chain, 31) is chain
+    assert chain == [5, 7, 11, 13, 17, 19, 23, 25, 29, 31, 37]  # one past the limit
+    extend_records(chain, 36)
+    assert len(chain) == 11  # already past 36: untouched
 
-    seeded = RecordStream(31)
-    assert [next(seeded) for _ in range(3)] == [31, 37, 41]
+    # The recurrence is local: a chain seeded at a later record continues
+    # exactly like the full enumeration, without replaying the start.
+    seeded = extend_records([31], 41)
+    assert seeded == [31, 37, 41, 43]
+    full = extend_records([FIRST_RECORD], 10_000)
+    tail = extend_records(full[100:101], 10_000)
+    assert tail == full[100:]
+    assert full[:-1] == record_values(10_000)
     with pytest.raises(ValueError):
-        RecordStream(9)  # 9 is divisible by 3, cannot be a record
+        extend_records([3], 10)  # 3 = f_3(2) starts no record chain
 
 
 def test_reconstruct_examples():
@@ -161,7 +160,6 @@ def test_reconstruct_requires_coverage():
     with pytest.raises(InsufficientRecordsError):
         reconstruct_f3(8, records=[5, 7])
     assert reconstruct_f3(8, records=[5, 7, 11, 13]) == 11
-    assert reconstruct_f3(8, records=record_stream_upto(13)) == 11  # Record objects work too
 
 
 def test_reconstruct_matches_simulation_sampled():
@@ -196,35 +194,21 @@ def test_prime_completeness_to_1e5():
 
 
 def test_prime_multiple_records():
-    vals, gaps = prime_multiple_records(5, 500)
-    assert vals == MULTIPLES_OF_5_TO_500
-    assert set(gaps) == {30}
-
-    vals, gaps = prime_multiple_records(7, 470)
-    assert vals == MULTIPLES_OF_7_TO_470
-    assert gaps == [28, 14, 28, 14, 28, 14, 28, 56, 28, 14, 28, 14, 28, 14, 28, 56]
-
-    vals, gaps = prime_multiple_records(11, 600)
-    assert vals == MULTIPLES_OF_11_TO_600
-    assert gaps == [b - a for a, b in zip(vals, vals[1:])]
-
-    with pytest.raises(ValueError):
-        prime_multiple_records(4, 100)
-    with pytest.raises(ValueError):
-        prime_multiple_records(3, 100)
-
-
-def test_twin_records():
-    assert twin_records(31) == [(5, 7), (11, 13), (17, 19), (23, 25), (29, 31)]
-    assert (53, 55) in twin_records(60)
-    assert twin_records(6) == []
-    assert twin_records(7) == [(5, 7)]
+    # The composite records divisible by p, read off the record list.
+    recs = record_values(600)
+    for p, limit, want in ((5, 500, MULTIPLES_OF_5_TO_500), (7, 470, MULTIPLES_OF_7_TO_470),
+                           (11, 600, MULTIPLES_OF_11_TO_600)):
+        assert [r for r in recs if r <= limit and r % p == 0 and r != p] == want
 
 
 def test_twin_records_equal_jump_one_records():
-    pairs = twin_records(10_000)
+    # Consecutive records two apart are exactly the records with jump 1.
     # The first record 5 also has jump 1, but its predecessor 3 = f(2) is
     # not an enumerated record, so the equivalence starts at the second.
+    recs = record_values(10_000)
+    pairs = [(lo, hi) for lo, hi in zip(recs, recs[1:]) if hi - lo == 2]
+    assert pairs[:5] == [(5, 7), (11, 13), (17, 19), (23, 25), (29, 31)]
+    assert (53, 55) in pairs
     from_jumps = [
         (r.value - 2, r.value)
         for r in record_stream_upto(10_000)

@@ -39,7 +39,6 @@ def test_extend_matches_bulk_generation():
 def test_indexing_and_iteration():
     buf = generate_prefix(3, 24)
     assert buf[1] == 1 and buf[2] == 3 and buf[24] == 25
-    assert buf.last == 25
     assert len(buf) == 24
     with pytest.raises(IndexError):
         buf[0]
@@ -47,49 +46,24 @@ def test_indexing_and_iteration():
         buf[25]
 
 
-def test_inverse():
-    buf = generate_prefix(3, 24)
-    assert buf.inverse(25) == 24
-    assert buf.inverse(1) == 1
-    assert buf.inverse(24) is None  # value 24 first appears at f(25)
-    buf = generate_prefix(3, 100)
-    assert buf.inverse(77) == 74
-    # the lazy index keeps up with later extensions
-    buf.extend_to(201)
-    assert buf.inverse(200) == 201  # even values sit at the next odd index
-
-
-def test_discrete_derivative():
-    buf = generate_prefix(3, 24)
-    assert buf.discrete_derivative(7) == 5  # 11 - 6
-    assert buf.discrete_derivative(3) == 3  # 5 - 2
-    ident = generate_prefix(2, 50)
-    assert all(ident.discrete_derivative(t) == 1 for t in range(1, 50))
-    with pytest.raises(IndexError):
-        buf.discrete_derivative(24)
-    with pytest.raises(IndexError):
-        buf.discrete_derivative(0)
-
-
 def test_prefix_surjective_upto_against_set_oracle():
+    # Values 1..n have all appeared exactly when n is below the frontier
+    # and below every pooled (skipped, unassigned) value.
     rng = random.Random(7)
     for a in (2, 3, 7, 36):
         buf = generate_prefix(a, 400)
         values = set(buf)
         for n in [0, 1, 2] + [rng.randrange(1, 500) for _ in range(40)]:
             expected = all(v in values for v in range(1, n + 1))
-            assert buf.prefix_surjective_upto(n) == expected
+            assert (n < buf.frontier and all(v > n for v in buf.pool)) == expected
 
 
 def test_prefix_surjective_examples():
     buf = generate_prefix(3, 24)
-    assert buf.prefix_surjective_upto(0)
-    assert buf.prefix_surjective_upto(23)
-    # 24 shows up as a value only at f(25), so 24 and 25 are not covered yet
-    assert not buf.prefix_surjective_upto(24)
-    assert not buf.prefix_surjective_upto(25)
+    # 24 shows up as a value only at f(25), so 1..23 are covered, 24 is not
+    assert buf.pool == (24,) and buf.frontier == 26
     buf.extend()
-    assert buf.prefix_surjective_upto(25)
+    assert buf.pool == () and buf.frontier == 26
 
 
 def test_injectivity():

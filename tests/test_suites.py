@@ -1,0 +1,47 @@
+import pytest
+
+from gcdperm.suites import SUITES, TABLE
+
+
+def test_every_suite_is_in_the_table_and_runnable():
+    assert list(SUITES) == list(TABLE)
+    assert len(TABLE) == 14
+    assert all(TABLE[name].check is check for name, check in SUITES.items())
+
+
+@pytest.mark.parametrize("suite,params", [
+    ("prop3", {"n": 0}),
+    ("prop3", {"kmax": 0}),
+    ("prop3", {"n": 0, "kmax": 0}),
+    ("thm2", {"bound": 0}),
+    ("thm2", {"bound": 9, "budget": 0}),
+    ("thm4", {"bound": -1}),
+    ("thm1", {"limit": 2}),
+    ("cor1", {"limit": 0}),
+    ("prop1", {"limit": 0}),
+    ("thm5", {"n": 1}),
+    ("thm7", {"n": 0}),
+    ("thm8-recurrence", {"n": 1}),
+    ("cor2", {"limit": 0}),
+])
+def test_explicit_out_of_range_value_raises(suite, params):
+    # An explicit value is never swapped for the default.
+    with pytest.raises(ValueError, match="must be >="):
+        SUITES[suite](**params)
+
+
+def test_suites_take_only_their_own_parameters():
+    with pytest.raises(TypeError):
+        SUITES["prop3"](bound=7)
+    assert TABLE["prop3"].flags == {"n": 4, "kmax": 8}
+    assert TABLE["thm10"].flags == {"bound": 300, "budget": None}
+
+
+def test_explicit_small_values_run_as_given():
+    # Before, prop3(n=..., kmax=...) fell back to n=4, k<=8 on a falsy value;
+    # the smallest in-range values now run as written.
+    results = SUITES["prop3"](n=1, kmax=3)
+    assert [(r.name, r.detail, r.items) for r in results] == [
+        ("n=1 derivative >= 3", "1 prime indices, k <= 3", 1)
+    ]
+    assert [r.items for r in SUITES["prop2"](limit=1)] == [0]  # 2 <= k <= 1: vacuous
