@@ -5,13 +5,18 @@ every f_a lands in one of two classes: eventually the identity, or
 eventually equal to f_3.  ``classify`` decides by simulation and returns a
 machine-checkable certificate:
 
-* identity: an index m with f(m) = m and values 1..m all used; from there
-  f(n) = n is forced (the smallest unused value is n and gcd(n, n-1) = 1).
-  The witness is the smallest index from which the map is the identity.
+* identity: a turning point t with f(t) = t and values 1..t-1 used before
+  t; from there f(n) = n is forced (the smallest unused value is n and
+  gcd(n, n-1) = 1), and f(t-1) < t-1, so t is the identity onset, the
+  witness.  Conversely the onset M is such a turning point: 1..M are used
+  by index M, so f(M-1) <= M-2 and the jump at M is at least 2.
 * merge into f_3: an index t that is an ETP of f_a and of f_3 (t = 4 or
   t-1 a record).  The state at any ETP is fully determined (values 1..t-1
   used, last term t-2), so both recursions coincide from t on; the witness
   is t.  A comparison window after t double-checks the agreement.
+
+Both are read off the one turning-point scan behind
+``records.find_turning_points``; it obeys the term cap whatever the budget.
 
 Two closed-form membership tests for the eventually-identity seeds are
 provided alongside, one in terms of records adjacent to a, one in terms of
@@ -21,12 +26,12 @@ of 6 that both tests exclude.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .primorial import nth_prime, primorial
-from .records import cached_records, reconstruct_f3
+from .records import _turning_points, cached_records, reconstruct_f3
 from .sequence import SequenceBuffer, max_terms_cap
 
 IDENTITY = "identity"
@@ -60,44 +65,30 @@ class ClassLabel:
 
 
 def _attempt(a: int, budget: int, window: int) -> ClassLabel | None:
-    if a > budget + window + 2:
-        return None  # buffer could not even reach the seed: undecided
-    buf = SequenceBuffer(a, max_terms=budget + window + 2)
-    terms = buf.terms
-    f3_records = cached_records(budget + window + 4)
-    etps: list[int] = []
-    running_max = max(1, a)
-    n = 2
     if a == 2:
         return ClassLabel(IDENTITY, 1)
-    while n < budget:
-        complete_below = running_max == n  # {f(1..n)} == {1..n}
-        v = buf.extend()
-        n += 1
-        if complete_below and terms[n - 1] == n - 2 and n > a and v != n:
-            # ETP of f_a at n (v >= n+1 is forced, so the jump test holds).
-            etps.append(n)
-            i = bisect_right(f3_records, n - 1)
-            if n == 4 or (i > 0 and f3_records[i - 1] == n - 1):
+    if budget <= a:
+        return None  # every certificate sits past the seed: undecided
+    buf = SequenceBuffer(a)
+    terms = buf.terms
+    etps: list[int] = []
+    for tp in _turning_points(buf, budget):
+        t = tp.t
+        if tp.is_etp:
+            etps.append(t)
+            f3_records = cached_records(t + window)
+            if t == 4 or f3_records[bisect_left(f3_records, t - 1)] == t - 1:
                 # ETP of f_3 as well: same state, the maps merge here.
-                buf.extend_to(n + window - 1)
-                for m in range(n, n + window):
+                buf.extend_to(t + window - 1)
+                for m in range(t, t + window):
                     if terms[m] != reconstruct_f3(m, f3_records):
                         raise RuntimeError(
-                            f"f_{a} and f_3 disagree at {m} after shared ETP {n}; "
+                            f"f_{a} and f_3 disagree at {m} after shared ETP {t}; "
                             "generation engine is inconsistent"
                         )
-                return ClassLabel(C3, n, tuple(etps))
-        if v > running_max:
-            running_max = v
-        if running_max == n and v == n:
-            # Values 1..n all used and f(n) = n: identity from here on.
-            m = n
-            k = n - 1
-            while k >= 1 and terms[k] == k:
-                m = k
-                k -= 1
-            return ClassLabel(IDENTITY, m, tuple(etps))
+                return ClassLabel(C3, t, tuple(etps))
+        elif tp.record_value == t and tp.complete_below:
+            return ClassLabel(IDENTITY, t, tuple(etps))
     return None
 
 
@@ -105,9 +96,10 @@ def classify(a: int, budget: int | None = None, window: int = MERGE_WINDOW) -> C
     """Decide the class of f_a by simulation.
 
     With an explicit budget a single attempt is made and
-    BudgetExhaustedError signals an undecided run.  By default the budget
-    starts at max(10a, 10^4) and doubles up to the term cap
-    (GCDPERM_MAX_TERMS) less the buffer's room for the merge window;
+    BudgetExhaustedError signals an undecided run; a certificate or merge
+    window past the term cap (GCDPERM_MAX_TERMS) raises LimitExceededError.
+    By default the budget starts at max(10a, 10^4) and doubles up to the
+    term cap less the room for the merge window;
     certificates normally appear near the first prime record above a, so
     the first attempt almost always suffices.  When the capped attempt
     fails, the error reports the capped budget, the one actually tried.
@@ -119,7 +111,8 @@ def classify(a: int, budget: int | None = None, window: int = MERGE_WINDOW) -> C
         if label is None:
             raise BudgetExhaustedError(a, budget)
         return label
-    # _attempt holds budget + window + 2 terms; keep that within the term cap.
+    # A certificate at the budget needs window - 1 more terms for the merge
+    # check; keep that, with a little slack, within the term cap.
     ceiling = max(max_terms_cap() - window - 2, 0)
     b = max(10 * a, DEFAULT_BUDGET_FLOOR)
     while True:

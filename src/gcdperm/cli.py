@@ -28,7 +28,7 @@ from .records import (
     record_values,
     save_record_cache,
 )
-from .sequence import LimitExceededError, generate_prefix
+from .sequence import MAX_TERMS_ENV, LimitExceededError, generate_prefix
 from .suites import SUITES, TABLE
 
 CACHE_ENV = "GCDPERM_CACHE"
@@ -328,7 +328,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExhaustedError as exc:
-        print(f"error: {exc}; raise --budget", file=sys.stderr)
+        # Without --budget, the default budget ladder stopped at the term cap.
+        hint = "raise --budget" if args.budget else f"set {MAX_TERMS_ENV} to raise the term cap"
+        print(f"error: {exc}; {hint}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -113,16 +113,17 @@ class PrimorialRecordReport:
         return not self.missing
 
 
-def verify_primorial_records(n: int, record_limit_cap: int | None = None) -> PrimorialRecordReport:
+def verify_primorial_records(n: int) -> PrimorialRecordReport:
     """Check r * P_n +- 1 against the record set for r = 1 .. p_{n+1} - 1."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    cap = DEFAULT_RECORD_LIMIT_CAP if record_limit_cap is None else record_limit_cap
     pn = _TABLE.primorial(n)
     r_hi = _TABLE.prime(n + 1) - 1
     limit = r_hi * pn + 1
-    if limit > cap:
-        raise LimitExceededError(f"record check up to {limit} exceeds the cap {cap}")
+    if limit > DEFAULT_RECORD_LIMIT_CAP:
+        raise LimitExceededError(
+            f"record check up to {limit} exceeds the cap {DEFAULT_RECORD_LIMIT_CAP}"
+        )
     recs = cached_records(limit)
 
     def present(v: int) -> bool:

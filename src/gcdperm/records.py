@@ -5,7 +5,8 @@ index 3 when f(3) is not the smallest available value); the value there is
 a record.  An essential turning point (ETP) additionally has f(t-1) = t-2
 with the values 1..t-1 fully used, which pins the whole future of the
 recursion: the next ETP is f(t) + 1, and between the two the sequence just
-counts upward.
+counts upward.  One scanner, ``_turning_points``, holds these predicates;
+``find_turning_points`` and ``classify`` both read it.
 
 For f_3 this gives a closed enumeration of records with no sequence
 generation at all: after a record r, the next record is (r-1) + p where p
@@ -41,6 +42,8 @@ FIRST_RECORD = 5
 
 CACHE_HEADER = "# a=3 records"
 
+_FIRST_CHUNK = 8  # indices past the seed that a scan's first chunk covers
+
 
 class InsufficientRecordsError(ValueError):
     """The supplied record list does not cover the requested index."""
@@ -51,6 +54,7 @@ class TurningPoint:
     t: int
     is_etp: bool
     record_value: int
+    complete_below: bool  # the values 1..t-1 were all used before t
 
 
 @dataclass(frozen=True)
@@ -63,30 +67,39 @@ class Record:
     is_composite: bool
 
 
-def find_turning_points(buffer: SequenceBuffer) -> list[TurningPoint]:
-    """All turning points of the buffered prefix, each with its ETP verdict.
+def _turning_points(buffer: SequenceBuffer, stop: int) -> Iterator[TurningPoint]:
+    """Turning points of f_a at the indices 3..stop, each with its ETP verdict.
 
-    Works for any seed a.  Index 3 is a turning point exactly when f(3)
-    skips the smallest value outside {1, a}; later indices are turning
-    points when the forward jump exceeds 1.
+    Index 3 is a turning point exactly when f(3) skips the smallest value
+    outside {1, a}; later indices are turning points when the forward jump
+    exceeds 1.  A buffer shorter than stop grows in chunks under its term
+    cap: the first ends _FIRST_CHUNK past a (no certificate sits at an
+    index <= a), each later one doubles the stretch past a.
     """
-    n = len(buffer)
-    if n < 3:
-        raise ValueError(f"need at least 3 terms, have {n}")
     a = buffer.a
     terms = buffer.terms
     smallest_free = 3 if a == 2 else 2  # min of the naturals minus {1, a}
-    out: list[TurningPoint] = []
-    running_max = max(1, a)
-    for t in range(3, n + 1):
-        complete_below = running_max == t - 1  # {f(1..t-1)} == {1..t-1}
-        v = terms[t]
-        if v - terms[t - 1] > 1 if t > 3 else v != smallest_free:
-            is_etp = t > a and v != t and terms[t - 1] == t - 2 and complete_below
-            out.append(TurningPoint(t, is_etp, v))
-        if v > running_max:
-            running_max = v
-    return out
+    running_max = a
+    t = 2  # last index scanned
+    while t < stop:
+        if len(buffer) == t:
+            buffer.extend_to(min(max(2 * t - a, a + _FIRST_CHUNK), stop, max(buffer._cap, t + 1)))
+        for t in range(t + 1, min(len(buffer), stop) + 1):
+            complete_below = running_max == t - 1  # {f(1..t-1)} == {1..t-1}
+            v = terms[t]
+            if v - terms[t - 1] > 1 if t > 3 else v != smallest_free:
+                is_etp = t > a and v != t and terms[t - 1] == t - 2 and complete_below
+                yield TurningPoint(t, is_etp, v, complete_below)
+            if v > running_max:
+                running_max = v
+
+
+def find_turning_points(buffer: SequenceBuffer) -> list[TurningPoint]:
+    """All turning points of the buffered prefix, for any seed; nothing is generated."""
+    n = len(buffer)
+    if n < 3:
+        raise ValueError(f"need at least 3 terms, have {n}")
+    return list(_turning_points(buffer, n))
 
 
 def next_record(r: int) -> int:

@@ -13,8 +13,8 @@ assigned so far; values skipped on the way join the pool.  Away from jumps
 the pool stays tiny, so extension is O(1) amortized.
 
 Generation is inherently sequential: each term depends on the one before,
-so a buffer grows one term at a time.  Buffers take no locks and the module
-starts no threads or processes.
+but callers grow a buffer in chunks with ``extend_to``, not term by term.
+Buffers take no locks and the module starts no threads or processes.
 
 This engine is the general path, for every seed, and the oracle for f_3:
 bulk f_3 output is built from the records instead (``records.f3_terms``),
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 DEFAULT_MAX_TERMS = 5_000_000
 MAX_TERMS_ENV = "GCDPERM_MAX_TERMS"
@@ -59,17 +58,6 @@ def max_terms_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class Params:
-    """Validated seed: f(2) = a with a >= 2 (a=1 would duplicate f(1)=1)."""
-
-    a: int
-
-    def __post_init__(self) -> None:
-        if self.a < 2:
-            raise ValueError(f"seed must be >= 2, got {self.a}")
-
-
 class SequenceBuffer:
     """Materialized prefix f_a(1..n), 1-indexed like the tables it reproduces.
 
@@ -85,7 +73,7 @@ class SequenceBuffer:
     """
 
     __slots__ = (
-        "params",
+        "a",
         "pool_peak",
         "_terms",
         "_pool",
@@ -95,7 +83,9 @@ class SequenceBuffer:
     )
 
     def __init__(self, a: int, max_terms: int | None = None):
-        self.params = Params(a)
+        if a < 2:  # a = 1 would repeat f(1) = 1
+            raise ValueError(f"seed must be >= 2, got {a}")
+        self.a = a
         self._cap = max_terms_cap() if max_terms is None else max_terms
         if a > self._cap:
             raise LimitExceededError(f"seed {a} exceeds the term cap {self._cap}")
@@ -108,10 +98,6 @@ class SequenceBuffer:
             self._frontier = a + 1
         self._head = 0
         self.pool_peak = len(self._pool)
-
-    @property
-    def a(self) -> int:
-        return self.params.a
 
     def __len__(self) -> int:
         return len(self._terms) - 1

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,8 @@ from gcdperm import (
     C3,
     IDENTITY,
     BudgetExhaustedError,
+    ClassLabel,
+    LimitExceededError,
     classify,
     eventually_identity_by_primorial,
     eventually_identity_by_record,
@@ -14,6 +17,7 @@ from gcdperm import (
     scan_identity_seeds,
 )
 from gcdperm.classify import MERGE_WINDOW
+from gcdperm.records import _FIRST_CHUNK
 
 
 def test_identity_verdicts():
@@ -57,8 +61,8 @@ def test_budget_exhaustion():
 
 
 def test_budget_exhaustion_reports_the_budget_tried(monkeypatch):
-    # The default ladder (10a = 9950, then the floor 10^4) is clamped so that
-    # the attempt's buffer, budget + window + 2 terms, fits the term cap.
+    # The default ladder (10a = 9950, then the floor 10^4) is clamped to the
+    # term cap less the merge window and slack, so the merge check fits.
     monkeypatch.setenv("GCDPERM_MAX_TERMS", "1000")
     clamped = 1000 - MERGE_WINDOW - 2
     with pytest.raises(BudgetExhaustedError) as exc:
@@ -71,6 +75,91 @@ def test_budget_exhaustion_reports_the_budget_tried(monkeypatch):
         classify(3)
     monkeypatch.delenv("GCDPERM_MAX_TERMS")
     assert classify(995).witness == 998
+
+
+def _naive_label(a):
+    """(verdict, witness, etps) of f_a from the definitions: a set-based
+    generator, the identity certificate with a walk back to its onset, and
+    "ETP of f_3" from the naive record recurrence."""
+    if a == 2:
+        return IDENTITY, 1, ()
+    smallest_free = 2  # min of the naturals minus {1, a} for a >= 3
+    terms = [0, 1, a]
+    used = {1, a}
+    low = 2  # smallest unused value
+    records = [5]
+    etps = []
+    t = 2
+    while True:
+        t += 1
+        complete_below = low >= t  # 1..t-1 all used before t
+        last = terms[-1]
+        c = low
+        while c in used or math.gcd(c, last) != 1:
+            c += 1
+        terms.append(c)
+        used.add(c)
+        while low in used:
+            low += 1
+        turning = c - last > 1 if t > 3 else c != smallest_free
+        if turning and complete_below and t > a and c != t and last == t - 2:
+            etps.append(t)
+            while records[-1] < t - 1:
+                m = records[-1] - 1
+                p = 2
+                while m % p == 0 or any(p % d == 0 for d in range(2, p)):
+                    p += 1
+                records.append(m + p)
+            if t == 4 or t - 1 in records:
+                return C3, t, tuple(etps)
+        if c == t and low > t:
+            m = t
+            while terms[m - 1] == m - 1:
+                m -= 1
+            return IDENTITY, m, tuple(etps)
+
+
+def test_classify_matches_naive_oracle():
+    bad = []
+    for a in range(2, 601):
+        label = classify(a)
+        if (label.verdict, label.witness, label.etps) != _naive_label(a):
+            bad.append(a)
+    assert bad == []
+
+
+@pytest.mark.parametrize("a", [4, 9, 36, 216, 995, 213])
+def test_budget_boundary(a):
+    # A certificate at index t is found with budget t and not with t - 1.
+    label = classify(a)
+    assert classify(a, budget=label.witness) == label
+    with pytest.raises(BudgetExhaustedError):
+        classify(a, budget=label.witness - 1)
+
+
+def test_budget_boundary_seed_lies_past_the_first_chunk():
+    # The scan's first chunk reaches a + _FIRST_CHUNK; seed 213 is certified
+    # one index later, so test_budget_boundary covers a second chunk.
+    assert classify(213).witness == 213 + _FIRST_CHUNK + 1
+
+
+def test_explicit_budget_obeys_the_term_cap(monkeypatch):
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "100")
+    # Certificate and merge window (32..95) fit the cap.
+    assert classify(31, budget=5000) == ClassLabel(C3, 32, (32,))
+    # An identity certificate needs no merge window.
+    assert classify(96, budget=5000) == ClassLabel(IDENTITY, 98)
+    # Certified at 38, but the merge window would need 101 terms.
+    with pytest.raises(LimitExceededError, match="requested 101 terms of f_33; cap is 100"):
+        classify(33, budget=5000)
+    # Certified at 102: the scan itself reaches the cap first.
+    with pytest.raises(LimitExceededError, match="requested 101 terms of f_98; cap is 100"):
+        classify(98, budget=5000)
+    with pytest.raises(LimitExceededError, match="seed 150 exceeds the term cap 100"):
+        classify(150, budget=5000)
+    # A budget that ends below the cap still reports exhaustion.
+    with pytest.raises(BudgetExhaustedError, match="within 37 terms"):
+        classify(33, budget=37)
 
 
 def test_classify_decides_seeds_above_a_million():

@@ -319,6 +319,26 @@ def test_verify_budget_exhaustion_exit_codes(capsys):
     assert "FAIL" in out
 
 
+def test_explicit_budget_obeys_the_term_cap(capsys, monkeypatch):
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "100")
+    code, out, err = run(capsys, "verify", "thm2", "--bound", "201", "--budget", "5000")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: requested 101 terms of f_33; cap is 100 "
+                   "(set GCDPERM_MAX_TERMS to raise it)\n")
+
+
+def test_default_budget_exhaustion_names_the_term_cap(capsys, monkeypatch):
+    # Without --budget the ladder stops at the term cap, so a larger
+    # --budget would not help; the hint names the cap instead.
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "100")
+    for argv in (["verify", "thm2", "--bound", "201"], ["scan", "--bound", "200"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.rstrip().endswith("set GCDPERM_MAX_TERMS to raise the term cap"), err
+        assert "--budget" not in err
+
+
 def _simulated_generate(n, fmt="csv", with_derivative=False):
     # Expected `generate --a 3` output, built from the simulation engine.
     terms = generate_prefix(3, n + 1).terms

@@ -74,6 +74,18 @@ def test_turning_points_match_direct_definition():
         assert [tp.t for tp in find_turning_points(buf)] == expected
 
 
+def test_turning_point_flags_match_set_definition():
+    for a in (3, 7, 9, 36, 96, 216, 995):
+        buf = generate_prefix(a, 1100)
+        terms = buf.terms
+        for tp in find_turning_points(buf):
+            t = tp.t
+            assert tp.record_value == terms[t]
+            assert tp.complete_below == (set(terms[1:t]) == set(range(1, t))), (a, t)
+            assert tp.is_etp == (tp.complete_below and t > a and terms[t] != t
+                                 and terms[t - 1] == t - 2), (a, t)
+
+
 def test_next_record_examples():
     assert next_record(23) == 25
     assert next_record(7) == 11

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gcdperm import LimitExceededError, Params, SequenceBuffer, generate_prefix
+from gcdperm import LimitExceededError, SequenceBuffer, generate_prefix
 
 F3_24 = [1, 3, 2, 5, 4, 7, 6, 11, 8, 9, 10, 13, 12, 17, 14, 15, 16, 19, 18, 23, 20, 21, 22, 25]
 F7_12 = [1, 7, 2, 3, 4, 5, 6, 11, 8, 9, 10, 13]
@@ -140,12 +140,12 @@ def test_pool_and_frontier_partition_unassigned():
 
 def test_seed_validation():
     with pytest.raises(ValueError):
-        Params(1)
+        SequenceBuffer(1)
     with pytest.raises(ValueError):
         SequenceBuffer(0)
     with pytest.raises(ValueError):
         generate_prefix(3, 1)
-    assert Params(2).a == 2
+    assert SequenceBuffer(2).a == 2
 
 
 def test_term_cap():
