@@ -37,7 +37,6 @@ from .sequence import SequenceBuffer, max_terms_cap
 IDENTITY = "identity"
 C3 = "c3"
 
-DEFAULT_BUDGET_FLOOR = 10_000
 MERGE_WINDOW = 64
 
 
@@ -64,7 +63,7 @@ class ClassLabel:
     etps: tuple[int, ...] = ()
 
 
-def _attempt(a: int, budget: int, window: int) -> ClassLabel | None:
+def _attempt(a: int, budget: int) -> ClassLabel | None:
     if a == 2:
         return ClassLabel(IDENTITY, 1)
     if budget <= a:
@@ -76,11 +75,11 @@ def _attempt(a: int, budget: int, window: int) -> ClassLabel | None:
         t = tp.t
         if tp.is_etp:
             etps.append(t)
-            f3_records = cached_records(t + window)
+            f3_records = cached_records(t + MERGE_WINDOW)
             if t == 4 or f3_records[bisect_left(f3_records, t - 1)] == t - 1:
                 # ETP of f_3 as well: same state, the maps merge here.
-                buf.extend_to(t + window - 1)
-                for m in range(t, t + window):
+                buf.extend_to(t + MERGE_WINDOW - 1)
+                for m in range(t, t + MERGE_WINDOW):
                     if terms[m] != reconstruct_f3(m, f3_records):
                         raise RuntimeError(
                             f"f_{a} and f_3 disagree at {m} after shared ETP {t}; "
@@ -92,37 +91,27 @@ def _attempt(a: int, budget: int, window: int) -> ClassLabel | None:
     return None
 
 
-def classify(a: int, budget: int | None = None, window: int = MERGE_WINDOW) -> ClassLabel:
+def classify(a: int, budget: int | None = None) -> ClassLabel:
     """Decide the class of f_a by simulation.
 
-    With an explicit budget a single attempt is made and
-    BudgetExhaustedError signals an undecided run; a certificate or merge
-    window past the term cap (GCDPERM_MAX_TERMS) raises LimitExceededError.
-    By default the budget starts at max(10a, 10^4) and doubles up to the
-    term cap less the room for the merge window;
-    certificates normally appear near the first prime record above a, so
-    the first attempt almost always suffices.  When the capped attempt
-    fails, the error reports the capped budget, the one actually tried.
+    One attempt scans up to the budget and BudgetExhaustedError signals an
+    undecided run; a certificate or merge window past the term cap
+    (GCDPERM_MAX_TERMS) raises LimitExceededError.  The default budget is
+    the term cap less the room for the merge window.  The scan grows its
+    buffer in doubling chunks past a, so its cost follows the certificate,
+    not the budget; certificates normally appear near the first prime
+    record above a.
     """
     if a < 2:
         raise ValueError(f"seed must be >= 2, got {a}")
-    if budget is not None:
-        label = _attempt(a, budget, window)
-        if label is None:
-            raise BudgetExhaustedError(a, budget)
-        return label
-    # A certificate at the budget needs window - 1 more terms for the merge
-    # check; keep that, with a little slack, within the term cap.
-    ceiling = max(max_terms_cap() - window - 2, 0)
-    b = max(10 * a, DEFAULT_BUDGET_FLOOR)
-    while True:
-        tried = min(b, ceiling)
-        label = _attempt(a, tried, window)
-        if label is not None:
-            return label
-        if tried == ceiling:
-            raise BudgetExhaustedError(a, tried)
-        b *= 2
+    if budget is None:
+        # A certificate at the budget needs MERGE_WINDOW - 1 more terms for
+        # the merge check; keep that, with a little slack, within the cap.
+        budget = max(max_terms_cap() - MERGE_WINDOW - 2, 0)
+    label = _attempt(a, budget)
+    if label is None:
+        raise BudgetExhaustedError(a, budget)
+    return label
 
 
 def eventually_identity_by_record(a: int) -> bool:

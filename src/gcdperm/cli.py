@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive, help="primorial index")
     p.add_argument("--kmax", type=_positive, help="multiplier bound")
     p.add_argument("--budget", type=_positive,
-                   help="simulation budget (auto: max(10a, 10^4), doubling up to the term cap)")
+                   help="simulation budget (auto: the term cap less the merge window)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("diff-bfile", help="compare a local OEIS-style b-file against f_a")
@@ -328,7 +328,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExhaustedError as exc:
-        # Without --budget, the default budget ladder stopped at the term cap.
+        # Without --budget, the default budget is the term cap.
         hint = "raise --budget" if args.budget else f"set {MAX_TERMS_ENV} to raise the term cap"
         print(f"error: {exc}; {hint}", file=sys.stderr)
         return EXIT_USAGE

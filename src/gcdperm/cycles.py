@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .primes import twin_prime_pairs
 from .records import cached_records
-from .sequence import LimitExceededError, generate_prefix
+from .sequence import LimitExceededError, SequenceBuffer
 
 
 class IncompleteCycleError(RuntimeError):
@@ -37,20 +37,18 @@ class Cycle:
         return len(self.elements)
 
 
-def decompose(a: int, n: int, include_fixed: bool = False, max_terms: int | None = None) -> list[Cycle]:
+def decompose(a: int, n: int, include_fixed: bool = False) -> list[Cycle]:
     """All complete cycles of f_a whose smallest element is <= n.
 
     Ordered by ascending smallest element.  Length-1 cycles (fixed points)
     are suppressed unless include_fixed is set; they never consume an index.
-    The backing prefix is extended as needed to close each cycle, up to the
-    term cap.
+    The backing prefix starts at max(2n, 64) terms, clamped to the term
+    cap, and is extended as needed to close each cycle, up to the cap.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    initial = max(2 * n, 64)
-    if max_terms is not None:
-        initial = max(min(initial, max_terms), 2)
-    buf = generate_prefix(a, initial, max_terms=max_terms)
+    buf = SequenceBuffer(a)
+    buf.extend_to(min(max(2 * n, 64), buf.cap))
     terms = buf.terms
 
     def reach(v: int, start: int) -> None:
@@ -88,42 +86,21 @@ def decompose(a: int, n: int, include_fixed: bool = False, max_terms: int | None
 
 
 class CycleIndexMap:
-    """Value -> index of its nontrivial cycle, in ascending-cycle order.
+    """Value -> index of its nontrivial cycle in f_3, read from the records.
 
-    Backed either by an explicit decomposition or, for f_3, by the record
-    list: the k-th record block [previous record + 1, record] is cycle k+1,
-    after the initial cycle (3, 2).
+    The k-th record block [previous record + 1, record] is cycle k+1, after
+    the initial cycle (3, 2).
     """
 
-    def __init__(self) -> None:
-        self._by_value: dict[int, int] | None = None
-        self._records: list[int] | None = None
-        self._limit = 0
-
-    @classmethod
-    def from_cycles(cls, cycles: list[Cycle]) -> "CycleIndexMap":
-        m = cls()
-        m._by_value = {}
-        for cyc in cycles:
-            if cyc.index is None:
-                continue
-            for v in cyc.elements:
-                m._by_value[v] = cyc.index
-        return m
+    def __init__(self, records: list[int], limit: int) -> None:
+        self._records = records
+        self._limit = limit
 
     @classmethod
     def for_f3(cls, limit: int) -> "CycleIndexMap":
-        m = cls()
-        m._records = cached_records(limit)
-        m._limit = limit
-        return m
+        return cls(cached_records(limit), limit)
 
     def index_of(self, v: int) -> int:
-        if self._by_value is not None:
-            try:
-                return self._by_value[v]
-            except KeyError:
-                raise UnknownCycleValueError(v) from None
         if v in (2, 3):
             return 1
         if 4 <= v <= self._limit:

@@ -83,7 +83,7 @@ def _turning_points(buffer: SequenceBuffer, stop: int) -> Iterator[TurningPoint]
     t = 2  # last index scanned
     while t < stop:
         if len(buffer) == t:
-            buffer.extend_to(min(max(2 * t - a, a + _FIRST_CHUNK), stop, max(buffer._cap, t + 1)))
+            buffer.extend_to(min(max(2 * t - a, a + _FIRST_CHUNK), stop, max(buffer.cap, t + 1)))
         for t in range(t + 1, min(len(buffer), stop) + 1):
             complete_below = running_max == t - 1  # {f(1..t-1)} == {1..t-1}
             v = terms[t]

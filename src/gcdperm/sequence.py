@@ -6,11 +6,11 @@ coprime to the previous term.  The rule is total (among any run of
 consecutive unused candidates one is coprime to the last term), and the
 resulting map is a permutation of the naturals.
 
-The engine keeps the unused values below the largest assigned value in a
-small ordered pool.  Each extension scans the pool in ascending order and
-then walks upward from the frontier, the smallest value above everything
-assigned so far; values skipped on the way join the pool.  Away from jumps
-the pool stays tiny, so extension is O(1) amortized.
+The engine keeps the state that definition names: the smallest unused value
+and the set of used values above it.  Each extension scans upward from the
+smallest unused value, skipping used values and values sharing a factor
+with the last term.  Away from jumps the set stays small and the scan
+short, so extension is O(1) amortized.
 
 Generation is inherently sequential: each term depends on the one before,
 but callers grow a buffer in chunks with ``extend_to``, not term by term.
@@ -66,38 +66,27 @@ class SequenceBuffer:
     * all assigned values are pairwise distinct;
     * gcd(f(n), f(n-1)) = 1 for every n >= 3;
     * f(n) is minimal among unused values coprime to f(n-1);
-    * the unused values are exactly ``pool + [frontier, frontier+1, ...)``.
+    * the used values are exactly ``1.._low - 1`` and the set ``_above``.
 
     ``terms`` exposes the raw 1-indexed store (slot 0 is padding) for hot
-    loops; treat it as read-only.
+    loops; treat it as read-only.  ``cap`` is the term cap read from
+    GCDPERM_MAX_TERMS when the buffer is built.  ``pool_peak`` is the
+    most values ever left unused below the largest value assigned so far.
     """
 
-    __slots__ = (
-        "a",
-        "pool_peak",
-        "_terms",
-        "_pool",
-        "_head",
-        "_frontier",
-        "_cap",
-    )
+    __slots__ = ("a", "cap", "pool_peak", "_terms", "_low", "_above")
 
-    def __init__(self, a: int, max_terms: int | None = None):
+    def __init__(self, a: int):
         if a < 2:  # a = 1 would repeat f(1) = 1
             raise ValueError(f"seed must be >= 2, got {a}")
         self.a = a
-        self._cap = max_terms_cap() if max_terms is None else max_terms
-        if a > self._cap:
-            raise LimitExceededError(f"seed {a} exceeds the term cap {self._cap}")
+        self.cap = max_terms_cap()
+        if a > self.cap:
+            raise LimitExceededError(f"seed {a} exceeds the term cap {self.cap}")
         self._terms = [0, 1, a]
-        if a == 2:
-            self._pool = []
-            self._frontier = 3
-        else:
-            self._pool = list(range(2, a))
-            self._frontier = a + 1
-        self._head = 0
-        self.pool_peak = len(self._pool)
+        self._low = 3 if a == 2 else 2
+        self._above = {a} if a > 2 else set()
+        self.pool_peak = a - 2
 
     def __len__(self) -> int:
         return len(self._terms) - 1
@@ -120,16 +109,6 @@ class SequenceBuffer:
         """Live term store with terms[n] == f(n); slot 0 is padding."""
         return self._terms
 
-    @property
-    def pool(self) -> tuple[int, ...]:
-        """Unassigned values below the frontier, ascending (a snapshot)."""
-        return tuple(self._pool[self._head :])
-
-    @property
-    def frontier(self) -> int:
-        """Smallest value above everything assigned so far."""
-        return self._frontier
-
     def extend(self) -> int:
         """Append and return the next term."""
         self.extend_to(len(self) + 1)
@@ -139,51 +118,39 @@ class SequenceBuffer:
         """Grow the prefix so that it holds at least n terms."""
         if n <= len(self):
             return
-        if n > self._cap:
-            raise LimitExceededError.terms(self.a, n, self._cap)
+        if n > self.cap:
+            raise LimitExceededError.terms(self.a, n, self.cap)
         terms = self._terms
-        pool = self._pool
-        head = self._head
-        frontier = self._frontier
+        above = self._above
+        low = self._low
         peak = self.pool_peak
         last = terms[-1]
         gcd = math.gcd
-        for _ in range(len(terms), n + 1):
-            v = 0
-            for j in range(head, len(pool)):
-                c = pool[j]
-                if gcd(c, last) == 1:
-                    v = c
-                    if j == head:
-                        head += 1
-                    else:
-                        del pool[j]
-                    break
-            if not v:
-                c = frontier
-                while gcd(c, last) != 1:
-                    c += 1
-                if c != frontier:
-                    pool.extend(range(frontier, c))
-                    size = len(pool) - head
-                    if size > peak:
-                        peak = size
-                v = c
-                frontier = c + 1
-            terms.append(v)
-            last = v
-            if head > 1024:
-                del pool[:head]
-                head = 0
-        self._head = head
-        self._frontier = frontier
+        for i in range(len(terms), n + 1):
+            c = low
+            while c in above or gcd(c, last) != 1:
+                c += 1
+            if c == low:
+                low += 1
+                while low in above:
+                    above.remove(low)
+                    low += 1
+            else:
+                above.add(c)
+            # Unused values below the running maximum M number M - i, and
+            # M = f(j) for some j <= i, so the peak is the max of f(i) - i.
+            if c - i > peak:
+                peak = c - i
+            terms.append(c)
+            last = c
+        self._low = low
         self.pool_peak = peak
 
 
-def generate_prefix(a: int, n: int, max_terms: int | None = None) -> SequenceBuffer:
+def generate_prefix(a: int, n: int) -> SequenceBuffer:
     """Buffer holding f_a(1..n); requires a >= 2 and n >= 2."""
     if n < 2:
         raise ValueError(f"need n >= 2 (f(1)=1 and f(2)=a are fixed), got {n}")
-    buf = SequenceBuffer(a, max_terms=max_terms)
+    buf = SequenceBuffer(a)
     buf.extend_to(n)
     return buf

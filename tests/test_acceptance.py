@@ -201,8 +201,13 @@ def test_criterion_11_property_suite(f3_million):
         for i, v in enumerate(cyc.elements)
     )
 
-    cmap = CycleIndexMap.from_cycles(decompose(3, 25))
-    index_ok = cmap.index_of(23) == 8 and cmap.index_of(25) == 9
+    cmap = CycleIndexMap.for_f3(25)
+    by_value = {v: c.index for c in decompose(3, 25) for v in c.elements}
+    index_ok = (
+        all(cmap.index_of(v) == by_value[v] for v in range(2, 26))
+        and cmap.index_of(23) == 8
+        and cmap.index_of(25) == 9
+    )
 
     ok = inj_ok and replay_ok and prop1_ok and prop2_ok and cycle_ok and index_ok
     report(11, "injectivity, minimality replay, index identities, cycles, C(23)/C(25)", ok)

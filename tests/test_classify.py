@@ -61,8 +61,8 @@ def test_budget_exhaustion():
 
 
 def test_budget_exhaustion_reports_the_budget_tried(monkeypatch):
-    # The default ladder (10a = 9950, then the floor 10^4) is clamped to the
-    # term cap less the merge window and slack, so the merge check fits.
+    # The default budget is the term cap less the merge window and slack,
+    # so the merge check fits.
     monkeypatch.setenv("GCDPERM_MAX_TERMS", "1000")
     clamped = 1000 - MERGE_WINDOW - 2
     with pytest.raises(BudgetExhaustedError) as exc:
@@ -165,6 +165,12 @@ def test_explicit_budget_obeys_the_term_cap(monkeypatch):
 def test_classify_decides_seeds_above_a_million():
     label = classify(1_000_003)
     assert label.verdict == C3 and label.witness == 1_000_004
+
+
+def test_classify_even_seed_with_a_large_pool():
+    # 3 does not divide this even seed, so about a unused values sit below
+    # it while the first a terms are generated.
+    assert classify(999_998) == ClassLabel(C3, 1_000_002, (1_000_002,))
 
 
 def test_etps_recorded_and_even():

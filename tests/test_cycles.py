@@ -62,8 +62,13 @@ def test_fixed_points():
     assert [c.index for c in with_fixed if c.index] == [1, 2, 3]
 
 
+def _index_by_value(cycles):
+    return {v: c.index for c in cycles if c.index is not None for v in c.elements}
+
+
 def test_cycle_index_examples():
-    cmap = CycleIndexMap.from_cycles(decompose(3, 25))
+    cmap = CycleIndexMap.for_f3(25)
+    assert _index_by_value(decompose(3, 25)) == {v: cmap.index_of(v) for v in range(2, 26)}
     assert cmap.index_of(23) == 8
     assert cmap.index_of(25) == 9
     assert cmap.index_of(5) == 2
@@ -74,10 +79,10 @@ def test_cycle_index_examples():
 
 def test_record_backed_index_agrees_with_decomposition():
     limit = 10_000
-    from_cycles = CycleIndexMap.from_cycles(decompose(3, limit))
+    by_value = _index_by_value(decompose(3, limit))
     fast = CycleIndexMap.for_f3(limit)
     for v in range(2, limit + 1):
-        assert fast.index_of(v) == from_cycles.index_of(v)
+        assert fast.index_of(v) == by_value[v]
     with pytest.raises(UnknownCycleValueError):
         fast.index_of(1)  # the lone fixed point has no nontrivial cycle
 
@@ -121,9 +126,11 @@ def test_twin_cycle_gap_range_probe():
     )
 
 
-def test_incomplete_cycle_error():
+def test_incomplete_cycle_error(monkeypatch):
     # The cycle (11, 10) of f_9 needs terms up to index 11.
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "10")
     with pytest.raises(IncompleteCycleError):
-        decompose(9, 10, max_terms=10)
-    cycles = decompose(9, 10, max_terms=12)
+        decompose(9, 10)
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "12")
+    cycles = decompose(9, 10)
     assert cycles[-1].elements == (11, 10)

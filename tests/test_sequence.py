@@ -46,24 +46,44 @@ def test_indexing_and_iteration():
         buf[25]
 
 
-def test_prefix_surjective_upto_against_set_oracle():
-    # Values 1..n have all appeared exactly when n is below the frontier
-    # and below every pooled (skipped, unassigned) value.
-    rng = random.Random(7)
-    for a in (2, 3, 7, 36):
-        buf = generate_prefix(a, 400)
-        values = set(buf)
-        for n in [0, 1, 2] + [rng.randrange(1, 500) for _ in range(40)]:
-            expected = all(v in values for v in range(1, n + 1))
-            assert (n < buf.frontier and all(v > n for v in buf.pool)) == expected
+def _naive_prefix(a, n):
+    # The definition as stated: f(1) = 1, f(2) = a, then the smallest value
+    # not used so far that is coprime to the previous term.
+    terms = [0, 1, a]
+    used = {1, a}
+    low = 2
+    while len(terms) <= n:
+        while low in used:
+            low += 1
+        c = low
+        while c in used or math.gcd(c, terms[-1]) != 1:
+            c += 1
+        used.add(c)
+        terms.append(c)
+    return terms
 
 
-def test_prefix_surjective_examples():
-    buf = generate_prefix(3, 24)
-    # 24 shows up as a value only at f(25), so 1..23 are covered, 24 is not
-    assert buf.pool == (24,) and buf.frontier == 26
-    buf.extend()
-    assert buf.pool == () and buf.frontier == 26
+def test_engine_matches_naive_generator():
+    for a in range(2, 301):
+        n = 3 * a + 300
+        assert generate_prefix(a, n).terms == _naive_prefix(a, n), a
+    # Seeds whose unused values 2..a-1 wait below a for about a terms.
+    for a in (20_002, 30_030, 200_002):
+        assert generate_prefix(a, 2 * a).terms == _naive_prefix(a, 2 * a), a
+
+
+def test_pool_peak_against_running_maximum():
+    # pool_peak: the most unused values below the largest assigned value.
+    for a, n in ((2, 500), (3, 5000), (7, 997), (36, 500), (1001, 3000), (20_002, 40_004)):
+        buf = generate_prefix(a, n)
+        top = peak = 0
+        for i, v in enumerate(buf, 1):
+            top = max(top, v)
+            if i >= 2:
+                peak = max(peak, top - i)
+        assert buf.pool_peak == peak, a
+        buf.extend()
+        assert buf.pool_peak >= peak
 
 
 def test_injectivity():
@@ -127,17 +147,6 @@ def test_pool_stays_small_over_a_million_terms(f3_million):
     assert f3_million.pool_peak <= 64
 
 
-def test_pool_and_frontier_partition_unassigned():
-    # pool + [frontier, ...) must be exactly the values not yet assigned
-    for a, n in ((3, 5000), (7, 997), (36, 500)):
-        buf = generate_prefix(a, n)
-        values = set(buf)
-        assert buf.frontier == max(values) + 1
-        below = {v for v in range(1, buf.frontier) if v not in values}
-        assert set(buf.pool) == below
-        assert list(buf.pool) == sorted(below)
-
-
 def test_seed_validation():
     with pytest.raises(ValueError):
         SequenceBuffer(1)
@@ -148,14 +157,16 @@ def test_seed_validation():
     assert SequenceBuffer(2).a == 2
 
 
-def test_term_cap():
+def test_term_cap(monkeypatch):
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "50")
     with pytest.raises(LimitExceededError):
-        generate_prefix(3, 100, max_terms=50)
-    buf = generate_prefix(3, 50, max_terms=50)
+        generate_prefix(3, 100)
+    buf = generate_prefix(3, 50)
+    assert buf.cap == 50
     with pytest.raises(LimitExceededError):
         buf.extend()
     with pytest.raises(LimitExceededError):
-        SequenceBuffer(100, max_terms=50)
+        SequenceBuffer(100)
 
 
 def test_term_cap_env_override(monkeypatch):
