@@ -16,7 +16,8 @@ machine-checkable certificate:
   is t.  A comparison window after t double-checks the agreement.
 
 Both are read off the one turning-point scan behind
-``records.find_turning_points``; it obeys the term cap whatever the budget.
+``records.find_turning_points``.  The term cap (GCDPERM_MAX_TERMS) is the
+one limit on the scan.
 
 Two closed-form membership tests for the eventually-identity seeds are
 provided alongside, one in terms of records adjacent to a, one in terms of
@@ -41,7 +42,7 @@ MERGE_WINDOW = 64
 
 
 class BudgetExhaustedError(RuntimeError):
-    """No certificate within the simulation budget; retry with a larger one."""
+    """No certificate within the term cap less the merge window; raise the cap."""
 
     def __init__(self, a: int, budget: int):
         super().__init__(f"f_{a}: no certificate within {budget} terms")
@@ -80,7 +81,7 @@ def _attempt(a: int, budget: int) -> ClassLabel | None:
                 # ETP of f_3 as well: same state, the maps merge here.
                 buf.extend_to(t + MERGE_WINDOW - 1)
                 for m in range(t, t + MERGE_WINDOW):
-                    if terms[m] != reconstruct_f3(m, f3_records):
+                    if terms[m] != reconstruct_f3(m):
                         raise RuntimeError(
                             f"f_{a} and f_3 disagree at {m} after shared ETP {t}; "
                             "generation engine is inconsistent"
@@ -91,23 +92,21 @@ def _attempt(a: int, budget: int) -> ClassLabel | None:
     return None
 
 
-def classify(a: int, budget: int | None = None) -> ClassLabel:
+def classify(a: int) -> ClassLabel:
     """Decide the class of f_a by simulation.
 
-    One attempt scans up to the budget and BudgetExhaustedError signals an
-    undecided run; a certificate or merge window past the term cap
-    (GCDPERM_MAX_TERMS) raises LimitExceededError.  The default budget is
-    the term cap less the room for the merge window.  The scan grows its
+    One attempt scans up to the term cap (GCDPERM_MAX_TERMS) less room for
+    the merge window, so the merge check always fits under the cap;
+    BudgetExhaustedError signals an undecided run.  The scan grows its
     buffer in doubling chunks past a, so its cost follows the certificate,
-    not the budget; certificates normally appear near the first prime
-    record above a.
+    not the cap; certificates normally appear near the first prime record
+    above a.
     """
     if a < 2:
         raise ValueError(f"seed must be >= 2, got {a}")
-    if budget is None:
-        # A certificate at the budget needs MERGE_WINDOW - 1 more terms for
-        # the merge check; keep that, with a little slack, within the cap.
-        budget = max(max_terms_cap() - MERGE_WINDOW - 2, 0)
+    # A certificate at the last index scanned needs MERGE_WINDOW - 1 more
+    # terms for the merge check; keep that, with a little slack, within the cap.
+    budget = max(max_terms_cap() - MERGE_WINDOW - 2, 0)
     label = _attempt(a, budget)
     if label is None:
         raise BudgetExhaustedError(a, budget)
@@ -180,12 +179,12 @@ class ScanRow:
         return is_id == self.record_test == self.primorial_test
 
 
-def scan_identity_seeds(bound: int, budget: int | None = None) -> list[ScanRow]:
+def scan_identity_seeds(bound: int) -> list[ScanRow]:
     """Cross-check simulation and both membership tests for 2, 4, 6, 12, ... <= bound."""
     seeds = [a for a in (2, 4) if a <= bound] + list(range(6, bound + 1, 6))
     rows = []
     for a in seeds:
-        label = classify(a, budget=budget)
+        label = classify(a)
         rows.append(
             ScanRow(
                 a,

@@ -12,26 +12,15 @@ import argparse
 import itertools
 import os
 import sys
-from bisect import bisect_right
 from contextlib import nullcontext
 
 from . import __version__
 from .classify import BudgetExhaustedError, scan_identity_seeds
 from .cycles import twin_cycle_gaps
 from .primorial import prime_ratio_series, primes_within_records_series
-from .records import (
-    FIRST_RECORD,
-    _annotated,
-    extend_records,
-    f3_terms,
-    load_record_cache,
-    record_values,
-    save_record_cache,
-)
+from .records import FIRST_RECORD, _annotated, f3_terms, record_values
 from .sequence import MAX_TERMS_ENV, LimitExceededError, generate_prefix
 from .suites import SUITES, TABLE
-
-CACHE_ENV = "GCDPERM_CACHE"
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -73,28 +62,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_records(args) -> int:
-    cache_path = args.cache or os.environ.get(CACHE_ENV)
-    if cache_path and os.path.exists(cache_path):
-        chain = load_record_cache(cache_path)
-        if not chain or chain[0] != FIRST_RECORD:
-            print(f"error: {cache_path} does not hold a full record list", file=sys.stderr)
-            return EXIT_IO
-        loaded = len(chain)
-        extend_records(chain, args.limit)
-        del chain[bisect_right(chain, args.limit):]
-        dirty = len(chain) > loaded
-    else:
-        chain = record_values(args.limit)
-        dirty = cache_path is not None
-    if dirty:
-        save_record_cache(cache_path, chain)
-    if args.out or not cache_path:
-        rows = _annotated(chain)
-        lines = itertools.chain(
-            ["index,record,turning_point,jump,is_composite"],
-            (f"{i},{r},{t},{j},{c:d}" for i, (r, t, j, c) in enumerate(rows, start=1)),
-        )
-        _write_lines(args.out, lines)
+    rows = _annotated(record_values(args.limit))
+    lines = itertools.chain(
+        ["index,record,turning_point,jump,is_composite"],
+        (f"{i},{r},{t},{j},{c:d}" for i, (r, t, j, c) in enumerate(rows, start=1)),
+    )
+    _write_lines(args.out, lines)
     return EXIT_OK
 
 
@@ -207,7 +180,7 @@ def cmd_export_figures(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    rows = scan_identity_seeds(args.bound, budget=args.budget)
+    rows = scan_identity_seeds(args.bound)
     lines = ["a,verdict,witness,record_test,primorial_test,agree"]
     lines += [
         f"{r.a},{r.verdict},{r.witness},{int(r.record_test)},{int(r.primorial_test)},{int(r.agree)}"
@@ -243,10 +216,7 @@ _positive = _int_at_least(1)
 def _suites_help() -> str:
     lines = ["suites, each with the flags it takes and their defaults:"]
     for name, suite in TABLE.items():
-        flags = " ".join(
-            f"--{flag} {'auto' if default is None else default}"
-            for flag, default in suite.flags.items()
-        )
+        flags = " ".join(f"--{flag} {default}" for flag, default in suite.flags.items())
         lines += [f"  {name:<16} {suite.description}", f"  {'':<16} {flags}"]
     return "\n".join(lines)
 
@@ -271,11 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit n,f_n,g_n rows with the forward difference")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("records", help="enumerate f_3 records; CSV and/or cache file")
+    p = sub.add_parser("records", help="write the f_3 records up to a limit as CSV")
     p.add_argument("--limit", type=_int_at_least(FIRST_RECORD), required=True,
                    help=f"largest record value (>= {FIRST_RECORD})")
-    p.add_argument("--out", help="CSV output path (default stdout unless only caching)")
-    p.add_argument("--cache", help=f"plain record cache to reuse/write (or ${CACHE_ENV})")
+    p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_records)
 
     p = sub.add_parser(
@@ -290,8 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=_positive, help="seed bound")
     p.add_argument("--n", type=_positive, help="primorial index")
     p.add_argument("--kmax", type=_positive, help="multiplier bound")
-    p.add_argument("--budget", type=_positive,
-                   help="simulation budget (auto: the term cap less the merge window)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("diff-bfile", help="compare a local OEIS-style b-file against f_a")
@@ -313,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="cross-check the eventually-identity tests over seeds")
     p.add_argument("--bound", type=_positive, required=True, help="largest seed (2, 4, then 6k)")
     p.add_argument("--out", help="CSV output path (default stdout)")
-    p.add_argument("--budget", type=_positive, help="explicit simulation budget")
     p.set_defaults(func=cmd_scan)
 
     return parser
@@ -328,9 +294,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExhaustedError as exc:
-        # Without --budget, the default budget is the term cap.
-        hint = "raise --budget" if args.budget else f"set {MAX_TERMS_ENV} to raise the term cap"
-        print(f"error: {exc}; {hint}", file=sys.stderr)
+        print(f"error: {exc}; set {MAX_TERMS_ENV} to raise the term cap", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,10 +15,10 @@ every later record r sits at index (previous record) + 1, every prime >= 5
 shows up as a record, and every record is odd and congruent to 1 or 5 mod 6.
 
 One loop, ``extend_records``, enumerates records: it extends an ascending
-record list in place until it passes a limit.  The shared cache
-(``cached_records``) and a record-cache file loaded by the CLI both grow
-through it.  Annotation derives ``is_composite`` from one sieve up to the
-largest record of the list, not from a primality test per record.
+record list in place until it passes a limit.  The shared list
+(``cached_records``) grows through it.  Annotation derives ``is_composite``
+from one sieve up to the largest record of the list, not from a primality
+test per record.
 
 The records pin f_3 down completely: ``reconstruct_f3`` answers one index,
 and ``f3_terms`` builds the whole prefix f_3(1..n) as an ``array('q')``
@@ -32,7 +32,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .primes import sieve_flags, smallest_prime_not_dividing
 from .sequence import LimitExceededError, SequenceBuffer, max_terms_cap
@@ -40,17 +40,10 @@ from .sequence import LimitExceededError, SequenceBuffer, max_terms_cap
 FIRST_ETP = 4
 FIRST_RECORD = 5
 
-CACHE_HEADER = "# a=3 records"
-
 _FIRST_CHUNK = 8  # indices past the seed that a scan's first chunk covers
 
 
-class InsufficientRecordsError(ValueError):
-    """The supplied record list does not cover the requested index."""
-
-
-@dataclass(frozen=True)
-class TurningPoint:
+class TurningPoint(NamedTuple):
     t: int
     is_etp: bool
     record_value: int
@@ -119,8 +112,8 @@ def extend_records(chain: list[int], limit: int) -> list[int]:
     """Extend an ascending record list in place until its last value passes limit.
 
     chain must end in a record; the recurrence is local, so any chain that
-    does (a loaded cache, the shared list, ``[FIRST_RECORD]``) continues the
-    enumeration from where it stops.  Returns chain.
+    does (the shared list, ``[FIRST_RECORD]``) continues the enumeration
+    from where it stops.  Returns chain.
     """
     r = chain[-1]
     while r <= limit:
@@ -182,26 +175,18 @@ def record_stream_upto(limit: int) -> list[Record]:
     return records_from_values(record_values(limit))
 
 
-def reconstruct_f3(n: int, records: Sequence[int] | None = None) -> int:
+def reconstruct_f3(n: int) -> int:
     """f_3(n) straight from the record list, without sequential generation.
 
     If n-1 is a record, n is a turning point and f_3(n) is the next record;
     otherwise f_3(n) = n - 1 (counting stretch), with f(1)=1 and f(2)=3
-    handled directly.  ``records`` is an ascending record-value list
-    covering at least n+1; by default the shared cache is used and grown
-    as needed.
+    handled directly.  The shared record list is grown as needed.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n <= 4:
         return (1, 3, 2, 5)[n - 1]
-    if records is None:
-        records = cached_records(n + 1)
-    elif not records or records[-1] < n + 1:
-        have = records[-1] if records else None
-        raise InsufficientRecordsError(
-            f"reconstructing f_3({n}) needs records through {n + 1}, have {have}"
-        )
+    records = cached_records(n + 1)
     i = bisect_left(records, n - 1)
     if i < len(records) and records[i] == n - 1:
         return records[i + 1]
@@ -230,41 +215,3 @@ def f3_terms(n: int) -> array:
     for q, r in zip(islice(recs, bisect_right(recs, n - 1)), islice(recs, 1, None)):
         terms[q + 1] = r
     return terms
-
-
-def save_record_cache(path, records: Iterable[int]) -> None:
-    """Write a plain-text record cache: header line, one value per line."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(CACHE_HEADER + "\n")
-        for r in records:
-            fh.write(f"{r}\n")
-
-
-def load_record_cache(path, verify: bool = False) -> list[int]:
-    """Read a record cache written by save_record_cache.
-
-    Always checks the header and strict monotonicity; with verify=True also
-    replays the record recurrence across the list.
-    """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != CACHE_HEADER:
-        raise ValueError(f"{path}: missing record-cache header {CACHE_HEADER!r}")
-    values = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            values.append(int(line))
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: not an integer: {line!r}") from None
-    for prev, cur in zip(values, values[1:]):
-        if cur <= prev:
-            raise ValueError(f"{path}: record values must increase ({prev} -> {cur})")
-    if verify:
-        for prev, cur in zip(values, values[1:]):
-            expected = next_record(prev)
-            if cur != expected:
-                raise ValueError(f"{path}: {cur} does not follow {prev} (expected {expected})")
-    return values

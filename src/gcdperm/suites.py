@@ -56,9 +56,9 @@ class CheckResult:
 
 
 def _at_least(lo: int, **params) -> None:
-    """Reject an explicit parameter below lo; None leaves the choice automatic."""
+    """Reject a parameter below lo."""
     for name, value in params.items():
-        if value is not None and value < lo:
+        if value < lo:
             raise ValueError(f"{name} must be >= {lo}, got {value}")
 
 
@@ -137,13 +137,13 @@ def prop3(n=4, kmax=8) -> list[CheckResult]:
     return out
 
 
-def thm2(bound=999, budget=None) -> list[CheckResult]:
-    _at_least(1, bound=bound, budget=budget)
+def thm2(bound=999) -> list[CheckResult]:
+    _at_least(1, bound=bound)
     seeds = range(3, bound + 1, 2)
     bad_verdict = []
     bad_parity = []
     for a in seeds:
-        label = classify(a, budget=budget)
+        label = classify(a)
         if label.verdict != C3:
             bad_verdict.append(a)
         if any(t % 2 for t in label.etps):
@@ -155,14 +155,14 @@ def thm2(bound=999, budget=None) -> list[CheckResult]:
     ]
 
 
-def thm3(bound=300, budget=None) -> list[CheckResult]:
-    _at_least(1, bound=bound, budget=budget)
+def thm3(bound=300) -> list[CheckResult]:
+    _at_least(1, bound=bound)
     seeds = range(6, bound + 1, 6)
     undecided = []
     bad_parity = []
     for a in seeds:
         try:
-            label = classify(a, budget=budget)
+            label = classify(a)
         except BudgetExhaustedError:
             undecided.append(a)
             continue
@@ -175,25 +175,25 @@ def thm3(bound=300, budget=None) -> list[CheckResult]:
     ]
 
 
-def _agreement(bound: int, budget) -> tuple[int, list[int], list[int]]:
+def _agreement(bound: int) -> tuple[int, list[int], list[int]]:
     """Seeds scanned, then the seeds where the record test and where the
     primorial test disagree with simulation."""
-    rows = scan_identity_seeds(bound, budget=budget)
+    rows = scan_identity_seeds(bound)
     bad_rec = [r.a for r in rows if (r.verdict == IDENTITY) != r.record_test]
     bad_pri = [r.a for r in rows if (r.verdict == IDENTITY) != r.primorial_test]
     return len(rows), bad_rec, bad_pri
 
 
-def thm4(bound=300, budget=None) -> list[CheckResult]:
-    _at_least(1, bound=bound, budget=budget)
-    seeds, bad_rec, _ = _agreement(bound, budget)
+def thm4(bound=300) -> list[CheckResult]:
+    _at_least(1, bound=bound)
+    seeds, bad_rec, _ = _agreement(bound)
     return [CheckResult("thm4", "record test == simulation", not bad_rec,
                         _listed(bad_rec, f"{seeds} seeds"), seeds)]
 
 
-def thm10(bound=300, budget=None) -> list[CheckResult]:
-    _at_least(1, bound=bound, budget=budget)
-    seeds, bad_rec, bad_pri = _agreement(bound, budget)
+def thm10(bound=300) -> list[CheckResult]:
+    _at_least(1, bound=bound)
+    seeds, bad_rec, bad_pri = _agreement(bound)
     return [
         CheckResult("thm10", "primorial test == simulation", not bad_pri,
                     _listed(bad_pri, f"{seeds} seeds"), seeds),
@@ -276,7 +276,7 @@ class Suite(NamedTuple):
     check: Callable[..., list[CheckResult]]
 
     @property
-    def flags(self) -> dict[str, int | None]:
+    def flags(self) -> dict[str, int]:
         """The suite's parameters, one ``verify`` flag each, with their defaults."""
         return {p.name: p.default for p in inspect.signature(self.check).parameters.values()}
 

@@ -8,7 +8,6 @@ from gcdperm import (
     IDENTITY,
     BudgetExhaustedError,
     ClassLabel,
-    LimitExceededError,
     classify,
     eventually_identity_by_primorial,
     eventually_identity_by_record,
@@ -54,15 +53,18 @@ def test_merge_tail_matches_f3():
         assert fa.terms[t : t + 501] == f3.terms[t : t + 501]
 
 
-def test_budget_exhaustion():
+def test_budget_exhaustion(monkeypatch):
+    # A cap of B + MERGE_WINDOW + 2 scans B terms.
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", str(3 + MERGE_WINDOW + 2))
     with pytest.raises(BudgetExhaustedError):
-        classify(3, budget=3)
-    assert classify(3, budget=100).verdict == C3
+        classify(3)
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", str(100 + MERGE_WINDOW + 2))
+    assert classify(3).verdict == C3
 
 
 def test_budget_exhaustion_reports_the_budget_tried(monkeypatch):
-    # The default budget is the term cap less the merge window and slack,
-    # so the merge check fits.
+    # The scan stops at the term cap less the merge window and slack, so
+    # the merge check fits.
     monkeypatch.setenv("GCDPERM_MAX_TERMS", "1000")
     clamped = 1000 - MERGE_WINDOW - 2
     with pytest.raises(BudgetExhaustedError) as exc:
@@ -129,12 +131,15 @@ def test_classify_matches_naive_oracle():
 
 
 @pytest.mark.parametrize("a", [4, 9, 36, 216, 995, 213])
-def test_budget_boundary(a):
-    # A certificate at index t is found with budget t and not with t - 1.
+def test_budget_boundary(a, monkeypatch):
+    # A certificate at index t is found under a cap of t + MERGE_WINDOW + 2
+    # and not under one term less.
     label = classify(a)
-    assert classify(a, budget=label.witness) == label
-    with pytest.raises(BudgetExhaustedError):
-        classify(a, budget=label.witness - 1)
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", str(label.witness + MERGE_WINDOW + 2))
+    assert classify(a) == label
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", str(label.witness + MERGE_WINDOW + 1))
+    with pytest.raises(BudgetExhaustedError, match=f"within {label.witness - 1} terms"):
+        classify(a)
 
 
 def test_budget_boundary_seed_lies_past_the_first_chunk():
@@ -143,23 +148,23 @@ def test_budget_boundary_seed_lies_past_the_first_chunk():
     assert classify(213).witness == 213 + _FIRST_CHUNK + 1
 
 
-def test_explicit_budget_obeys_the_term_cap(monkeypatch):
+def test_merge_window_always_fits_the_cap(monkeypatch):
     monkeypatch.setenv("GCDPERM_MAX_TERMS", "100")
     # Certificate and merge window (32..95) fit the cap.
-    assert classify(31, budget=5000) == ClassLabel(C3, 32, (32,))
-    # An identity certificate needs no merge window.
-    assert classify(96, budget=5000) == ClassLabel(IDENTITY, 98)
-    # Certified at 38, but the merge window would need 101 terms.
-    with pytest.raises(LimitExceededError, match="requested 101 terms of f_33; cap is 100"):
-        classify(33, budget=5000)
-    # Certified at 102: the scan itself reaches the cap first.
-    with pytest.raises(LimitExceededError, match="requested 101 terms of f_98; cap is 100"):
-        classify(98, budget=5000)
-    with pytest.raises(LimitExceededError, match="seed 150 exceeds the term cap 100"):
-        classify(150, budget=5000)
-    # A budget that ends below the cap still reports exhaustion.
-    with pytest.raises(BudgetExhaustedError, match="within 37 terms"):
-        classify(33, budget=37)
+    assert classify(31) == ClassLabel(C3, 32, (32,))
+    # Certified at 38, but the merge window would need 101 terms: the scan
+    # stops at 34 instead, and so does it for a seed past the cap.
+    for a in (33, 150):
+        with pytest.raises(BudgetExhaustedError, match="within 34 terms"):
+            classify(a)
+
+
+def test_classify_and_scan_take_no_budget():
+    # The term cap is the one limit on classification.
+    with pytest.raises(TypeError):
+        classify(3, budget=100)
+    with pytest.raises(TypeError):
+        scan_identity_seeds(40, budget=100)
 
 
 def test_classify_decides_seeds_above_a_million():

@@ -71,27 +71,6 @@ def test_records_csv(capsys):
     assert len(lines) == 11
 
 
-def test_records_cache_roundtrip(tmp_path, capsys):
-    cache = tmp_path / "cache.txt"
-    csv1 = tmp_path / "r1.csv"
-    csv2 = tmp_path / "r2.csv"
-    code, _, _ = run(capsys, "records", "--limit", "500", "--cache", str(cache),
-                     "--out", str(csv1))
-    assert code == 0 and cache.exists()
-    first_cache = cache.read_bytes()
-    # second run consumes the cache and must produce identical downstream CSV
-    code, _, _ = run(capsys, "records", "--limit", "500", "--cache", str(cache),
-                     "--out", str(csv2))
-    assert code == 0
-    assert csv1.read_bytes() == csv2.read_bytes()
-    assert cache.read_bytes() == first_cache
-    # growing the limit extends the cached chain in place
-    code, _, _ = run(capsys, "records", "--limit", "1000", "--cache", str(cache),
-                     "--out", str(csv2))
-    assert code == 0
-    assert cache.read_text().splitlines()[-1] == "997"
-
-
 def test_records_composite_column_matches_miller_rabin(capsys):
     code, out, _ = run(capsys, "records", "--limit", "100000")
     assert code == 0
@@ -100,39 +79,23 @@ def test_records_composite_column_matches_miller_rabin(capsys):
     assert [r for _, r, _, _, c in rows if int(c) != (not is_prime(int(r)))] == []
 
 
-def test_records_cache_past_limit_matches_uncached(tmp_path, capsys):
-    cache = tmp_path / "cache.txt"
-    cached = tmp_path / "cached.csv"
-    fresh = tmp_path / "fresh.csv"
-    assert run(capsys, "records", "--limit", "1000", "--cache", str(cache))[0] == 0
-    built = cache.read_bytes()
-    assert run(capsys, "records", "--limit", "500", "--cache", str(cache),
-               "--out", str(cached))[0] == 0
-    assert run(capsys, "records", "--limit", "500", "--out", str(fresh))[0] == 0
-    assert cached.read_bytes() == fresh.read_bytes()
-    assert cache.read_bytes() == built
+def test_records_out_file_matches_stdout(tmp_path, capsys):
+    # One path writes the CSV: the file holds exactly what stdout shows.
+    target = tmp_path / "records.csv"
+    code, out, _ = run(capsys, "records", "--limit", "100", "--out", str(target))
+    assert code == 0 and out == ""
+    code, out, _ = run(capsys, "records", "--limit", "100")
+    assert code == 0
+    assert target.read_bytes() == out.encode("ascii")
+    assert out.splitlines()[3] == "3,11,8,3,0"
 
 
 @pytest.mark.parametrize("limit", ["-5", "0", "4"])
-def test_records_limit_below_first_record_is_usage_error(tmp_path, capsys, limit):
-    cache = tmp_path / "cache.txt"
-    with pytest.raises(SystemExit) as exc:
-        main(["records", "--limit", limit, "--cache", str(cache)])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
-    assert not cache.exists()
+def test_records_limit_below_first_record_is_usage_error(capsys, limit):
     with pytest.raises(SystemExit) as exc:
         main(["records", "--limit", limit])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
-
-
-def test_records_cache_env(tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "env-cache.txt"
-    monkeypatch.setenv("GCDPERM_CACHE", str(cache))
-    code, _, _ = run(capsys, "records", "--limit", "100")
-    assert code == 0
-    assert cache.exists()
 
 
 @pytest.mark.parametrize(
@@ -308,29 +271,22 @@ def test_cap_exit_code(capsys, monkeypatch):
     assert "cap" in err
 
 
-def test_verify_budget_exhaustion_exit_codes(capsys):
-    # a budget too small to certify anything: thm2 propagates as usage,
-    # thm3 surfaces the undecided seeds as a failing check
-    code, _, err = run(capsys, "verify", "thm2", "--bound", "9", "--budget", "3")
+def test_verify_budget_exhaustion_exit_codes(capsys, monkeypatch):
+    # a cap too small to certify anything (3 terms to scan, plus the merge
+    # window): thm2 propagates as usage, thm3 surfaces the undecided seeds
+    # as a failing check
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "69")
+    code, _, err = run(capsys, "verify", "thm2", "--bound", "9")
     assert code == 2
-    assert "budget" in err
-    code, out, _ = run(capsys, "verify", "thm3", "--bound", "120", "--budget", "3")
+    assert err == ("error: f_3: no certificate within 3 terms; "
+                   "set GCDPERM_MAX_TERMS to raise the term cap\n")
+    code, out, _ = run(capsys, "verify", "thm3", "--bound", "120")
     assert code == 1
     assert "FAIL" in out
 
 
-def test_explicit_budget_obeys_the_term_cap(capsys, monkeypatch):
-    monkeypatch.setenv("GCDPERM_MAX_TERMS", "100")
-    code, out, err = run(capsys, "verify", "thm2", "--bound", "201", "--budget", "5000")
-    assert code == 2
-    assert out == ""
-    assert err == ("error: requested 101 terms of f_33; cap is 100 "
-                   "(set GCDPERM_MAX_TERMS to raise it)\n")
-
-
 def test_default_budget_exhaustion_names_the_term_cap(capsys, monkeypatch):
-    # Without --budget the ladder stops at the term cap, so a larger
-    # --budget would not help; the hint names the cap instead.
+    # The term cap is the one limit on classification; the hint names it.
     monkeypatch.setenv("GCDPERM_MAX_TERMS", "100")
     for argv in (["verify", "thm2", "--bound", "201"], ["scan", "--bound", "200"]):
         code, _, err = run(capsys, *argv)
@@ -408,7 +364,7 @@ def test_cap_exit_code_f3_with_derivative(tmp_path, capsys, monkeypatch):
     assert code == 0 and out == _simulated_generate(99, with_derivative=True)
 
 
-@pytest.mark.parametrize("flag", ["--limit", "--bound", "--n", "--kmax", "--budget"])
+@pytest.mark.parametrize("flag", ["--limit", "--bound", "--n", "--kmax"])
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_verify_flags_reject_non_positive(capsys, flag, value):
     for suite in ("prop3", "thm2", "cor1"):
@@ -438,19 +394,34 @@ def test_fig2_matches_simulation_at_default_span(tmp_path, capsys):
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_scan_flags_reject_non_positive(tmp_path, capsys, value):
     out = tmp_path / "scan.csv"
-    for argv in (["scan", "--bound", value], ["scan", "--bound", "40", "--budget", value]):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--out", str(out)])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
-        assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--bound", value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "thm2", "--budget", "5"],
+    ["scan", "--bound", "40", "--budget", "5"],
+    ["records", "--limit", "100", "--cache", "F"],
+])
+def test_removed_options_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
+    # --budget (the term cap is the one limit) and --cache (records are
+    # recomputed) are gone: argparse rejects them before anything runs.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv,takes", [
     (["prop3", "--bound", "7"], "--n, --kmax"),
     (["prop3", "--n", "2", "--limit", "9"], "--n, --kmax"),
     (["cor2", "--n", "3"], "--limit"),
-    (["thm6", "--budget", "100"], "--n"),
+    (["thm6", "--bound", "100"], "--n"),
 ])
 def test_verify_flag_the_suite_does_not_take_is_usage_error(capsys, argv, takes):
     code, out, err = run(capsys, "verify", *argv)
@@ -490,7 +461,7 @@ def test_verify_help_lists_each_suite_with_its_flags(capsys):
         main(["verify", "--help"])
     assert exc.value.code == 0
     lines = capsys.readouterr().out.splitlines()
-    for suite, flags in (("prop3", "--n 4 --kmax 8"), ("thm2", "--bound 999 --budget auto"),
+    for suite, flags in (("prop3", "--n 4 --kmax 8"), ("thm2", "--bound 999"),
                          ("cor2", "--limit 1000000"), ("thm8-recurrence", "--n 5")):
         i = next(i for i, line in enumerate(lines) if line.split()[:1] == [suite])
         assert lines[i + 1].strip() == flags

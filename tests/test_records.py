@@ -5,19 +5,17 @@ import pytest
 
 from gcdperm import (
     FIRST_RECORD,
-    InsufficientRecordsError,
     LimitExceededError,
     extend_records,
     f3_terms,
     find_turning_points,
     generate_prefix,
-    load_record_cache,
     next_record,
     reconstruct_f3,
     record_stream_upto,
     record_values,
-    save_record_cache,
 )
+from gcdperm import records
 from gcdperm.primes import is_prime, primes_upto
 
 RECORDS_7_TO_211 = [
@@ -168,10 +166,21 @@ def test_reconstruct_examples():
     assert [reconstruct_f3(n) for n in range(1, 5)] == [1, 3, 2, 5]
 
 
-def test_reconstruct_requires_coverage():
-    with pytest.raises(InsufficientRecordsError):
-        reconstruct_f3(8, records=[5, 7])
-    assert reconstruct_f3(8, records=[5, 7, 11, 13]) == 11
+def test_reconstruct_requires_coverage(monkeypatch):
+    # The shared record list grows to cover n + 1, so the record after n - 1
+    # is always at hand.
+    monkeypatch.setattr(records, "_CACHE", [FIRST_RECORD])
+    assert reconstruct_f3(8) == 11
+    assert records._CACHE[-1] > 9
+    terms = generate_prefix(3, 1000).terms
+    assert [reconstruct_f3(n) for n in range(990, 1001)] == list(terms[990:1001])
+    assert records._CACHE[-1] > 1001
+
+
+def test_reconstruct_reads_only_the_shared_record_list():
+    # No caller-supplied record list can stand in for the shared one.
+    with pytest.raises(TypeError):
+        reconstruct_f3(8, [5, 7, 9, 13])
 
 
 def test_reconstruct_matches_simulation_sampled():
@@ -182,7 +191,7 @@ def test_reconstruct_matches_simulation_sampled():
     sample = rng.sample(range(1, 30_001), 500)
     sample += [t for r in recs if r < 29_000 for t in (r, r + 1, r + 2)]
     for n in sample:
-        assert reconstruct_f3(n, recs) == terms[n]
+        assert reconstruct_f3(n) == terms[n]
 
 
 def test_record_parity_and_form():
@@ -227,32 +236,6 @@ def test_twin_records_equal_jump_one_records():
         if r.jump == 1 and r.value > 5
     ]
     assert pairs == from_jumps
-
-
-def test_record_cache_roundtrip(tmp_path):
-    path = tmp_path / "records.txt"
-    values = record_values(1000)
-    save_record_cache(path, values)
-    assert load_record_cache(path) == values
-    assert load_record_cache(path, verify=True) == values
-
-    text = path.read_text()
-    assert text.startswith("# a=3 records\n")
-
-    bad = tmp_path / "bad.txt"
-    bad.write_text("5\n7\n")
-    with pytest.raises(ValueError):
-        load_record_cache(bad)  # missing header
-
-    swapped = tmp_path / "swapped.txt"
-    swapped.write_text("# a=3 records\n7\n5\n")
-    with pytest.raises(ValueError):
-        load_record_cache(swapped)
-
-    tampered = tmp_path / "tampered.txt"
-    tampered.write_text("# a=3 records\n5\n7\n12\n")
-    with pytest.raises(ValueError):
-        load_record_cache(tampered, verify=True)
 
 
 def _naive_f3(n):

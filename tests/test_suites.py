@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from gcdperm.suites import SUITES, TABLE
@@ -14,7 +16,7 @@ def test_every_suite_is_in_the_table_and_runnable():
     ("prop3", {"kmax": 0}),
     ("prop3", {"n": 0, "kmax": 0}),
     ("thm2", {"bound": 0}),
-    ("thm2", {"bound": 9, "budget": 0}),
+    ("thm3", {"bound": 0}),
     ("thm4", {"bound": -1}),
     ("thm1", {"limit": 2}),
     ("cor1", {"limit": 0}),
@@ -33,8 +35,10 @@ def test_explicit_out_of_range_value_raises(suite, params):
 def test_suites_take_only_their_own_parameters():
     with pytest.raises(TypeError):
         SUITES["prop3"](bound=7)
+    with pytest.raises(TypeError):
+        SUITES["thm2"](bound=9, budget=5)
     assert TABLE["prop3"].flags == {"n": 4, "kmax": 8}
-    assert TABLE["thm10"].flags == {"bound": 300, "budget": None}
+    assert TABLE["thm10"].flags == {"bound": 300}
 
 
 def test_explicit_small_values_run_as_given():
@@ -45,3 +49,18 @@ def test_explicit_small_values_run_as_given():
         ("n=1 derivative >= 3", "1 prime indices, k <= 3", 1)
     ]
     assert [r.items for r in SUITES["prop2"](limit=1)] == [0]  # 2 <= k <= 1: vacuous
+
+
+def test_readme_table_lists_each_suite_with_its_flags():
+    # One row per suite in README's verify table, its last cell the suite's
+    # flags with their defaults, so the documented flags cannot go stale.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Verification suites", 1)[1].split("\n#", 1)[0]
+    rows = [line.strip("|").split("|") for line in section.splitlines()
+            if line.startswith("| `")]
+    documented = [(cells[0].strip().strip("`"), cells[-1].strip().strip("`"))
+                  for cells in rows]
+    assert sorted(name for name, _ in documented) == sorted(TABLE)
+    for name, flags in documented:
+        want = " ".join(f"--{flag} {default}" for flag, default in TABLE[name].flags.items())
+        assert flags == want, name
