@@ -8,6 +8,7 @@ from gcdperm import (
     IDENTITY,
     BudgetExhaustedError,
     ClassLabel,
+    LimitExceededError,
     classify,
     eventually_identity_by_primorial,
     eventually_identity_by_record,
@@ -15,7 +16,7 @@ from gcdperm import (
     generate_prefix,
     scan_identity_seeds,
 )
-from gcdperm.classify import MERGE_WINDOW
+from gcdperm.classify import MERGE_WINDOW, _attempt
 from gcdperm.records import _FIRST_CHUNK
 
 
@@ -146,6 +147,26 @@ def test_budget_boundary_seed_lies_past_the_first_chunk():
     # The scan's first chunk reaches a + _FIRST_CHUNK; seed 213 is certified
     # one index later, so test_budget_boundary covers a second chunk.
     assert classify(213).witness == 213 + _FIRST_CHUNK + 1
+
+
+def test_explicit_budget_obeys_the_term_cap(monkeypatch):
+    # _attempt takes an explicit budget (the benchmark tracer wraps it); its
+    # buffer is still held to GCDPERM_MAX_TERMS.
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "100")
+    # Certificate and merge window (32..95) fit the cap.
+    assert _attempt(31, 5000) == ClassLabel(C3, 32, (32,))
+    # An identity certificate needs no merge window.
+    assert _attempt(96, 5000) == ClassLabel(IDENTITY, 98)
+    # Certified at 38, but the merge window would need 101 terms.
+    with pytest.raises(LimitExceededError, match="requested 101 terms of f_33; cap is 100"):
+        _attempt(33, 5000)
+    # Certified at 102: the scan itself reaches the cap first.
+    with pytest.raises(LimitExceededError, match="requested 101 terms of f_98; cap is 100"):
+        _attempt(98, 5000)
+    with pytest.raises(LimitExceededError, match="seed 150 exceeds the term cap 100"):
+        _attempt(150, 5000)
+    # A budget that ends below the cap leaves the seed undecided.
+    assert _attempt(33, 37) is None
 
 
 def test_merge_window_always_fits_the_cap(monkeypatch):

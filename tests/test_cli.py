@@ -364,9 +364,10 @@ def test_cap_exit_code_f3_with_derivative(tmp_path, capsys, monkeypatch):
     assert code == 0 and out == _simulated_generate(99, with_derivative=True)
 
 
-@pytest.mark.parametrize("flag", ["--limit", "--bound", "--n", "--kmax"])
+@pytest.mark.parametrize("flag", ["--limit", "--bound", "--n", "--kmax", "--budget"])
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_verify_flags_reject_non_positive(capsys, flag, value):
+    # --budget is no longer an option: argparse rejects it whatever its value.
     for suite in ("prop3", "thm2", "cor1"):
         with pytest.raises(SystemExit) as exc:
             main(["verify", suite, flag, value])

@@ -16,7 +16,7 @@ def test_every_suite_is_in_the_table_and_runnable():
     ("prop3", {"kmax": 0}),
     ("prop3", {"n": 0, "kmax": 0}),
     ("thm2", {"bound": 0}),
-    ("thm3", {"bound": 0}),
+    ("thm2", {"bound": -3}),
     ("thm4", {"bound": -1}),
     ("thm1", {"limit": 2}),
     ("cor1", {"limit": 0}),
@@ -25,6 +25,7 @@ def test_every_suite_is_in_the_table_and_runnable():
     ("thm7", {"n": 0}),
     ("thm8-recurrence", {"n": 1}),
     ("cor2", {"limit": 0}),
+    ("thm3", {"bound": 0}),
 ])
 def test_explicit_out_of_range_value_raises(suite, params):
     # An explicit value is never swapped for the default.
