@@ -27,12 +27,11 @@ of 6 that both tests exclude.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .primorial import nth_prime, primorial
-from .records import _turning_points, cached_records, reconstruct_f3
+from .records import _turning_points, is_record, reconstruct_f3
 from .sequence import SequenceBuffer, max_terms_cap
 
 IDENTITY = "identity"
@@ -76,8 +75,7 @@ def _attempt(a: int, budget: int) -> ClassLabel | None:
         t = tp.t
         if tp.is_etp:
             etps.append(t)
-            f3_records = cached_records(t + MERGE_WINDOW)
-            if t == 4 or f3_records[bisect_left(f3_records, t - 1)] == t - 1:
+            if t == 4 or is_record(t - 1):
                 # ETP of f_3 as well: same state, the maps merge here.
                 buf.extend_to(t + MERGE_WINDOW - 1)
                 for m in range(t, t + MERGE_WINDOW):
@@ -119,13 +117,7 @@ def eventually_identity_by_record(a: int) -> bool:
     True iff a is 2 or 4, or a is a multiple of 6 with an f_3 record within
     distance 1 of a.
     """
-    if a in (2, 4):
-        return True
-    if a < 2 or a % 6:
-        return False
-    recs = cached_records(a + 1)
-    i = bisect_right(recs, a + 1)
-    return i > 0 and recs[i - 1] >= a - 1
+    return a in (2, 4) or a % 6 == 0 and (is_record(a - 1) or is_record(a + 1))
 
 
 def eventually_identity_by_primorial(a: int) -> bool:

@@ -20,50 +20,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .primes import is_prime, next_prime, sieve_flags
-from .records import cached_records, record_values, reconstruct_f3
-from .sequence import LimitExceededError, generate_prefix
+from .records import cached_records, is_record, record_values, reconstruct_f3
+from .sequence import generate_prefix
 
-# Enumeration guard for the record-heavy verifiers below.
-DEFAULT_RECORD_LIMIT_CAP = 20_000_000
-
-
-class PrimorialTable:
-    """Primes p_1, p_2, ... with exact primorials P_n = p_1 * ... * p_n."""
-
-    def __init__(self) -> None:
-        self.primes = [2]
-        self.primorials = [2]
-
-    def _slot(self, n: int) -> int:
-        """List position of p_n and P_n (n >= 1), growing the table to reach it."""
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
-        while len(self.primes) < n:
-            p = next_prime(self.primes[-1])
-            self.primes.append(p)
-            self.primorials.append(self.primorials[-1] * p)
-        return n - 1
-
-    def prime(self, n: int) -> int:
-        """The n-th prime, 1-based."""
-        return self.primes[self._slot(n)]
-
-    def primorial(self, n: int) -> int:
-        """P_n, the product of the first n primes, exact."""
-        return self.primorials[self._slot(n)]
-
-
-_TABLE = PrimorialTable()
-
-
-def primorial(n: int) -> int:
-    """Product of the first n primes: 2, 6, 30, 210, 2310, ..."""
-    return _TABLE.primorial(n)
+# p_1, p_2, ... and the exact primorials P_n = p_1 * ... * p_n, grown together.
+_PRIMES = [2]
+_PRIMORIALS = [2]
 
 
 def nth_prime(n: int) -> int:
     """The n-th prime, 1-based: p_1 = 2."""
-    return _TABLE.prime(n)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    while len(_PRIMES) < n:
+        p = next_prime(_PRIMES[-1])
+        _PRIMES.append(p)
+        _PRIMORIALS.append(_PRIMORIALS[-1] * p)
+    return _PRIMES[n - 1]
+
+
+def primorial(n: int) -> int:
+    """Product of the first n primes: 2, 6, 30, 210, 2310, ..."""
+    nth_prime(n)
+    return _PRIMORIALS[n - 1]
 
 
 def _count_records(lo: int, hi: int) -> int:
@@ -78,25 +57,12 @@ def _count_records(lo: int, hi: int) -> int:
 
 def s_count(n: int) -> int:
     """Number of records in [p_n, p_{n+1})."""
-    return _count_records(_TABLE.prime(n), _TABLE.prime(n + 1) - 1)
+    return _count_records(nth_prime(n), nth_prime(n + 1) - 1)
 
 
-def w_count(n: int, check: bool = True) -> int:
-    """Number of records in [p_{n+1}, P_n + 1].
-
-    With check=True (default) the count is cross-checked against the
-    recurrence w_n = w_{n-1} * p_n - s_n for n >= 3.
-    """
-    w = _count_records(_TABLE.prime(n + 1), _TABLE.primorial(n) + 1)
-    if check and n >= 3:
-        prev = w_count(n - 1, check=False)
-        expected = prev * _TABLE.prime(n) - s_count(n)
-        if w != expected:
-            raise RuntimeError(
-                f"record count w_{n} = {w} breaks the window recurrence "
-                f"(w_{n - 1} * p_{n} - s_{n} = {expected})"
-            )
-    return w
+def w_count(n: int) -> int:
+    """Number of records in [p_{n+1}, P_n + 1]."""
+    return _count_records(nth_prime(n + 1), primorial(n) + 1)
 
 
 @dataclass(frozen=True)
@@ -114,24 +80,13 @@ class PrimorialRecordReport:
 
 
 def verify_primorial_records(n: int) -> PrimorialRecordReport:
-    """Check r * P_n +- 1 against the record set for r = 1 .. p_{n+1} - 1."""
+    """Check r * P_n +- 1 with ``is_record`` for r = 1 .. p_{n+1} - 1."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    pn = _TABLE.primorial(n)
-    r_hi = _TABLE.prime(n + 1) - 1
-    limit = r_hi * pn + 1
-    if limit > DEFAULT_RECORD_LIMIT_CAP:
-        raise LimitExceededError(
-            f"record check up to {limit} exceeds the cap {DEFAULT_RECORD_LIMIT_CAP}"
-        )
-    recs = cached_records(limit)
-
-    def present(v: int) -> bool:
-        i = bisect_left(recs, v)
-        return i < len(recs) and recs[i] == v
-
+    pn = primorial(n)
+    r_hi = nth_prime(n + 1) - 1
     targets = tuple(r * pn + eps for r in range(1, r_hi + 1) for eps in (-1, 1))
-    missing = tuple(v for v in targets if not present(v))
+    missing = tuple(v for v in targets if not is_record(v))
     return PrimorialRecordReport(n, (1, r_hi), targets, missing)
 
 
@@ -159,8 +114,8 @@ def verify_translation(n: int) -> TranslationReport:
     """Check the primorial translation identity for f_3 and find its true extent."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    pn = _TABLE.primorial(n)
-    p_next = _TABLE.prime(n + 1)
+    pn = primorial(n)
+    p_next = nth_prime(n + 1)
     lo, hi = p_next, (p_next - 1) * pn
     prefix = generate_prefix(3, pn * p_next + pn)
     terms = prefix.terms
@@ -199,12 +154,12 @@ def kappa_bounds(k_max: int) -> KappaBounds:
     lower_sum = Fraction(0)
     upper_sum = Fraction(0)
     for k in range(4, k_max + 1):
-        pk = _TABLE.prime(k)
-        pk1 = _TABLE.prime(k + 1)
-        prim = _TABLE.primorial(k)
+        pk = nth_prime(k)
+        pk1 = nth_prime(k + 1)
+        prim = primorial(k)
         lower_sum += Fraction(pk1 - pk, 2 * prim)
         upper_sum += Fraction(1, prim)
-    tail = Fraction(3, 4 * _TABLE.primorial(k_max))
+    tail = Fraction(3, 4 * primorial(k_max))
     return KappaBounds(
         lower=Fraction(3, 10) - lower_sum - tail,
         upper=Fraction(3, 10) - upper_sum,
@@ -292,7 +247,7 @@ def derivative_bound_check(n: int, k_max: int) -> list[DerivativeCheck]:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    pn = _TABLE.primorial(n)
+    pn = primorial(n)
     rows = []
     for k in range(1, k_max + 1):
         q = k * pn + 1
@@ -315,12 +270,12 @@ class DensityLedger:
     def recurrence_holds(self) -> bool:
         # 0-based tuples: w[i] is the count w_{i+1}.
         return all(
-            self.w[i + 1] == self.w[i] * _TABLE.prime(i + 2) - self.s[i + 1]
+            self.w[i + 1] == self.w[i] * nth_prime(i + 2) - self.s[i + 1]
             for i in range(len(self.w) - 1)
         )
 
     def ratios_non_increasing(self) -> bool:
-        ratios = [Fraction(wn, _TABLE.primorial(i + 1)) for i, wn in enumerate(self.w)]
+        ratios = [Fraction(wn, primorial(i + 1)) for i, wn in enumerate(self.w)]
         return all(b <= a for a, b in zip(ratios, ratios[1:]))
 
 
@@ -329,5 +284,5 @@ def build_density_ledger(n_max: int = 5, kappa_at: int = 100_000) -> DensityLedg
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
     s = tuple(s_count(i) for i in range(1, n_max + 1))
-    w = tuple(w_count(i, check=False) for i in range(1, n_max + 1))
+    w = tuple(w_count(i) for i in range(1, n_max + 1))
     return DensityLedger(s, w, kappa_empirical(kappa_at), kappa_bounds(max(4, n_max)))

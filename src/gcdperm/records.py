@@ -14,11 +14,13 @@ is the smallest prime not dividing r-1.  The first record is 5 at index 4,
 every later record r sits at index (previous record) + 1, every prime >= 5
 shows up as a record, and every record is odd and congruent to 1 or 5 mod 6.
 
-One loop, ``extend_records``, enumerates records: it extends an ascending
-record list in place until it passes a limit.  The shared list
-(``cached_records``) grows through it.  Annotation derives ``is_composite``
-from one sieve up to the largest record of the list, not from a primality
-test per record.
+Point queries ("is v a record?") go to ``is_record``, which walks the
+recurrence from the largest prime <= v and keeps no list.  Range work goes
+to the shared list: one loop, ``extend_records``, enumerates records by
+extending an ascending record list in place until it passes a limit, and
+the shared list (``cached_records``) grows through it.  Annotation derives
+``is_composite`` from one sieve up to the largest record of the list, not
+from a primality test per record.
 
 The records pin f_3 down completely: ``reconstruct_f3`` answers one index,
 and ``f3_terms`` builds the whole prefix f_3(1..n) as an ``array('q')``
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
 
-from .primes import sieve_flags, smallest_prime_not_dividing
+from .primes import is_prime, sieve_flags, smallest_prime_not_dividing
 from .sequence import LimitExceededError, SequenceBuffer, max_terms_cap
 
 FIRST_ETP = 4
@@ -106,6 +108,25 @@ def next_record(r: int) -> int:
         raise ValueError(f"records start at {FIRST_RECORD}, got {r}")
     m = r - 1
     return m + smallest_prime_not_dividing(m)
+
+
+def is_record(v: int) -> bool:
+    """True iff v is an f_3 record, decided without the shared list.
+
+    Rests on Cor 1: every prime >= 5 is a record and every record is
+    6k +- 1.  So the walk steps down over the values 6k +- 1 to the largest
+    prime p <= v, then follows ``next_record`` from p until it reaches or
+    passes v; it costs about one prime gap.  Exact wherever ``is_prime`` is,
+    that is for v < 3.3e24.
+    """
+    if v < FIRST_RECORD or v % 6 not in (1, 5):
+        return False
+    r = v
+    while not is_prime(r):
+        r -= 2 if r % 6 == 1 else 4
+    while r < v:
+        r = next_record(r)
+    return r == v
 
 
 def extend_records(chain: list[int], limit: int) -> list[int]:

@@ -35,7 +35,7 @@ from .primorial import (
     verify_primorial_records,
     verify_translation,
 )
-from .records import find_turning_points, record_values
+from .records import find_turning_points, is_record, record_values
 from .sequence import generate_prefix
 
 
@@ -207,8 +207,7 @@ def thm5(n=4) -> list[CheckResult]:
     for m in range(2, n + 1):
         pn = primorial(m)
         targets = [pn - 1, pn + 1, 2 * pn - 1, 2 * pn + 1]
-        recs = set(record_values(2 * pn + 1))
-        missing = [v for v in targets if v not in recs]
+        missing = [v for v in targets if not is_record(v)]
         out.append(CheckResult("thm5", f"P_{m} +- 1 and 2 P_{m} +- 1 are records", not missing,
                                str(targets)))
     return out

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from gcdperm import (
     eventually_identity_by_record,
     exceptional_seed_density,
     generate_prefix,
+    record_values,
     scan_identity_seeds,
 )
 from gcdperm.classify import MERGE_WINDOW, _attempt
@@ -217,6 +219,19 @@ def test_record_membership_test():
     assert not eventually_identity_by_record(216)
     assert not eventually_identity_by_record(7)  # odd
     assert not eventually_identity_by_record(8)  # even but not 0 mod 6
+
+
+def test_record_membership_matches_a_record_list_bisect():
+    # is_record against the shared record list: a record in [a-1, a+1].
+    recs = record_values(60_001)
+
+    def by_list(a):
+        i = bisect_right(recs, a + 1)
+        return i > 0 and recs[i - 1] >= a - 1
+
+    seeds = range(6, 60_001, 6)
+    assert ([a for a in seeds if eventually_identity_by_record(a)]
+            == [a for a in seeds if by_list(a)])
 
 
 def test_primorial_membership_test():

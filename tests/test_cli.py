@@ -124,6 +124,15 @@ def test_verify_suites_pass(capsys, suite, flags):
     assert "checks passed" in out
 
 
+def test_verify_thm7_n8_stops_at_the_term_cap(capsys, monkeypatch):
+    # The record half has no cap (44 is_record queries near 2e8); the
+    # translation half asks for about 2.3e8 terms of f_3.
+    monkeypatch.delenv("GCDPERM_MAX_TERMS", raising=False)
+    code, out, err = run(capsys, "verify", "thm7", "--n", "8")
+    assert code == 2 and out == ""
+    assert "terms of f_3; cap is 5000000" in err
+
+
 def test_verify_thm6_n4(capsys):
     code, out, _ = run(capsys, "verify", "thm6", "--n", "4")
     assert code == 0
@@ -470,15 +479,21 @@ def test_verify_help_lists_each_suite_with_its_flags(capsys):
 
 def test_traced_run_finds_every_hook_point():
     # The traced benchmark run wraps library names from outside the package;
-    # it must still find each of them.
+    # it must still find each of them.  thm4 and thm7 run the record
+    # membership queries of classify and of the primorial record check.
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
     script = ("import sys, tracer\n"
               "tracer.Tracer().install()\n"
               "from gcdperm import cli\n"
-              "sys.exit(cli.main(['verify', 'prop3', '--n', '2']))\n")
+              "for argv in (['prop3', '--n', '2'], ['thm4', '--bound', '60'],\n"
+              "             ['thm7', '--n', '3']):\n"
+              "    if cli.main(['verify', *argv]):\n"
+              "        sys.exit(1)\n")
     proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=root,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "prop3: 2/2 checks passed"
+    summaries = [line for line in proc.stdout.splitlines() if "checks passed" in line]
+    assert summaries == ["prop3: 2/2 checks passed", "thm4: 1/1 checks passed",
+                         "thm7: 2/2 checks passed"]

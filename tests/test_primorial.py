@@ -1,10 +1,10 @@
+import importlib
 import math
 from fractions import Fraction
 
 import pytest
 
 from gcdperm import (
-    LimitExceededError,
     build_density_ledger,
     kappa_bounds,
     kappa_coarse_bounds,
@@ -19,7 +19,9 @@ from gcdperm import (
     verify_translation,
     w_count,
 )
-from gcdperm.primorial import PrimorialTable
+
+# The package's ``primorial`` attribute is the function; this is the module.
+primorial_module = importlib.import_module("gcdperm.primorial")
 
 
 def test_primorial_values():
@@ -29,11 +31,13 @@ def test_primorial_values():
         primorial(0)
 
 
-def test_primorial_table_grows():
-    table = PrimorialTable()
-    assert table.primorial(6) == 30030
-    assert table.prime(10) == 29
-    assert table.primorial(6) == table.primorial(5) * table.prime(6)
+def test_primorial_table_grows(monkeypatch):
+    # Start from the one-prime table, so each call below has to grow it.
+    monkeypatch.setattr(primorial_module, "_PRIMES", [2])
+    monkeypatch.setattr(primorial_module, "_PRIMORIALS", [2])
+    assert primorial(6) == 30030
+    assert nth_prime(10) == 29
+    assert primorial(6) == primorial(5) * nth_prime(6)
 
 
 def test_s_counts():
@@ -61,8 +65,11 @@ def test_primorial_record_reports():
         assert report.passed, report.missing
         assert all(v in report.checked for v in samples)
     assert verify_primorial_records(2).checked == (5, 7, 11, 13, 17, 19, 23, 25)
-    with pytest.raises(LimitExceededError):
-        verify_primorial_records(8)
+    # No record cap: each target is one is_record query, near 2e8 for n = 8
+    # and near 1.3e16 for n = 13.
+    for n, values in [(8, 44), (13, 84)]:
+        report = verify_primorial_records(n)
+        assert report.passed and len(report.checked) == values
     with pytest.raises(ValueError):
         verify_primorial_records(1)
 

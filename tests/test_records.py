@@ -10,6 +10,7 @@ from gcdperm import (
     f3_terms,
     find_turning_points,
     generate_prefix,
+    is_record,
     next_record,
     reconstruct_f3,
     record_stream_upto,
@@ -212,6 +213,20 @@ def test_every_f3_turning_point_is_an_etp():
 def test_prime_completeness_to_1e5():
     recs = set(record_values(100_000))
     assert all(p in recs for p in primes_upto(100_000) if p >= 5)
+
+
+def test_is_record_matches_the_record_list():
+    assert [v for v in range(-1, 100_001) if is_record(v)] == record_values(100_000)
+    # Near 1e7, against a walk of the recurrence from the first record that
+    # stores only the window (the full list would hold about 3e6 records).
+    lo, hi = 10**7 - 20_000, 10**7
+    window = []
+    r = FIRST_RECORD
+    while r <= hi:
+        if r >= lo:
+            window.append(r)
+        r = next_record(r)
+    assert [v for v in range(lo, hi + 1) if is_record(v)] == window
 
 
 def test_prime_multiple_records():

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from gcdperm import records
 from gcdperm.suites import SUITES, TABLE
 
 
@@ -31,6 +32,14 @@ def test_explicit_out_of_range_value_raises(suite, params):
     # An explicit value is never swapped for the default.
     with pytest.raises(ValueError, match="must be >="):
         SUITES[suite](**params)
+
+
+def test_thm5_leaves_the_shared_record_list_alone():
+    # Each target is one is_record query; P_12 is about 7.4e12.
+    before = len(records._CACHE)
+    results = SUITES["thm5"](n=12)
+    assert len(results) == 11 and all(r.ok for r in results)
+    assert len(records._CACHE) == before
 
 
 def test_suites_take_only_their_own_parameters():
