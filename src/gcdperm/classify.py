@@ -2,7 +2,8 @@
 
 Two maps are equivalent when they agree from some index on.  Empirically
 every f_a lands in one of two classes: eventually the identity, or
-eventually equal to f_3.  ``classify`` decides by simulation and returns a
+eventually equal to f_3.  ``classify`` decides from the ETP chain, with a
+short simulation past the seed for even seeds only, and returns a
 machine-checkable certificate:
 
 * identity: a turning point t with f(t) = t and values 1..t-1 used before
@@ -13,11 +14,11 @@ machine-checkable certificate:
 * merge into f_3: an index t that is an ETP of f_a and of f_3 (t = 4 or
   t-1 a record).  The state at any ETP is fully determined (values 1..t-1
   used, last term t-2), so both recursions coincide from t on; the witness
-  is t.  A comparison window after t double-checks the agreement.
+  is t.
 
-Both are read off the one turning-point scan behind
-``records.find_turning_points``.  The term cap (GCDPERM_MAX_TERMS) is the
-one limit on the scan.
+No identity certificate follows an ETP: from one ETP to the next f counts
+upward below the index.  The term cap (GCDPERM_MAX_TERMS) is the one limit;
+it bounds the terms simulated past an even seed.
 
 Two closed-form membership tests for the eventually-identity seeds are
 provided alongside, one in terms of records adjacent to a, one in terms of
@@ -31,17 +32,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .primorial import nth_prime, primorial
-from .records import _turning_points, is_record, reconstruct_f3
+from .records import _records_around, _turning_points, is_record, next_record
 from .sequence import SequenceBuffer, max_terms_cap
 
 IDENTITY = "identity"
 C3 = "c3"
 
-MERGE_WINDOW = 64
-
 
 class BudgetExhaustedError(RuntimeError):
-    """No certificate within the term cap less the merge window; raise the cap."""
+    """No certificate within the term cap of terms simulated past an even seed; raise the cap."""
 
     def __init__(self, a: int, budget: int):
         super().__init__(f"f_{a}: no certificate within {budget} terms")
@@ -63,48 +62,56 @@ class ClassLabel:
     etps: tuple[int, ...] = ()
 
 
+def _even_seed_buffer(a: int) -> SequenceBuffer:
+    """The engine at index a of f_a for even a >= 4, by the even-seed lemma (see classify)."""
+    q, r = _records_around(a - 1) if a > 4 else (3, 5)
+    low, above = (a + 1, set()) if q == a - 1 else (a - 1, {a, r})
+    return SequenceBuffer.resume(a, a, a - 2, low, above)
+
+
 def _attempt(a: int, budget: int) -> ClassLabel | None:
     if a == 2:
         return ClassLabel(IDENTITY, 1)
-    if budget <= a:
-        return None  # every certificate sits past the seed: undecided
-    buf = SequenceBuffer(a)
-    terms = buf.terms
-    etps: list[int] = []
-    for tp in _turning_points(buf, budget):
-        t = tp.t
-        if tp.is_etp:
-            etps.append(t)
-            if t == 4 or is_record(t - 1):
-                # ETP of f_3 as well: same state, the maps merge here.
-                buf.extend_to(t + MERGE_WINDOW - 1)
-                for m in range(t, t + MERGE_WINDOW):
-                    if terms[m] != reconstruct_f3(m):
-                        raise RuntimeError(
-                            f"f_{a} and f_3 disagree at {m} after shared ETP {t}; "
-                            "generation engine is inconsistent"
-                        )
-                return ClassLabel(C3, t, tuple(etps))
-        elif tp.record_value == t and tp.complete_below:
-            return ClassLabel(IDENTITY, t, tuple(etps))
-    return None
+    if a % 2:
+        t = a + 1  # f(n) = n - 1 on 3..a, so a + 1 is the first ETP
+    else:
+        for tp in _turning_points(_even_seed_buffer(a), a + budget):
+            if tp.is_etp:
+                t = tp.t
+                break
+            if tp.record_value == tp.t and tp.complete_below:
+                return ClassLabel(IDENTITY, tp.t)
+        else:
+            return None  # no certificate within budget simulated terms
+    # Thm 1: the next ETP is one past the record at this one.
+    etps = [t]
+    while not (t == 4 or is_record(t - 1)):
+        t = next_record(t - 1) + 1
+        etps.append(t)
+    return ClassLabel(C3, t, tuple(etps))
 
 
 def classify(a: int) -> ClassLabel:
-    """Decide the class of f_a by simulation.
+    """Decide the class of f_a from its ETP chain.
 
-    One attempt scans up to the term cap (GCDPERM_MAX_TERMS) less room for
-    the merge window, so the merge check always fits under the cap;
-    BudgetExhaustedError signals an undecided run.  The scan grows its
-    buffer in doubling chunks past a, so its cost follows the certificate,
-    not the cap; certificates normally appear near the first prime record
-    above a.
+    Odd a: f(n) = n - 1 on 3..a, so a + 1 is the first ETP.  Even a >= 4
+    (the even-seed lemma): let lo = 3 if 3 does not divide a, and
+    lo = spnd(a) + 1 if 6 divides a (spnd: the smallest prime not
+    dividing).  Then f_a(n) = f_3(n - 1) for lo <= n <= a + 1, and f_a
+    takes on 3..lo-1 the values f_3 takes on 2..lo-2.  (From lo on both
+    maps continue greedily from the same last term with used sets that
+    differ by a alone, and f_3 first reaches a at index a + 1.)  So
+    f_a(a) = a - 2, and by index a f_a has used a and the values f_3 used
+    by a - 1: 1..a - 1 if a - 1 is 3 or a record, else 1..a - 2 and the
+    record after a - 1.  From that state the engine simulates until the
+    first ETP or identity certificate, at most the term cap
+    (GCDPERM_MAX_TERMS) of terms; BudgetExhaustedError signals an
+    undecided seed.  Past the first ETP the chain is the record recurrence
+    (Thm 1): t -> ``next_record``(t - 1) + 1 until t is an ETP of f_3 too.
     """
     if a < 2:
         raise ValueError(f"seed must be >= 2, got {a}")
-    # A certificate at the last index scanned needs MERGE_WINDOW - 1 more
-    # terms for the merge check; keep that, with a little slack, within the cap.
-    budget = max(max_terms_cap() - MERGE_WINDOW - 2, 0)
+    budget = max_terms_cap()
     label = _attempt(a, budget)
     if label is None:
         raise BudgetExhaustedError(a, budget)

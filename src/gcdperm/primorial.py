@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .primes import is_prime, next_prime, sieve_flags
-from .records import cached_records, is_record, record_values, reconstruct_f3
+from .records import cached_records, is_record, next_record, record_values
 from .sequence import generate_prefix
 
 # p_1, p_2, ... and the exact primorials P_n = p_1 * ... * p_n, grown together.
@@ -243,7 +243,9 @@ def derivative_bound_check(n: int, k_max: int) -> list[DerivativeCheck]:
     """Check g(q) >= 2n + 1 at every prime q = k * P_n + 1 with q > 5, k <= k_max.
 
     The report may be empty (vacuous) when no k in range yields a prime.
-    The derivative is taken from the record reconstruction of f_3.
+    The derivative is read from the records: f_3(m) is the record after
+    m - 1 when m - 1 is a record, else m - 1; ``is_record`` answers each
+    query without growing the shared record list.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -253,7 +255,8 @@ def derivative_bound_check(n: int, k_max: int) -> list[DerivativeCheck]:
         q = k * pn + 1
         if q <= 5 or not is_prime(q):
             continue
-        g = reconstruct_f3(q + 1) - reconstruct_f3(q)
+        f3_q, f3_after = (next_record(m - 1) if is_record(m - 1) else m - 1 for m in (q, q + 1))
+        g = f3_after - f3_q
         rows.append(DerivativeCheck(k, q, g, 2 * n + 1))
     return rows
 

@@ -6,7 +6,8 @@ a record.  An essential turning point (ETP) additionally has f(t-1) = t-2
 with the values 1..t-1 fully used, which pins the whole future of the
 recursion: the next ETP is f(t) + 1, and between the two the sequence just
 counts upward.  One scanner, ``_turning_points``, holds these predicates;
-``find_turning_points`` and ``classify`` both read it.
+``find_turning_points`` and ``classify`` both read it, from the first index
+past the state a buffer starts from.
 
 For f_3 this gives a closed enumeration of records with no sequence
 generation at all: after a record r, the next record is (r-1) + p where p
@@ -14,8 +15,10 @@ is the smallest prime not dividing r-1.  The first record is 5 at index 4,
 every later record r sits at index (previous record) + 1, every prime >= 5
 shows up as a record, and every record is odd and congruent to 1 or 5 mod 6.
 
-Point queries ("is v a record?") go to ``is_record``, which walks the
-recurrence from the largest prime <= v and keeps no list.  Range work goes
+Point queries go to ``_records_around``: the consecutive records q <= v < r,
+found by walking the recurrence from the largest prime <= v, with no list.
+``is_record`` reads it, and so does classification, which takes the state
+of an even seed a at index a from the records around a - 1.  Range work goes
 to the shared list: one loop, ``extend_records``, enumerates records by
 extending an ascending record list in place until it passes a limit, and
 the shared list (``cached_records``) grows through it.  Annotation derives
@@ -42,8 +45,6 @@ from .sequence import LimitExceededError, SequenceBuffer, max_terms_cap
 FIRST_ETP = 4
 FIRST_RECORD = 5
 
-_FIRST_CHUNK = 8  # indices past the seed that a scan's first chunk covers
-
 
 class TurningPoint(NamedTuple):
     t: int
@@ -63,30 +64,33 @@ class Record:
 
 
 def _turning_points(buffer: SequenceBuffer, stop: int) -> Iterator[TurningPoint]:
-    """Turning points of f_a at the indices 3..stop, each with its ETP verdict.
+    """Turning points of f_a at the indices past max(buffer.base, 2) up to stop,
+    each with its ETP verdict.
 
     Index 3 is a turning point exactly when f(3) skips the smallest value
     outside {1, a}; later indices are turning points when the forward jump
-    exceeds 1.  A buffer shorter than stop grows in chunks under its term
-    cap: the first ends _FIRST_CHUNK past a (no certificate sits at an
-    index <= a), each later one doubles the stretch past a.
+    exceeds 1.  A buffer shorter than stop grows in chunks that double the
+    stretch past its base; the buffer raises LimitExceededError past its cap.
     """
     a = buffer.a
+    base = buffer.base
     terms = buffer.terms
     smallest_free = 3 if a == 2 else 2  # min of the naturals minus {1, a}
-    running_max = a
-    t = 2  # last index scanned
+    running_max = buffer.head_max
+    t = max(base, 2)  # last index scanned
     while t < stop:
         if len(buffer) == t:
-            buffer.extend_to(min(max(2 * t - a, a + _FIRST_CHUNK), stop, max(buffer.cap, t + 1)))
+            buffer.extend_to(min(2 * t - base + 1, stop))
+        prev = terms[t - base]
         for t in range(t + 1, min(len(buffer), stop) + 1):
-            complete_below = running_max == t - 1  # {f(1..t-1)} == {1..t-1}
-            v = terms[t]
-            if v - terms[t - 1] > 1 if t > 3 else v != smallest_free:
-                is_etp = t > a and v != t and terms[t - 1] == t - 2 and complete_below
+            v = terms[t - base]
+            if v - prev > 1 if t > 3 else v != smallest_free:
+                complete_below = running_max == t - 1  # {f(1..t-1)} == {1..t-1}
+                is_etp = t > a and v != t and prev == t - 2 and complete_below
                 yield TurningPoint(t, is_etp, v, complete_below)
             if v > running_max:
                 running_max = v
+            prev = v
 
 
 def find_turning_points(buffer: SequenceBuffer) -> list[TurningPoint]:
@@ -110,23 +114,29 @@ def next_record(r: int) -> int:
     return m + smallest_prime_not_dividing(m)
 
 
-def is_record(v: int) -> bool:
-    """True iff v is an f_3 record, decided without the shared list.
+def _records_around(v: int) -> tuple[int, int]:
+    """The consecutive f_3 records q <= v < r (v >= 5), found without the shared list.
 
     Rests on Cor 1: every prime >= 5 is a record and every record is
     6k +- 1.  So the walk steps down over the values 6k +- 1 to the largest
-    prime p <= v, then follows ``next_record`` from p until it reaches or
-    passes v; it costs about one prime gap.  Exact wherever ``is_prime`` is,
-    that is for v < 3.3e24.
+    prime p <= v, then follows ``next_record`` from p until it passes v; it
+    costs about one prime gap.  Exact wherever ``is_prime`` is, that is for
+    v < 3.3e24.
     """
-    if v < FIRST_RECORD or v % 6 not in (1, 5):
-        return False
-    r = v
-    while not is_prime(r):
-        r -= 2 if r % 6 == 1 else 4
-    while r < v:
-        r = next_record(r)
-    return r == v
+    if v < FIRST_RECORD:
+        raise ValueError(f"records start at {FIRST_RECORD}, got {v}")
+    q = v - (1, 0, 1, 2, 3, 0)[v % 6]  # the largest 6k +- 1 <= v
+    while not is_prime(q):
+        q -= 2 if q % 6 == 1 else 4
+    r = next_record(q)
+    while r <= v:
+        q, r = r, next_record(r)
+    return q, r
+
+
+def is_record(v: int) -> bool:
+    """True iff v is an f_3 record, decided by ``_records_around`` without the shared list."""
+    return v >= FIRST_RECORD and v % 6 in (1, 5) and _records_around(v)[0] == v
 
 
 def extend_records(chain: list[int], limit: int) -> list[int]:

@@ -10,7 +10,9 @@ The engine keeps the state that definition names: the smallest unused value
 and the set of used values above it.  Each extension scans upward from the
 smallest unused value, skipping used values and values sharing a factor
 with the last term.  Away from jumps the set stays small and the scan
-short, so extension is O(1) amortized.
+short, so extension is O(1) amortized.  That state and the last term are
+all the future depends on, so ``SequenceBuffer.resume`` starts a buffer
+from a given state at any index and stores no term below it.
 
 Generation is inherently sequential: each term depends on the one before,
 but callers grow a buffer in chunks with ``extend_to``, not term by term.
@@ -59,7 +61,7 @@ def max_terms_cap() -> int:
 
 
 class SequenceBuffer:
-    """Materialized prefix f_a(1..n), 1-indexed like the tables it reproduces.
+    """Materialized stretch of f_a, 1-indexed like the tables it reproduces.
 
     Invariants maintained by construction:
 
@@ -68,13 +70,18 @@ class SequenceBuffer:
     * f(n) is minimal among unused values coprime to f(n-1);
     * the used values are exactly ``1.._low - 1`` and the set ``_above``.
 
-    ``terms`` exposes the raw 1-indexed store (slot 0 is padding) for hot
-    loops; treat it as read-only.  ``cap`` is the term cap read from
-    GCDPERM_MAX_TERMS when the buffer is built.  ``pool_peak`` is the
-    most values ever left unused below the largest value assigned so far.
+    A buffer built from the seed holds f(1..n).  One built by ``resume``
+    starts from a given state at index ``base`` and stores no term below
+    it.  ``terms`` exposes the raw store, ``terms[i] == f(base + i)``
+    (slot 0 is padding when base is 0), for hot loops; treat it as
+    read-only.  ``len(buffer)`` is the last index generated.
+    ``head_max`` is the largest value of the given terms f(1..max(base, 2)).
+    ``cap`` is the term cap read from GCDPERM_MAX_TERMS when the buffer is
+    built; it bounds the indices past ``base``.  ``pool_peak`` is the most
+    values ever left unused below the largest value assigned so far.
     """
 
-    __slots__ = ("a", "cap", "pool_peak", "_terms", "_low", "_above")
+    __slots__ = ("a", "base", "head_max", "cap", "pool_peak", "_terms", "_low", "_above")
 
     def __init__(self, a: int):
         if a < 2:  # a = 1 would repeat f(1) = 1
@@ -83,22 +90,41 @@ class SequenceBuffer:
         self.cap = max_terms_cap()
         if a > self.cap:
             raise LimitExceededError(f"seed {a} exceeds the term cap {self.cap}")
+        self.base = 0
+        self.head_max = a
         self._terms = [0, 1, a]
         self._low = 3 if a == 2 else 2
         self._above = {a} if a > 2 else set()
         self.pool_peak = a - 2
 
+    @classmethod
+    def resume(cls, a: int, n: int, last: int, low: int, above: set[int]) -> "SequenceBuffer":
+        """The buffer of f_a at index n, given f(n) = last, the smallest
+        unused value low and the set of used values above it."""
+        buf = cls.__new__(cls)
+        buf.a = a
+        buf.cap = max_terms_cap()
+        buf.base = n
+        buf.head_max = max(above, default=low - 1)
+        buf._terms = [last]
+        buf._low = low
+        buf._above = above
+        buf.pool_peak = buf.head_max - n
+        return buf
+
     def __len__(self) -> int:
-        return len(self._terms) - 1
+        return self.base + len(self._terms) - 1
 
     def __getitem__(self, n: int) -> int:
-        if not 1 <= n <= len(self):
-            raise IndexError(f"index {n} outside generated range 1..{len(self)}")
-        return self._terms[n]
+        first = max(self.base, 1)
+        if not first <= n <= len(self):
+            raise IndexError(f"index {n} outside generated range {first}..{len(self)}")
+        return self._terms[n - self.base]
 
     def __iter__(self):
         it = iter(self._terms)
-        next(it)
+        if not self.base:
+            next(it)
         return it
 
     def __repr__(self) -> str:
@@ -106,7 +132,7 @@ class SequenceBuffer:
 
     @property
     def terms(self) -> list[int]:
-        """Live term store with terms[n] == f(n); slot 0 is padding."""
+        """Live term store with terms[i] == f(base + i); slot 0 is padding when base is 0."""
         return self._terms
 
     def extend(self) -> int:
@@ -115,18 +141,18 @@ class SequenceBuffer:
         return self._terms[-1]
 
     def extend_to(self, n: int) -> None:
-        """Grow the prefix so that it holds at least n terms."""
+        """Grow the buffer through index n."""
         if n <= len(self):
             return
-        if n > self.cap:
-            raise LimitExceededError.terms(self.a, n, self.cap)
+        if n - self.base > self.cap:
+            raise LimitExceededError.terms(self.a, n - self.base, self.cap)
         terms = self._terms
         above = self._above
         low = self._low
         peak = self.pool_peak
         last = terms[-1]
         gcd = math.gcd
-        for i in range(len(terms), n + 1):
+        for i in range(len(self) + 1, n + 1):
             c = low
             while c in above or gcd(c, last) != 1:
                 c += 1

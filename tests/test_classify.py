@@ -14,12 +14,12 @@ from gcdperm import (
     eventually_identity_by_primorial,
     eventually_identity_by_record,
     exceptional_seed_density,
+    find_turning_points,
     generate_prefix,
     record_values,
     scan_identity_seeds,
 )
-from gcdperm.classify import MERGE_WINDOW, _attempt
-from gcdperm.records import _FIRST_CHUNK
+from gcdperm.classify import _attempt, _even_seed_buffer
 
 
 def test_identity_verdicts():
@@ -56,30 +56,33 @@ def test_merge_tail_matches_f3():
         assert fa.terms[t : t + 501] == f3.terms[t : t + 501]
 
 
+def _window(label, a):
+    """Terms simulated past an even seed a: up to its first ETP, else its identity onset."""
+    return (label.etps[0] if label.etps else label.witness) - a
+
+
 def test_budget_exhaustion(monkeypatch):
-    # A cap of B + MERGE_WINDOW + 2 scans B terms.
-    monkeypatch.setenv("GCDPERM_MAX_TERMS", str(3 + MERGE_WINDOW + 2))
+    # Seed 216 reaches its first ETP 6 terms past the seed.
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "5")
     with pytest.raises(BudgetExhaustedError):
-        classify(3)
-    monkeypatch.setenv("GCDPERM_MAX_TERMS", str(100 + MERGE_WINDOW + 2))
-    assert classify(3).verdict == C3
+        classify(216)
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "6")
+    assert classify(216).verdict == C3
+    # An odd seed simulates nothing: the smallest cap decides it.
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "1")
+    assert classify(995) == ClassLabel(C3, 998, (996, 998))
 
 
 def test_budget_exhaustion_reports_the_budget_tried(monkeypatch):
-    # The scan stops at the term cap less the merge window and slack, so
-    # the merge check fits.
-    monkeypatch.setenv("GCDPERM_MAX_TERMS", "1000")
-    clamped = 1000 - MERGE_WINDOW - 2
+    # The cap counts the terms simulated past the seed.
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "5")
     with pytest.raises(BudgetExhaustedError) as exc:
-        classify(995)  # certified at 998, beyond the clamped budget
-    assert exc.value.budget == clamped
-    assert str(exc.value) == f"f_995: no certificate within {clamped} terms"
-    assert classify(501).witness == 504  # certificates inside the clamp still come
-    monkeypatch.setenv("GCDPERM_MAX_TERMS", "10")  # no room for the merge window
-    with pytest.raises(BudgetExhaustedError, match="within 0 terms"):
-        classify(3)
+        classify(216)  # first ETP at 222, 6 terms past the seed
+    assert exc.value.budget == 5
+    assert str(exc.value) == "f_216: no certificate within 5 terms"
+    assert classify(36).witness == 38  # certificates inside the cap still come
     monkeypatch.delenv("GCDPERM_MAX_TERMS")
-    assert classify(995).witness == 998
+    assert classify(216).witness == 222
 
 
 def _naive_label(a):
@@ -135,51 +138,57 @@ def test_classify_matches_naive_oracle():
 
 @pytest.mark.parametrize("a", [4, 9, 36, 216, 995, 213])
 def test_budget_boundary(a, monkeypatch):
-    # A certificate at index t is found under a cap of t + MERGE_WINDOW + 2
-    # and not under one term less.
+    # An even seed certified w terms past a is decided under a cap of w
+    # terms and not under one term less; an odd seed simulates nothing.
     label = classify(a)
-    monkeypatch.setenv("GCDPERM_MAX_TERMS", str(label.witness + MERGE_WINDOW + 2))
+    if a % 2:
+        monkeypatch.setenv("GCDPERM_MAX_TERMS", "1")
+        assert classify(a) == label
+        return
+    w = _window(label, a)
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", str(w))
     assert classify(a) == label
-    monkeypatch.setenv("GCDPERM_MAX_TERMS", str(label.witness + MERGE_WINDOW + 1))
-    with pytest.raises(BudgetExhaustedError, match=f"within {label.witness - 1} terms"):
-        classify(a)
+    assert _attempt(a, w - 1) is None
+    if w > 1:  # the cap must be positive
+        monkeypatch.setenv("GCDPERM_MAX_TERMS", str(w - 1))
+        with pytest.raises(BudgetExhaustedError, match=f"within {w - 1} terms"):
+            classify(a)
 
 
-def test_budget_boundary_seed_lies_past_the_first_chunk():
-    # The scan's first chunk reaches a + _FIRST_CHUNK; seed 213 is certified
-    # one index later, so test_budget_boundary covers a second chunk.
-    assert classify(213).witness == 213 + _FIRST_CHUNK + 1
+def test_budget_boundary_seed_lies_past_the_first_chunk(monkeypatch):
+    # The scan's chunks end 1, 3, 7, 15 and 31 terms past the seed, clamped
+    # to the cap.  Seed 30032 is certified 16 terms past it, in the fifth
+    # chunk, the largest window among the even seeds to 2e5.
+    label = classify(30032)
+    assert _window(label, 30032) == 16
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "16")
+    assert classify(30032) == label
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "15")
+    with pytest.raises(BudgetExhaustedError, match="within 15 terms"):
+        classify(30032)
 
 
 def test_explicit_budget_obeys_the_term_cap(monkeypatch):
     # _attempt takes an explicit budget (the benchmark tracer wraps it); its
-    # buffer is still held to GCDPERM_MAX_TERMS.
-    monkeypatch.setenv("GCDPERM_MAX_TERMS", "100")
-    # Certificate and merge window (32..95) fit the cap.
-    assert _attempt(31, 5000) == ClassLabel(C3, 32, (32,))
-    # An identity certificate needs no merge window.
-    assert _attempt(96, 5000) == ClassLabel(IDENTITY, 98)
-    # Certified at 38, but the merge window would need 101 terms.
-    with pytest.raises(LimitExceededError, match="requested 101 terms of f_33; cap is 100"):
-        _attempt(33, 5000)
-    # Certified at 102: the scan itself reaches the cap first.
-    with pytest.raises(LimitExceededError, match="requested 101 terms of f_98; cap is 100"):
-        _attempt(98, 5000)
-    with pytest.raises(LimitExceededError, match="seed 150 exceeds the term cap 100"):
-        _attempt(150, 5000)
+    # buffer is still held to GCDPERM_MAX_TERMS terms past the seed.
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "5")
+    assert _attempt(36, 5000) == ClassLabel(IDENTITY, 38)
+    assert _attempt(995, 5000) == ClassLabel(C3, 998, (996, 998))
+    # Certified 6 terms past the seed: the scan reaches the cap first.
+    with pytest.raises(LimitExceededError, match="terms of f_216; cap is 5"):
+        _attempt(216, 5000)
     # A budget that ends below the cap leaves the seed undecided.
-    assert _attempt(33, 37) is None
+    assert _attempt(216, 4) is None
 
 
-def test_merge_window_always_fits_the_cap(monkeypatch):
+def test_seeds_above_the_cap_are_decided(monkeypatch):
+    # The cap bounds the terms simulated past the seed, not the seed.
     monkeypatch.setenv("GCDPERM_MAX_TERMS", "100")
-    # Certificate and merge window (32..95) fit the cap.
-    assert classify(31) == ClassLabel(C3, 32, (32,))
-    # Certified at 38, but the merge window would need 101 terms: the scan
-    # stops at 34 instead, and so does it for a seed past the cap.
-    for a in (33, 150):
-        with pytest.raises(BudgetExhaustedError, match="within 34 terms"):
-            classify(a)
+    assert classify(151) == ClassLabel(C3, 152, (152,))
+    assert classify(10**7 + 2) == ClassLabel(C3, 10_000_008, (10_000_008,))
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "5")
+    with pytest.raises(BudgetExhaustedError, match="within 5 terms"):
+        classify(10**7 + 2)
 
 
 def test_classify_and_scan_take_no_budget():
@@ -196,9 +205,64 @@ def test_classify_decides_seeds_above_a_million():
 
 
 def test_classify_even_seed_with_a_large_pool():
-    # 3 does not divide this even seed, so about a unused values sit below
-    # it while the first a terms are generated.
+    # 3 does not divide this even seed, and a - 1 is no record: about a
+    # values below a are unused by index a.
     assert classify(999_998) == ClassLabel(C3, 1_000_002, (1_000_002,))
+
+
+def test_even_seed_state_matches_simulation():
+    # The state the even-seed lemma derives at index a against f_a(1..a+1)
+    # simulated from the seed: f(a), f(a+1), the used values and the
+    # running maximum of f(1..a).
+    for a in range(4, 2001, 2):
+        buf = _even_seed_buffer(a)
+        head_max = buf.head_max
+        buf.extend_to(a + 1)
+        terms = generate_prefix(a, a + 1).terms
+        assert (buf[a], buf[a + 1]) == (terms[a], terms[a + 1]), a
+        used = set(range(1, buf._low)) | buf._above
+        assert used == set(terms[1:]), a
+        assert head_max == max(terms[1 : a + 1]), a
+
+
+def _prefix_label(a, records):
+    """(verdict, witness, etps) of f_a by simulating it from the seed and
+    scanning every turning point; records is a set of f_3 records."""
+    etps = []
+    for tp in find_turning_points(generate_prefix(a, a + 64)):
+        if tp.is_etp:
+            etps.append(tp.t)
+            if tp.t == 4 or tp.t - 1 in records:
+                return C3, tp.t, tuple(etps)
+        elif tp.record_value == tp.t and tp.complete_below:
+            return IDENTITY, tp.t, tuple(etps)
+    raise AssertionError(f"f_{a}: no certificate within {a + 64} terms")
+
+
+def test_classify_matches_prefix_simulation_on_even_seeds():
+    records = set(record_values(4100))
+    bad = []
+    for a in range(4, 4001, 2):
+        label = classify(a)
+        if (label.verdict, label.witness, label.etps) != _prefix_label(a, records):
+            bad.append(a)
+    assert bad == []
+
+
+def test_classify_decides_large_seeds():
+    assert classify(10**7 + 1) == ClassLabel(C3, 10_000_008, (10_000_002, 10_000_004, 10_000_008))
+    for a in (10**7 + 2, 10**7 + 4):
+        assert classify(a) == ClassLabel(C3, 10_000_008, (10_000_008,))
+    assert classify(10**12 + 1) == ClassLabel(C3, 10**12 + 2, (10**12 + 2,))
+    assert classify(10**12 + 2) == ClassLabel(IDENTITY, 10**12 + 3)
+    # Past any simulated prefix, so hold the verdicts to both membership tests.
+    for a in [10**12 + 1] + list(range(10**12 + 2, 10**12 + 600, 6)):
+        is_id = classify(a).verdict == IDENTITY
+        assert is_id == eventually_identity_by_record(a) == eventually_identity_by_primorial(a), a
+
+
+def test_scan_agreement_to_1e5():
+    assert all(r.agree for r in scan_identity_seeds(10**5))
 
 
 def test_etps_recorded_and_even():

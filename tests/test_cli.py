@@ -281,23 +281,23 @@ def test_cap_exit_code(capsys, monkeypatch):
 
 
 def test_verify_budget_exhaustion_exit_codes(capsys, monkeypatch):
-    # a cap too small to certify anything (3 terms to scan, plus the merge
-    # window): thm2 propagates as usage, thm3 surfaces the undecided seeds
-    # as a failing check
-    monkeypatch.setenv("GCDPERM_MAX_TERMS", "69")
-    code, _, err = run(capsys, "verify", "thm2", "--bound", "9")
+    # a cap one term short of seed 216's first ETP (6 terms past the seed):
+    # thm4 propagates as usage, thm3 surfaces the undecided seed as a
+    # failing check
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "5")
+    code, _, err = run(capsys, "verify", "thm4", "--bound", "216")
     assert code == 2
-    assert err == ("error: f_3: no certificate within 3 terms; "
+    assert err == ("error: f_216: no certificate within 5 terms; "
                    "set GCDPERM_MAX_TERMS to raise the term cap\n")
-    code, out, _ = run(capsys, "verify", "thm3", "--bound", "120")
+    code, out, _ = run(capsys, "verify", "thm3", "--bound", "216")
     assert code == 1
     assert "FAIL" in out
 
 
 def test_default_budget_exhaustion_names_the_term_cap(capsys, monkeypatch):
     # The term cap is the one limit on classification; the hint names it.
-    monkeypatch.setenv("GCDPERM_MAX_TERMS", "100")
-    for argv in (["verify", "thm2", "--bound", "201"], ["scan", "--bound", "200"]):
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "5")
+    for argv in (["verify", "thm4", "--bound", "216"], ["scan", "--bound", "216"]):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.rstrip().endswith("set GCDPERM_MAX_TERMS to raise the term cap"), err
@@ -480,20 +480,30 @@ def test_verify_help_lists_each_suite_with_its_flags(capsys):
 def test_traced_run_finds_every_hook_point():
     # The traced benchmark run wraps library names from outside the package;
     # it must still find each of them.  thm4 and thm7 run the record
-    # membership queries of classify and of the primorial record check.
+    # membership queries of classify and of the primorial record check, and
+    # thm4's even seeds run classify's attempts and its short simulation.
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
     script = ("import sys, tracer\n"
-              "tracer.Tracer().install()\n"
+              "t = tracer.Tracer()\n"
+              "t.install()\n"
               "from gcdperm import cli\n"
               "for argv in (['prop3', '--n', '2'], ['thm4', '--bound', '60'],\n"
               "             ['thm7', '--n', '3']):\n"
+              "    before = {k: v[0] for k, v in t.counted.items()}\n"
               "    if cli.main(['verify', *argv]):\n"
-              "        sys.exit(1)\n")
+              "        sys.exit(1)\n"
+              "    for name in ('classify.attempts', 'sequence.extend_to'):\n"
+              "        print('calls', argv[0], name, t.counted[name][0] - before.get(name, 0))\n")
     proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=root,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    summaries = [line for line in proc.stdout.splitlines() if "checks passed" in line]
+    lines = proc.stdout.splitlines()
+    summaries = [line for line in lines if "checks passed" in line]
     assert summaries == ["prop3: 2/2 checks passed", "thm4: 1/1 checks passed",
                          "thm7: 2/2 checks passed"]
+    calls = {tuple(line.split()[1:3]): int(line.split()[3])
+             for line in lines if line.startswith("calls ")}
+    assert calls[("thm4", "classify.attempts")] >= 1
+    assert calls[("thm4", "sequence.extend_to")] >= 1

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -17,6 +18,7 @@ from gcdperm import (
     record_values,
 )
 from gcdperm import records
+from gcdperm.records import _records_around
 from gcdperm.primes import is_prime, primes_upto
 
 RECORDS_7_TO_211 = [
@@ -227,6 +229,15 @@ def test_is_record_matches_the_record_list():
             window.append(r)
         r = next_record(r)
     assert [v for v in range(lo, hi + 1) if is_record(v)] == window
+
+
+def test_records_around_brackets_v_with_consecutive_records():
+    recs = record_values(100_100)
+    for v in range(5, 100_001, 7):
+        i = bisect_right(recs, v)
+        assert _records_around(v) == (recs[i - 1], recs[i]), v
+    with pytest.raises(ValueError):
+        _records_around(4)
 
 
 def test_prime_multiple_records():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gcdperm import LimitExceededError, SequenceBuffer, generate_prefix
+from gcdperm import LimitExceededError, SequenceBuffer, find_turning_points, generate_prefix
 
 F3_24 = [1, 3, 2, 5, 4, 7, 6, 11, 8, 9, 10, 13, 12, 17, 14, 15, 16, 19, 18, 23, 20, 21, 22, 25]
 F7_12 = [1, 7, 2, 3, 4, 5, 6, 11, 8, 9, 10, 13]
@@ -44,6 +44,29 @@ def test_indexing_and_iteration():
         buf[0]
     with pytest.raises(IndexError):
         buf[25]
+
+
+@pytest.mark.parametrize("a,n", [(7, 40), (36, 20), (3, 11), (216, 216)])
+def test_resume_continues_from_a_given_state(a, n, monkeypatch):
+    # f_a's state at index n, read off a full prefix, resumed: the same terms
+    # and turning points past n, and only f(n) stored below them.
+    full = generate_prefix(a, n + 200)
+    terms = full.terms
+    used = set(terms[1 : n + 1])
+    low = min(set(range(1, n + 2)) - used)
+    buf = SequenceBuffer.resume(a, n, terms[n], low, {v for v in used if v > low})
+    assert len(buf) == n and buf.head_max == max(used)
+    buf.extend_to(n + 200)
+    assert buf.terms == terms[n:] and list(buf) == terms[n:] and buf[n] == terms[n]
+    with pytest.raises(IndexError):
+        buf[n - 1]
+    assert find_turning_points(buf) == [tp for tp in find_turning_points(full) if tp.t > n]
+    # The cap counts the terms past the base.
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "10")
+    buf = SequenceBuffer.resume(a, n, terms[n], low, {v for v in used if v > low})
+    buf.extend_to(n + 10)
+    with pytest.raises(LimitExceededError, match=f"requested 11 terms of f_{a}; cap is 10"):
+        buf.extend()
 
 
 def _naive_prefix(a, n):

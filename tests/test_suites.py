@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from gcdperm import records
+from gcdperm import derivative_bound_check, reconstruct_f3, records
 from gcdperm.suites import SUITES, TABLE
 
 
@@ -40,6 +40,22 @@ def test_thm5_leaves_the_shared_record_list_alone():
     results = SUITES["thm5"](n=12)
     assert len(results) == 11 and all(r.ok for r in results)
     assert len(records._CACHE) == before
+
+
+def test_prop3_leaves_the_shared_record_list_alone():
+    # Each prime index q asks two is_record queries; q reaches about 3e6.
+    before = len(records._CACHE)
+    results = SUITES["prop3"](n=6, kmax=100)
+    assert [r.items for r in results] == [43, 51, 51, 46, 42, 40] and all(r.ok for r in results)
+    assert len(records._CACHE) == before
+
+
+def test_prop3_derivative_matches_the_record_reconstruction():
+    for n in (1, 2, 3, 4):
+        rows = derivative_bound_check(n, 40)
+        assert rows
+        assert all(row.derivative == reconstruct_f3(row.q + 1) - reconstruct_f3(row.q)
+                   for row in rows)
 
 
 def test_suites_take_only_their_own_parameters():
