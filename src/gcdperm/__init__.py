@@ -21,9 +21,8 @@ from .classify import (
 )
 from .cycles import (
     Cycle,
-    CycleIndexMap,
     IncompleteCycleError,
-    UnknownCycleValueError,
+    cycle_index,
     decompose,
     twin_cycle_gaps,
 )
@@ -38,21 +37,21 @@ from .primorial import (
     kappa_bounds,
     kappa_coarse_bounds,
     kappa_empirical,
-    nth_prime,
     prime_ratio_series,
     primes_within_records_series,
-    primorial,
     s_count,
     verify_primorial_records,
     verify_translation,
     w_count,
 )
+# After the primorial module is loaded, so that ``gcdperm.primorial`` names
+# the function, not the module.
+from .primes import nth_prime, primorial
 from .records import (
     FIRST_ETP,
     FIRST_RECORD,
     Record,
     TurningPoint,
-    extend_records,
     f3_terms,
     find_turning_points,
     is_record,
@@ -75,7 +74,6 @@ __all__ = [
     "C3",
     "ClassLabel",
     "Cycle",
-    "CycleIndexMap",
     "DensityLedger",
     "DerivativeCheck",
     "FIRST_ETP",
@@ -90,15 +88,14 @@ __all__ = [
     "SequenceBuffer",
     "TranslationReport",
     "TurningPoint",
-    "UnknownCycleValueError",
     "build_density_ledger",
     "classify",
+    "cycle_index",
     "decompose",
     "derivative_bound_check",
     "eventually_identity_by_primorial",
     "eventually_identity_by_record",
     "exceptional_seed_density",
-    "extend_records",
     "f3_terms",
     "find_turning_points",
     "generate_prefix",

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .primorial import nth_prime, primorial
+from .primes import nth_prime, primorial
 from .records import _records_around, _turning_points, is_record, next_record
 from .sequence import SequenceBuffer, max_terms_cap
 
@@ -69,20 +69,21 @@ def _even_seed_buffer(a: int) -> SequenceBuffer:
     return SequenceBuffer.resume(a, a, a - 2, low, above)
 
 
-def _attempt(a: int, budget: int) -> ClassLabel | None:
+def _attempt(a: int) -> ClassLabel | None:
     if a == 2:
         return ClassLabel(IDENTITY, 1)
     if a % 2:
         t = a + 1  # f(n) = n - 1 on 3..a, so a + 1 is the first ETP
     else:
-        for tp in _turning_points(_even_seed_buffer(a), a + budget):
+        buffer = _even_seed_buffer(a)
+        for tp in _turning_points(buffer, a + buffer.cap):
             if tp.is_etp:
                 t = tp.t
                 break
             if tp.record_value == tp.t and tp.complete_below:
                 return ClassLabel(IDENTITY, tp.t)
         else:
-            return None  # no certificate within budget simulated terms
+            return None  # no certificate within the term cap
     # Thm 1: the next ETP is one past the record at this one.
     etps = [t]
     while not (t == 4 or is_record(t - 1)):
@@ -111,10 +112,9 @@ def classify(a: int) -> ClassLabel:
     """
     if a < 2:
         raise ValueError(f"seed must be >= 2, got {a}")
-    budget = max_terms_cap()
-    label = _attempt(a, budget)
+    label = _attempt(a)
     if label is None:
-        raise BudgetExhaustedError(a, budget)
+        raise BudgetExhaustedError(a, max_terms_cap())
     return label
 
 

@@ -10,20 +10,15 @@ down to its turning point.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .primes import twin_prime_pairs
-from .records import cached_records
+from .records import record_count
 from .sequence import LimitExceededError, SequenceBuffer
 
 
 class IncompleteCycleError(RuntimeError):
     """A cycle walk left the generated prefix and the cap forbids extending."""
-
-
-class UnknownCycleValueError(KeyError):
-    """The value is not covered by any indexed (nontrivial) cycle."""
 
 
 @dataclass(frozen=True)
@@ -85,27 +80,16 @@ def decompose(a: int, n: int, include_fixed: bool = False) -> list[Cycle]:
     return cycles
 
 
-class CycleIndexMap:
-    """Value -> index of its nontrivial cycle in f_3, read from the records.
+def cycle_index(v: int) -> int:
+    """Index of the nontrivial cycle of f_3 that holds v (v >= 2), read from the records.
 
-    The k-th record block [previous record + 1, record] is cycle k+1, after
-    the initial cycle (3, 2).
+    The cycle (3, 2) is cycle 1; after it, the k-th record block
+    [previous record + 1, record] is cycle k + 1.  The fixed point 1 has no
+    index: v < 2 raises ValueError.
     """
-
-    def __init__(self, records: list[int], limit: int) -> None:
-        self._records = records
-        self._limit = limit
-
-    @classmethod
-    def for_f3(cls, limit: int) -> "CycleIndexMap":
-        return cls(cached_records(limit), limit)
-
-    def index_of(self, v: int) -> int:
-        if v in (2, 3):
-            return 1
-        if 4 <= v <= self._limit:
-            return 2 + bisect_right(self._records, v - 1)
-        raise UnknownCycleValueError(v)
+    if v < 2:
+        raise ValueError(f"need v >= 2 (1 is a fixed point of f_3), got {v}")
+    return 1 if v <= 3 else 2 + record_count(v - 1)
 
 
 def twin_cycle_gaps(limit: int) -> list[tuple[int, int, int, int, int]]:
@@ -119,7 +103,6 @@ def twin_cycle_gaps(limit: int) -> list[tuple[int, int, int, int, int]]:
     pairs = twin_prime_pairs(limit)
     if len(pairs) < 2:
         return []
-    cmap = CycleIndexMap.for_f3(limit)
     rows = []
     for j in range(len(pairs) - 1):
         lo, hi = pairs[j]
@@ -129,8 +112,8 @@ def twin_cycle_gaps(limit: int) -> list[tuple[int, int, int, int, int]]:
                 j + 1,
                 lo,
                 hi,
-                cmap.index_of(nxt_lo) - cmap.index_of(hi),
-                cmap.index_of(nxt_hi) - cmap.index_of(lo),
+                cycle_index(nxt_lo) - cycle_index(hi),
+                cycle_index(nxt_hi) - cycle_index(lo),
             )
         )
     return rows

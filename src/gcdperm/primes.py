@@ -1,9 +1,14 @@
-"""Prime utilities: sieve, deterministic 64-bit primality, non-divisor search."""
+"""Prime utilities: sieve, Miller-Rabin primality proven exact below
+3,317,044,064,679,887,385,961,981 (about 3.3e24), the table of primes and
+primorials, non-divisor search."""
 
 import math
 
-# Witness set making Miller-Rabin deterministic for all n < 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as Miller-Rabin witnesses: deterministic for every
+# n < 3,317,044,064,679,887,385,961,981, the smallest strong pseudoprime to
+# all of them (Sorenson & Webster 2017).  The first 12 fail already at
+# 318,665,857,834,031,151,167,461 = 399165290221 * 798330580441.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
@@ -65,9 +70,27 @@ def next_prime(n: int) -> int:
     return k
 
 
-# Grown on demand by smallest_prime_not_dividing; stays tiny because any
-# m < p_k# has a non-divisor among the first k primes.
-_NONDIV_CANDIDATES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+# p_1, p_2, ... and the exact primorials P_n = p_1 * ... * p_n, grown together.
+_PRIMES = [2]
+_PRIMORIALS = [2]
+
+
+def nth_prime(n: int) -> int:
+    """The n-th prime, 1-based: p_1 = 2."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    while len(_PRIMES) < n:
+        p = next_prime(_PRIMES[-1])
+        _PRIMES.append(p)
+        _PRIMORIALS.append(_PRIMORIALS[-1] * p)
+    return _PRIMES[n - 1]
+
+
+def primorial(n: int) -> int:
+    """Product of the first n primes: 2, 6, 30, 210, 2310, ..."""
+    nth_prime(n)
+    return _PRIMORIALS[n - 1]
+
 
 # _WHEEL = 2*3*5*7*11*13.  _WHEEL_SPND[m % _WHEEL] is the least prime <= 13
 # not dividing m, or 0 when all of them divide m.  Built by overwriting with
@@ -94,15 +117,12 @@ def smallest_prime_not_dividing(m: int) -> int:
     p = _WHEEL_SPND[m % _WHEEL]
     if p:
         return p
-    for p in _NONDIV_CANDIDATES:
-        if m % p:
-            return p
-    p = _NONDIV_CANDIDATES[-1]
-    while True:
-        p = next_prime(p)
-        _NONDIV_CANDIDATES.append(p)
-        if m % p:
-            return p
+    # Every prime up to 13 = p_6 divides m; the answer stays small, since
+    # any m < P_k has a non-divisor among the first k primes.
+    k = 7
+    while m % (p := nth_prime(k)) == 0:
+        k += 1
+    return p
 
 
 def twin_prime_pairs(limit: int) -> list[tuple[int, int]]:

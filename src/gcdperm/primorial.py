@@ -15,44 +15,21 @@ is bracketed rigorously.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .primes import is_prime, next_prime, sieve_flags
-from .records import cached_records, is_record, next_record, record_values
+from .primes import is_prime, nth_prime, primorial, sieve_flags
+from .records import is_record, next_record, record_count, record_values
 from .sequence import generate_prefix
-
-# p_1, p_2, ... and the exact primorials P_n = p_1 * ... * p_n, grown together.
-_PRIMES = [2]
-_PRIMORIALS = [2]
-
-
-def nth_prime(n: int) -> int:
-    """The n-th prime, 1-based: p_1 = 2."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    while len(_PRIMES) < n:
-        p = next_prime(_PRIMES[-1])
-        _PRIMES.append(p)
-        _PRIMORIALS.append(_PRIMORIALS[-1] * p)
-    return _PRIMES[n - 1]
-
-
-def primorial(n: int) -> int:
-    """Product of the first n primes: 2, 6, 30, 210, 2310, ..."""
-    nth_prime(n)
-    return _PRIMORIALS[n - 1]
 
 
 def _count_records(lo: int, hi: int) -> int:
     """Number of records in [lo, hi].
 
     Interval counters treat 3 = f_3(2) as a record (the window [3, 3]
-    holds one); the shared cache starts at 5, hence the offset.
+    holds one); ``record_count`` counts from 5 on, hence the offset.
     """
-    recs = cached_records(hi)
-    return bisect_right(recs, hi) - bisect_left(recs, lo) + (lo <= 3 <= hi)
+    return record_count(hi) - record_count(lo - 1) + (lo <= 3 <= hi)
 
 
 def s_count(n: int) -> int:
@@ -191,8 +168,7 @@ def kappa_empirical(n: int) -> float:
     """Record density in [1, n]: #records <= n divided by n."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    recs = cached_records(n)
-    return bisect_right(recs, n) / n
+    return record_count(n) / n
 
 
 def _prime_record_counts(limit: int, stride: int) -> list[tuple[int, int, int]]:

@@ -19,11 +19,12 @@ Point queries go to ``_records_around``: the consecutive records q <= v < r,
 found by walking the recurrence from the largest prime <= v, with no list.
 ``is_record`` reads it, and so does classification, which takes the state
 of an even seed a at index a from the records around a - 1.  Range work goes
-to the shared list: one loop, ``extend_records``, enumerates records by
-extending an ascending record list in place until it passes a limit, and
-the shared list (``cached_records``) grows through it.  Annotation derives
-``is_composite`` from one sieve up to the largest record of the list, not
-from a primality test per record.
+to the shared ascending record list, which this module alone reads:
+``cached_records`` grows it with the recurrence until it passes a limit,
+and ``record_count`` bisects it; every other module asks ``record_count``
+or ``record_values``.  Annotation derives ``is_composite`` from one sieve
+up to the largest record of the list, not from a primality test per
+record.
 
 The records pin f_3 down completely: ``reconstruct_f3`` answers one index,
 and ``f3_terms`` builds the whole prefix f_3(1..n) as an ``array('q')``
@@ -34,7 +35,7 @@ turning point, with no simulation.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
@@ -139,20 +140,6 @@ def is_record(v: int) -> bool:
     return v >= FIRST_RECORD and v % 6 in (1, 5) and _records_around(v)[0] == v
 
 
-def extend_records(chain: list[int], limit: int) -> list[int]:
-    """Extend an ascending record list in place until its last value passes limit.
-
-    chain must end in a record; the recurrence is local, so any chain that
-    does (the shared list, ``[FIRST_RECORD]``) continues the enumeration
-    from where it stops.  Returns chain.
-    """
-    r = chain[-1]
-    while r <= limit:
-        r = next_record(r)
-        chain.append(r)
-    return chain
-
-
 # Shared ascending record list, grown on demand.  Its tail always extends
 # past any limit it was asked to cover, so "the record after x" is always
 # resolvable for x <= limit.
@@ -160,19 +147,26 @@ _CACHE = [FIRST_RECORD]
 
 
 def cached_records(limit: int) -> list[int]:
-    """The shared record list, guaranteed to extend beyond limit.
+    """The shared record list, grown until it extends beyond limit.
 
-    Returns the live internal list for zero-copy bisecting; do not mutate.
+    Returns the live internal list; do not mutate.
     """
-    return extend_records(_CACHE, limit)
+    cache = _CACHE
+    r = cache[-1]
+    while r <= limit:
+        r = next_record(r)
+        cache.append(r)
+    return cache
+
+
+def record_count(x: int) -> int:
+    """Number of f_3 records <= x (3 = f_3(2) is not one)."""
+    return bisect_right(cached_records(x), x)
 
 
 def record_values(limit: int) -> list[int]:
     """All f_3 record values <= limit, ascending."""
-    if limit < FIRST_RECORD:
-        return []
-    recs = cached_records(limit)
-    return recs[: bisect_right(recs, limit)]
+    return _CACHE[: record_count(limit)]
 
 
 def _annotated(values: Sequence[int]) -> Iterator[tuple[int, int, int, bool]]:
@@ -217,10 +211,11 @@ def reconstruct_f3(n: int) -> int:
         raise ValueError(f"need n >= 1, got {n}")
     if n <= 4:
         return (1, 3, 2, 5)[n - 1]
-    records = cached_records(n + 1)
-    i = bisect_left(records, n - 1)
-    if i < len(records) and records[i] == n - 1:
-        return records[i + 1]
+    # record_count grows the list past n + 1, so a record n - 1 has its successor in it.
+    k = record_count(n + 1)
+    i = k - 2 if _CACHE[k - 1] == n + 1 else k - 1  # the largest record <= n
+    if _CACHE[i] == n - 1:
+        return _CACHE[i + 1]
     return n - 1
 
 
@@ -240,9 +235,9 @@ def f3_terms(n: int) -> array:
     terms = array("q", range(-1, n))
     head = (0, 1, 3, 2, 5)[: n + 1]
     terms[: len(head)] = array("q", head)
-    recs = cached_records(n + 1)
-    # Records q <= n - 1 set terms[q + 1]; the cache extends past n + 1,
+    # Records q <= n - 1 set terms[q + 1]; the list extends past n - 1,
     # so each of them has a successor.
-    for q, r in zip(islice(recs, bisect_right(recs, n - 1)), islice(recs, 1, None)):
+    k = record_count(n - 1)
+    for q, r in zip(islice(_CACHE, k), islice(_CACHE, 1, None)):
         terms[q + 1] = r
     return terms

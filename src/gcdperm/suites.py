@@ -25,13 +25,11 @@ from .classify import (
     exceptional_seed_density,
     scan_identity_seeds,
 )
-from .primes import primes_upto
+from .primes import nth_prime, primes_upto, primorial
 from .primorial import (
     build_density_ledger,
     derivative_bound_check,
     kappa_coarse_bounds,
-    nth_prime,
-    primorial,
     verify_primorial_records,
     verify_translation,
 )
@@ -256,15 +254,31 @@ def thm8_recurrence(n=5) -> list[CheckResult]:
     ]
 
 
+def _excluded_count(limit: int) -> int:
+    """Multiples of 6 up to limit that the primorial test excludes, counted exactly.
+
+    They are the disjoint progressions m P_k + 6t with m >= 1 and
+    T_{k-1} < t <= T_k, where T_k = (p_{k+1} - 2) // 6 (T_3 = 0), so each
+    offset t contributes max(0, (limit - 6t) // P_k) seeds.
+    """
+    count = 0
+    k = 4
+    while (pk := primorial(k)) + 6 <= limit:
+        bands = range((nth_prime(k) - 2) // 6 + 1, (nth_prime(k + 1) - 2) // 6 + 1)
+        count += sum(max(0, (limit - 6 * t) // pk) for t in bands)
+        k += 1
+    return count
+
+
 def cor2(limit=1_000_000) -> list[CheckResult]:
     _at_least(1, limit=limit)
     seeds = range(6, limit + 1, 6)
     count = sum(1 for a in seeds if not eventually_identity_by_primorial(a))
-    partial = exceptional_seed_density(12)
-    diff = abs(float(partial) - count / limit)
+    exact = _excluded_count(limit)
+    density = float(exceptional_seed_density(12))
     return [
-        CheckResult("cor2", "density formula vs brute-force count", diff < 2e-6,
-                    f"count {count}, formula {float(partial):.9f}, diff {diff:.2e}", len(seeds)),
+        CheckResult("cor2", "exact band count vs brute-force count", count == exact,
+                    f"count {count}, exact {exact}, density {density:.9f}", len(seeds)),
     ]
 
 
@@ -296,7 +310,8 @@ TABLE = {
     "thm8-recurrence": Suite("window counts satisfy w_{n+1} = w_n p_{n+1} - s_{n+1}",
                              thm8_recurrence),
     "thm10": Suite("primorial-representation membership test agrees with simulation", thm10),
-    "cor2": Suite("exceptional-seed density formula matches a brute-force count", cor2),
+    "cor2": Suite("exceptional-seed count from the density bands matches a brute-force count",
+                  cor2),
 }
 
 SUITES = {name: suite.check for name, suite in TABLE.items()}

@@ -9,8 +9,8 @@ import time
 from gcdperm import (
     C3,
     IDENTITY,
-    CycleIndexMap,
     classify,
+    cycle_index,
     decompose,
     eventually_identity_by_primorial,
     eventually_identity_by_record,
@@ -198,12 +198,11 @@ def test_criterion_11_property_suite(f3_million):
         for i, v in enumerate(cyc.elements)
     )
 
-    cmap = CycleIndexMap.for_f3(25)
     by_value = {v: c.index for c in decompose(3, 25) for v in c.elements}
     index_ok = (
-        all(cmap.index_of(v) == by_value[v] for v in range(2, 26))
-        and cmap.index_of(23) == 8
-        and cmap.index_of(25) == 9
+        all(cycle_index(v) == by_value[v] for v in range(2, 26))
+        and cycle_index(23) == 8
+        and cycle_index(25) == 9
     )
 
     ok = inj_ok and replay_ok and prop1_ok and prop2_ok and cycle_ok and index_ok

@@ -9,7 +9,6 @@ from gcdperm import (
     IDENTITY,
     BudgetExhaustedError,
     ClassLabel,
-    LimitExceededError,
     classify,
     eventually_identity_by_primorial,
     eventually_identity_by_record,
@@ -19,7 +18,7 @@ from gcdperm import (
     record_values,
     scan_identity_seeds,
 )
-from gcdperm.classify import _attempt, _even_seed_buffer
+from gcdperm.classify import _even_seed_buffer
 
 
 def test_identity_verdicts():
@@ -148,7 +147,6 @@ def test_budget_boundary(a, monkeypatch):
     w = _window(label, a)
     monkeypatch.setenv("GCDPERM_MAX_TERMS", str(w))
     assert classify(a) == label
-    assert _attempt(a, w - 1) is None
     if w > 1:  # the cap must be positive
         monkeypatch.setenv("GCDPERM_MAX_TERMS", str(w - 1))
         with pytest.raises(BudgetExhaustedError, match=f"within {w - 1} terms"):
@@ -166,19 +164,6 @@ def test_budget_boundary_seed_lies_past_the_first_chunk(monkeypatch):
     monkeypatch.setenv("GCDPERM_MAX_TERMS", "15")
     with pytest.raises(BudgetExhaustedError, match="within 15 terms"):
         classify(30032)
-
-
-def test_explicit_budget_obeys_the_term_cap(monkeypatch):
-    # _attempt takes an explicit budget (the benchmark tracer wraps it); its
-    # buffer is still held to GCDPERM_MAX_TERMS terms past the seed.
-    monkeypatch.setenv("GCDPERM_MAX_TERMS", "5")
-    assert _attempt(36, 5000) == ClassLabel(IDENTITY, 38)
-    assert _attempt(995, 5000) == ClassLabel(C3, 998, (996, 998))
-    # Certified 6 terms past the seed: the scan reaches the cap first.
-    with pytest.raises(LimitExceededError, match="terms of f_216; cap is 5"):
-        _attempt(216, 5000)
-    # A budget that ends below the cap leaves the seed undecided.
-    assert _attempt(216, 4) is None
 
 
 def test_seeds_above_the_cap_are_decided(monkeypatch):

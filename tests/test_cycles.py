@@ -1,14 +1,15 @@
 import pytest
 
 from gcdperm import (
-    CycleIndexMap,
     IncompleteCycleError,
-    UnknownCycleValueError,
+    cycle_index,
     decompose,
     generate_prefix,
     record_values,
     twin_cycle_gaps,
 )
+from gcdperm.cli import main
+from gcdperm.primes import primes_upto
 
 F3_CYCLES_TO_25 = [
     (3, 2),
@@ -67,24 +68,26 @@ def _index_by_value(cycles):
 
 
 def test_cycle_index_examples():
-    cmap = CycleIndexMap.for_f3(25)
-    assert _index_by_value(decompose(3, 25)) == {v: cmap.index_of(v) for v in range(2, 26)}
-    assert cmap.index_of(23) == 8
-    assert cmap.index_of(25) == 9
-    assert cmap.index_of(5) == 2
-    assert cmap.index_of(24) == 9  # whole block shares the index
-    with pytest.raises(UnknownCycleValueError):
-        cmap.index_of(26)
+    assert _index_by_value(decompose(3, 25)) == {v: cycle_index(v) for v in range(2, 26)}
+    assert cycle_index(23) == 8
+    assert cycle_index(25) == 9
+    assert cycle_index(5) == 2
+    assert cycle_index(24) == 9  # whole block shares the index
+    assert cycle_index(26) == 10  # no limit: the record list grows on demand
 
 
 def test_record_backed_index_agrees_with_decomposition():
     limit = 10_000
     by_value = _index_by_value(decompose(3, limit))
-    fast = CycleIndexMap.for_f3(limit)
     for v in range(2, limit + 1):
-        assert fast.index_of(v) == by_value[v]
-    with pytest.raises(UnknownCycleValueError):
-        fast.index_of(1)  # the lone fixed point has no nontrivial cycle
+        assert cycle_index(v) == by_value[v]
+
+
+@pytest.mark.parametrize("v", [1, 0, -5])
+def test_cycle_index_rejects_values_below_2(v):
+    # 1 is the lone fixed point of f_3: it has no nontrivial cycle.
+    with pytest.raises(ValueError):
+        cycle_index(v)
 
 
 def test_f3_cycles_are_record_blocks():
@@ -107,6 +110,23 @@ def test_twin_cycle_gaps_examples():
     assert by_pair[(11, 13)][0] == 1
     assert rows[0][1:3] == (3, 5)  # the enumeration starts at the pair (3, 5)
     assert [r[0] for r in rows] == list(range(1, len(rows) + 1))
+
+
+def test_fig1_rows_match_gaps_from_the_decomposition(tmp_path):
+    # Every fig1 row at --limit 10000 against the cycle indices that
+    # decompose(3, ...) assigns, with no record list involved.
+    assert main(["--quiet", "export-figures", "fig1", "--limit", "10000",
+                 "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "fig1.csv").read_text().splitlines()
+    assert lines[0] == "j,m_j,M_j,gap_a,gap_b"
+    index = _index_by_value(decompose(3, 10_000))
+    primes = set(primes_upto(10_000))
+    pairs = [(p, p + 2) for p in sorted(primes) if p + 2 in primes]
+    want = [
+        f"{j},{lo},{hi},{index[nlo] - index[hi]},{index[nhi] - index[lo]}"
+        for j, ((lo, hi), (nlo, nhi)) in enumerate(zip(pairs, pairs[1:]), start=1)
+    ]
+    assert lines[1:] == want
 
 
 def test_twin_cycle_gaps_degenerate():

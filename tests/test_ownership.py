@@ -1,0 +1,67 @@
+"""Each shared table has one owner module.
+
+The shared f_3 record list belongs to ``records.py``: no other module names
+``cached_records`` or imports ``bisect``, and every count of records goes
+through ``records.record_count``.  The table of primes and primorials
+belongs to ``primes.py``: no other module assigns ``_PRIMES`` or
+``_PRIMORIALS``.
+"""
+
+import ast
+from pathlib import Path
+
+import gcdperm
+
+SOURCES = sorted(Path(gcdperm.__file__).parent.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _names(tree):
+    """Every identifier the code uses, imports or reads as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                yield node.module
+            for alias in node.names:
+                yield alias.name
+
+
+def _assigned(tree):
+    """Every module or local name bound by an assignment."""
+    for node in ast.walk(tree):
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Name):
+                    yield sub.id
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"records.py", "primes.py", "cycles.py", "primorial.py"}
+
+
+def test_only_records_reads_the_shared_record_list():
+    offenders = [
+        p.name for p in SOURCES if p.name != "records.py"
+        and {"cached_records", "bisect", "_CACHE"} & set(_names(_tree(p)))
+    ]
+    assert offenders == []
+
+
+def test_only_primes_holds_a_prime_table():
+    offenders = [
+        p.name for p in SOURCES if p.name != "primes.py"
+        and {"_PRIMES", "_PRIMORIALS"} & set(_assigned(_tree(p)))
+    ]
+    assert offenders == []

@@ -1,6 +1,11 @@
 import pytest
 
-from gcdperm.primes import smallest_prime_not_dividing
+from gcdperm import is_record, next_record
+from gcdperm.primes import is_prime, smallest_prime_not_dividing
+
+# psi_12 (Sorenson & Webster 2017): the smallest strong pseudoprime to every
+# prime base up to 37.
+PSI_12 = 318_665_857_834_031_151_167_461
 
 
 def naive_spnd(m):
@@ -39,3 +44,21 @@ def test_spnd_fallback_at_multiples_of_30030(m, want):
 def test_spnd_rejects_nonpositive():
     with pytest.raises(ValueError):
         smallest_prime_not_dividing(0)
+
+
+def test_is_prime_rejects_psi12():
+    assert PSI_12 == 399_165_290_221 * 798_330_580_441
+    assert is_prime(399_165_290_221) and is_prime(798_330_580_441)
+    assert not is_prime(PSI_12)
+
+
+def test_psi12_is_a_composite_record():
+    # The largest prime below psi_12 is psi_12 - 20; the record walk from
+    # there reaches psi_12, so it is a record although it is not prime.
+    p = PSI_12 - 20
+    assert is_prime(p) and not any(is_prime(v) for v in range(p + 1, PSI_12 + 1))
+    walk = [p]
+    while walk[-1] < PSI_12:
+        walk.append(next_record(walk[-1]))
+    assert [r - PSI_12 for r in walk] == [-20, -18, -14, -12, -8, -6, -2, 0]
+    assert is_record(PSI_12)

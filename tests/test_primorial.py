@@ -1,4 +1,3 @@
-import importlib
 import math
 from fractions import Fraction
 
@@ -19,9 +18,7 @@ from gcdperm import (
     verify_translation,
     w_count,
 )
-
-# The package's ``primorial`` attribute is the function; this is the module.
-primorial_module = importlib.import_module("gcdperm.primorial")
+from gcdperm import primes
 
 
 def test_primorial_values():
@@ -33,8 +30,8 @@ def test_primorial_values():
 
 def test_primorial_table_grows(monkeypatch):
     # Start from the one-prime table, so each call below has to grow it.
-    monkeypatch.setattr(primorial_module, "_PRIMES", [2])
-    monkeypatch.setattr(primorial_module, "_PRIMORIALS", [2])
+    monkeypatch.setattr(primes, "_PRIMES", [2])
+    monkeypatch.setattr(primes, "_PRIMORIALS", [2])
     assert primorial(6) == 30030
     assert nth_prime(10) == 29
     assert primorial(6) == primorial(5) * nth_prime(6)

@@ -7,7 +7,6 @@ import pytest
 from gcdperm import (
     FIRST_RECORD,
     LimitExceededError,
-    extend_records,
     f3_terms,
     find_turning_points,
     generate_prefix,
@@ -141,25 +140,6 @@ def test_record_jumps_match_inverse(f3_million):
     for rec in record_stream_upto(3000):
         assert terms[rec.turning_point] == rec.value
         assert rec.jump == rec.value - rec.turning_point
-
-
-def test_extend_records_from_a_seed_record():
-    chain = [FIRST_RECORD]
-    assert extend_records(chain, 31) is chain
-    assert chain == [5, 7, 11, 13, 17, 19, 23, 25, 29, 31, 37]  # one past the limit
-    extend_records(chain, 36)
-    assert len(chain) == 11  # already past 36: untouched
-
-    # The recurrence is local: a chain seeded at a later record continues
-    # exactly like the full enumeration, without replaying the start.
-    seeded = extend_records([31], 41)
-    assert seeded == [31, 37, 41, 43]
-    full = extend_records([FIRST_RECORD], 10_000)
-    tail = extend_records(full[100:101], 10_000)
-    assert tail == full[100:]
-    assert full[:-1] == record_values(10_000)
-    with pytest.raises(ValueError):
-        extend_records([3], 10)  # 3 = f_3(2) starts no record chain
 
 
 def test_reconstruct_examples():

@@ -58,6 +58,18 @@ def test_prop3_derivative_matches_the_record_reconstruction():
                    for row in rows)
 
 
+@pytest.mark.parametrize("limit,count", [
+    (6, 0), (215, 0), (216, 1), (1000, 4), (2316, 11), (30_030, 142),
+    (100_000, 479), (500_000, 2396), (1_000_000, 4794),
+])
+def test_cor2_exact_count_matches_the_brute_force_count(limit, count):
+    # The band count is exact at every limit, not only near the default.
+    [result] = SUITES["cor2"](limit=limit)
+    assert result.ok, result.detail
+    assert result.detail.startswith(f"count {count}, exact {count}, density ")
+    assert result.items == limit // 6
+
+
 def test_suites_take_only_their_own_parameters():
     with pytest.raises(TypeError):
         SUITES["prop3"](bound=7)
