@@ -127,6 +127,12 @@ def eventually_identity_by_record(a: int) -> bool:
     return a in (2, 4) or a % 6 == 0 and (is_record(a - 1) or is_record(a + 1))
 
 
+# (P_k, 6 T_k) for k = 4, 5, ...: each primorial of at least four primes with
+# the top of its band of offsets, T_k = (p_{k+1} - 2) // 6.  Grown on demand
+# until the last primorial exceeds every seed asked about.
+_BANDS: list[tuple[int, int]] = []
+
+
 def eventually_identity_by_primorial(a: int) -> bool:
     """Membership test for the eventually-identity seeds via primorials.
 
@@ -138,14 +144,17 @@ def eventually_identity_by_primorial(a: int) -> bool:
         return True
     if a < 2 or a % 6:
         return False
-    k = 4
-    while (pk := primorial(k)) + 6 <= a:
-        t_max = (nth_prime(k + 1) - 2) // 6
-        # 6*t_max < P_k, so only the largest m with a - m*P_k >= 6 can fit.
-        m = (a - 6) // pk
-        if m >= 1 and 6 <= a - m * pk <= 6 * t_max:
+    bands = _BANDS
+    while not bands or bands[-1][0] + 6 <= a:
+        k = len(bands) + 4
+        bands.append((primorial(k), 6 * ((nth_prime(k + 1) - 2) // 6)))
+    for pk, top in bands:
+        if pk + 6 > a:
+            break
+        # 6 T_k < P_k, so only the largest m with a - m P_k >= 6 can fit;
+        # P_k + 6 <= a makes that m at least 1.
+        if (a - 6) % pk + 6 <= top:
             return False
-        k += 1
     return True
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import operator
 import os
 import sys
 from contextlib import nullcontext
@@ -18,7 +19,7 @@ from . import __version__
 from .classify import BudgetExhaustedError, scan_identity_seeds
 from .cycles import twin_cycle_gaps
 from .primorial import prime_ratio_series, primes_within_records_series
-from .records import FIRST_RECORD, _annotated, f3_terms, record_values
+from .records import FIRST_RECORD, _annotated, _record_array, f3_terms, record_values
 from .sequence import MAX_TERMS_ENV, LimitExceededError, generate_prefix
 from .suites import SUITES, TABLE
 
@@ -27,47 +28,63 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# Lines joined into one write: large enough that per-write overhead
+# Rows formatted and written at once: large enough that per-write overhead
 # vanishes, small enough that a chunk stays a few MB.
-WRITE_CHUNK_LINES = 65_536
+WRITE_CHUNK_LINES = 16_384
 
 
-def _write_lines(path: str | None, lines) -> None:
-    """Write an iterable of lines, LF-terminated, to path or to stdout."""
-    it = iter(lines)
+def _write_rows(path: str | None, header: str | None, row_format: str, rows) -> None:
+    """Write an optional header line, then one line per row, to path or to stdout.
+
+    row_format formats one row, one %-field per value, and ends in LF.  The
+    rows are formatted WRITE_CHUNK_LINES at a time, each chunk by a single
+    ``%`` on the values of all its rows.
+    """
+    width = row_format.count("%")
+    it = iter(rows)
     if path is None:
         sink = nullcontext(sys.stdout)
     else:
         sink = open(path, "w", encoding="ascii", newline="\n")
     with sink as fh:
-        while chunk := list(itertools.islice(it, WRITE_CHUNK_LINES)):
-            fh.write("\n".join(chunk))
-            fh.write("\n")
+        if header is not None:
+            fh.write(header + "\n")
+        while values := tuple(
+            itertools.chain.from_iterable(itertools.islice(it, WRITE_CHUNK_LINES))
+        ):
+            fh.write(row_format * (len(values) // width) % values)
+
+
+def _forward_differences(terms):
+    """f(n + 1) - f(n) for n = 1, 2, ... from a term store with terms[i] == f(i)."""
+    return map(operator.sub, itertools.islice(terms, 2, None), itertools.islice(terms, 1, None))
 
 
 def cmd_generate(args) -> int:
     n = args.n + 1 if args.with_derivative else args.n
     terms = f3_terms(n) if args.a == 3 else generate_prefix(args.a, n).terms
-    values = enumerate(itertools.islice(terms, 1, args.n + 1), start=1)
+    columns = [range(1, args.n + 1), itertools.islice(terms, 1, None)]
     if args.with_derivative:
-        lines = itertools.chain(
-            ["n,f_n,g_n"], (f"{i},{v},{terms[i + 1] - v}" for i, v in values)
-        )
+        columns.append(_forward_differences(terms))
+        header, row_format = "n,f_n,g_n", "%d,%d,%d\n"
     elif args.format == "plain":
-        lines = (f"{i} {v}" for i, v in values)
+        header, row_format = None, "%d %d\n"
     else:
-        lines = itertools.chain(["n,f_n"], (f"{i},{v}" for i, v in values))
-    _write_lines(args.out, lines)
+        header, row_format = "n,f_n", "%d,%d\n"
+    _write_rows(args.out, header, row_format, zip(*columns))
     return EXIT_OK
 
 
 def cmd_records(args) -> int:
-    rows = _annotated(record_values(args.limit))
-    lines = itertools.chain(
-        ["index,record,turning_point,jump,is_composite"],
-        (f"{i},{r},{t},{j},{c:d}" for i, (r, t, j, c) in enumerate(rows, start=1)),
-    )
-    _write_lines(args.out, lines)
+    def rows():
+        i = 1
+        for values, turning_points, jumps, composite in _annotated(
+                _record_array(args.limit), WRITE_CHUNK_LINES):
+            yield from zip(range(i, i + len(values)), values, turning_points, jumps, composite)
+            i += len(values)
+
+    _write_rows(args.out, "index,record,turning_point,jump,is_composite", "%d,%d,%d,%d,%d\n",
+                rows())
     return EXIT_OK
 
 
@@ -142,18 +159,14 @@ def cmd_diff_bfile(args) -> int:
     return EXIT_OK
 
 
-def _figure_lines(which: str, limit: int | None):
+def _figure_rows(which: str, limit: int | None):
+    """(header, row format, rows) of one figure's CSV."""
     if which == "fig1":
-        rows = twin_cycle_gaps(limit or 10_000)
-        return ["j,m_j,M_j,gap_a,gap_b"] + [
-            f"{j},{m},{big},{ga},{gb}" for j, m, big, ga, gb in rows
-        ]
+        return "j,m_j,M_j,gap_a,gap_b", "%d,%d,%d,%d,%d\n", twin_cycle_gaps(limit or 10_000)
     if which == "fig2":
         span = limit or 12_000
         terms = f3_terms(span + 1)
-        return itertools.chain(
-            ["t,g_t"], (f"{t},{terms[t + 1] - terms[t]}" for t in range(1, span + 1))
-        )
+        return "t,g_t", "%d,%d\n", zip(range(1, span + 1), _forward_differences(terms))
     if which in ("fig3", "fig4"):
         count = limit or 1_000
         recs = record_values(10 * count + 100)
@@ -161,10 +174,8 @@ def _figure_lines(which: str, limit: int | None):
             recs = record_values(2 * recs[-1])
         nth_value = recs[count - 1]
         if which == "fig3":
-            rows = prime_ratio_series(nth_value)
-            return ["n,ratio_ln"] + [f"{v},{r!r}" for v, r in rows]
-        rows = primes_within_records_series(nth_value)
-        return ["n,primes_among_records"] + [f"{v},{c}" for v, c in rows]
+            return "n,ratio_ln", "%d,%r\n", prime_ratio_series(nth_value)
+        return "n,primes_among_records", "%d,%d\n", primes_within_records_series(nth_value)
     raise ValueError(f"unknown figure {which!r}")
 
 
@@ -173,7 +184,7 @@ def cmd_export_figures(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     for name in names:
         path = os.path.join(args.out_dir, f"{name}.csv")
-        _write_lines(path, _figure_lines(name, args.limit))
+        _write_rows(path, *_figure_rows(name, args.limit))
         if not args.quiet:
             print(f"wrote {path}")
     return EXIT_OK
@@ -181,12 +192,10 @@ def cmd_export_figures(args) -> int:
 
 def cmd_scan(args) -> int:
     rows = scan_identity_seeds(args.bound)
-    lines = ["a,verdict,witness,record_test,primorial_test,agree"]
-    lines += [
-        f"{r.a},{r.verdict},{r.witness},{int(r.record_test)},{int(r.primorial_test)},{int(r.agree)}"
-        for r in rows
-    ]
-    _write_lines(args.out, lines)
+    _write_rows(args.out, "a,verdict,witness,record_test,primorial_test,agree",
+                "%d,%s,%d,%d,%d,%d\n",
+                ((r.a, r.verdict, r.witness, r.record_test, r.primorial_test, r.agree)
+                 for r in rows))
     disagreements = [r.a for r in rows if not r.agree]
     if disagreements:
         print(f"disagreement at seeds: {disagreements}", file=sys.stderr)

@@ -20,11 +20,19 @@ found by walking the recurrence from the largest prime <= v, with no list.
 ``is_record`` reads it, and so does classification, which takes the state
 of an even seed a at index a from the records around a - 1.  Range work goes
 to the shared ascending record list, which this module alone reads:
-``cached_records`` grows it with the recurrence until it passes a limit,
-and ``record_count`` bisects it; every other module asks ``record_count``
-or ``record_values``.  Annotation derives ``is_composite`` from one sieve
-up to the largest record of the list, not from a primality test per
-record.
+``cached_records`` grows it until it passes a limit, and ``record_count``
+bisects it; every other module asks ``record_count`` or ``record_values``.
+The list is an ``array('q')``, 8 bytes per record, and it grows one block
+of 30030 = 2*3*5*7*11*13 values at a time.  This is the primorial
+periodicity of the recurrence: the step after a record r is
+spnd(r - 1), the smallest prime not dividing r - 1, and that is a
+function of (r - 1) mod 30030 unless 30030 divides r - 1.  So the records
+of a block follow from the offset of the record that enters it; a memo
+keyed by that offset holds them, and only a record r = 1 (mod 30030)
+needs ``smallest_prime_not_dividing``.  Few offsets ever enter a block (4
+up to 5e7), so the memo stays small.  Annotation yields the columns of
+the records in chunks, and derives ``is_composite`` from one sieve up to
+the largest record, not from a primality test per record.
 
 The records pin f_3 down completely: ``reconstruct_f3`` answers one index,
 and ``f3_terms`` builds the whole prefix f_3(1..n) as an ``array('q')``
@@ -34,13 +42,15 @@ turning point, with no simulation.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
+from operator import sub
 from typing import Iterator, NamedTuple, Sequence
 
-from .primes import is_prime, sieve_flags, smallest_prime_not_dividing
+from .primes import _WHEEL, _WHEEL_SPND, is_prime, sieve_flags, smallest_prime_not_dividing
 from .sequence import LimitExceededError, SequenceBuffer, max_terms_cap
 
 FIRST_ETP = 4
@@ -143,19 +153,54 @@ def is_record(v: int) -> bool:
 # Shared ascending record list, grown on demand.  Its tail always extends
 # past any limit it was asked to cover, so "the record after x" is always
 # resolvable for x <= limit.
-_CACHE = [FIRST_RECORD]
+_CACHE = array("q", [FIRST_RECORD])
+
+# Block memo: for a record r with o = (r - 1) % _WHEEL > 0, _BLOCKS[o] holds
+# the offsets r' - (r - 1 - o) of the records r' after r, through the first
+# one that leaves the block of r - 1.  Filled as offsets occur.
+_BLOCKS: dict[int, tuple[int, int, int]] = {}
 
 
-def cached_records(limit: int) -> list[int]:
-    """The shared record list, grown until it extends beyond limit.
+def _block_after(o: int) -> tuple[int, int, int]:
+    """The ``_BLOCKS`` entry for offset o (0 < o < _WHEEL).
 
-    Returns the live internal list; do not mutate.
+    The offsets come from the recurrence m -> m + spnd(m) - 1 on m = r - 1,
+    stepped on offsets within the block.  They are kept as the bytes of an
+    ``array('q')`` read as one int, ``packed``, next to ``ones``, the int
+    with a 1 in each 8-byte lane, and the byte count: packed + base * ones
+    then holds base + offset in every lane, since no lane overflows.
+    """
+    offsets = array("q")
+    while o < _WHEEL:
+        o += _WHEEL_SPND[o] - 1
+        offsets.append(o + 1)
+    lanes = offsets.tobytes()
+    ones = array("q", [1]).tobytes() * len(offsets)
+    return (int.from_bytes(lanes, sys.byteorder), int.from_bytes(ones, sys.byteorder),
+            len(lanes))
+
+
+def cached_records(limit: int) -> array:
+    """The shared record list, grown block by block until it extends beyond limit.
+
+    Returns the live internal array; do not mutate.
     """
     cache = _CACHE
     r = cache[-1]
     while r <= limit:
-        r = next_record(r)
-        cache.append(r)
+        m = r - 1
+        o = m % _WHEEL
+        if o:
+            entry = _BLOCKS.get(o)
+            if entry is None:
+                entry = _BLOCKS[o] = _block_after(o)
+            packed, ones, size = entry
+            block = array("q")
+            block.frombytes((packed + (m - o) * ones).to_bytes(size, sys.byteorder))
+            cache.extend(block)
+        else:  # spnd(m) >= 17 depends on m itself, not only on its offset
+            cache.append(m + smallest_prime_not_dividing(m))
+        r = cache[-1]
     return cache
 
 
@@ -164,33 +209,47 @@ def record_count(x: int) -> int:
     return bisect_right(cached_records(x), x)
 
 
-def record_values(limit: int) -> list[int]:
-    """All f_3 record values <= limit, ascending."""
+def _record_array(limit: int) -> array:
+    """All f_3 record values <= limit, ascending, as an ``array('q')``."""
     return _CACHE[: record_count(limit)]
 
 
-def _annotated(values: Sequence[int]) -> Iterator[tuple[int, int, int, bool]]:
-    """(value, turning_point, jump, is_composite) per record of a full
-    ascending record-value list (starting at 5).
+def record_values(limit: int) -> list[int]:
+    """All f_3 record values <= limit, ascending."""
+    return _record_array(limit).tolist()
+
+
+# bytes.translate table: sieve flag 1 (prime) -> 0, 0 -> 1.
+_NOT = bytes([1, 0]) + bytes(254)
+
+
+def _annotated(values: Sequence[int], chunk: int) -> Iterator[tuple[Sequence[int], ...]]:
+    """Columns (value, turning_point, jump, is_composite) of a full ascending
+    record-value list (starting at 5), in chunks of at most chunk records.
 
     The index of the first record is 4; each later record r follows the
     previous record q at index q + 1, so its jump is r - q - 1.
-    Compositeness is read from one sieve up to the last value.
+    Compositeness (1 or 0) is read from one sieve up to the last value.
     """
     if not values:
         return
     if values[0] != FIRST_RECORD:
         raise ValueError(f"annotation needs the full list from {FIRST_RECORD}, got {values[0]}")
-    prime = sieve_flags(values[-1])
-    t = FIRST_ETP
-    for r in values:
-        yield r, t, r - t, not prime[r]
-        t = r + 1
+    composite = sieve_flags(values[-1]).translate(_NOT)
+    for s in range(0, len(values), chunk):
+        rs = values[s : s + chunk]
+        before = values[s - 1 : s - 1 + len(rs)] if s else chain((FIRST_ETP - 1,), rs[:-1])
+        ts = list(map((1).__add__, before))
+        yield rs, ts, list(map(sub, rs, ts)), bytes(map(composite.__getitem__, rs))
 
 
 def records_from_values(values: Sequence[int]) -> list[Record]:
     """Annotate a full ascending record-value list (starting at 5)."""
-    return [Record(*row) for row in _annotated(values)]
+    return [
+        Record(r, t, j, c == 1)
+        for columns in _annotated(values, len(values))
+        for r, t, j, c in zip(*columns)
+    ]
 
 
 def record_stream_upto(limit: int) -> list[Record]:

@@ -19,6 +19,7 @@ from gcdperm import (
     scan_identity_seeds,
 )
 from gcdperm.classify import _even_seed_buffer
+from gcdperm.primes import nth_prime, primorial
 
 
 def test_identity_verdicts():
@@ -293,6 +294,28 @@ def test_primorial_membership_test():
     assert not eventually_identity_by_primorial(7)
     assert eventually_identity_by_primorial(210)
     assert eventually_identity_by_primorial(222)  # 222 = 210 + 12 needs t <= 1
+
+
+def _primorial_membership_by_definition(a):
+    # The test as first written: P_k and T_k read afresh for every seed.
+    if a in (2, 4):
+        return True
+    if a < 2 or a % 6:
+        return False
+    k = 4
+    while (pk := primorial(k)) + 6 <= a:
+        t_max = (nth_prime(k + 1) - 2) // 6
+        m = (a - 6) // pk
+        if m >= 1 and 6 <= a - m * pk <= 6 * t_max:
+            return False
+        k += 1
+    return True
+
+
+def test_primorial_membership_test_matches_its_definition():
+    seeds = list(range(300_001)) + list(range(10**12, 10**12 + 3_000))
+    assert [a for a in seeds
+            if eventually_identity_by_primorial(a) != _primorial_membership_by_definition(a)] == []
 
 
 def test_density_partial_sums():

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from gcdperm import generate_prefix, record_values
-from gcdperm.cli import main
+from gcdperm.cli import WRITE_CHUNK_LINES, main
 from gcdperm.primes import is_prime
 
 
@@ -88,6 +89,62 @@ def test_records_out_file_matches_stdout(tmp_path, capsys):
     assert code == 0
     assert target.read_bytes() == out.encode("ascii")
     assert out.splitlines()[3] == "3,11,8,3,0"
+
+
+def _records_csv_by_rows(limit):
+    """The records CSV one f-string per row: index, record, turning point, jump, compositeness."""
+    lines = ["index,record,turning_point,jump,is_composite"]
+    t = 4
+    for i, r in enumerate(record_values(limit), start=1):
+        lines.append(f"{i},{r},{t},{r - t},{int(not is_prime(r))}")
+        t = r + 1
+    return "".join(line + "\n" for line in lines)
+
+
+def _first_difference(got, want):
+    """None for equal texts, else the first differing line (a short failure message)."""
+    if got == want:
+        return None
+    pairs = zip(got.splitlines(), want.splitlines())
+    return next(((i, g, w) for i, (g, w) in enumerate(pairs) if g != w), "one text is a prefix")
+
+
+def test_records_csv_matches_a_row_by_row_oracle(tmp_path, capsys):
+    # The writer formats whole chunks of rows at once; the limits put the
+    # last row at, and one past, the end of a chunk, and on both sides of
+    # the record 30031 = 30030 + 1.
+    one_chunk = record_values(10**6)[WRITE_CHUNK_LINES - 1]
+    four_chunks = record_values(10**6)[4 * WRITE_CHUNK_LINES - 1]
+    target = tmp_path / "records.csv"
+    for limit in (5, 6, 7, 30_030, 30_031, one_chunk, one_chunk + 1,
+                  four_chunks, four_chunks + 1):
+        want = _records_csv_by_rows(limit)
+        code, out, _ = run(capsys, "records", "--limit", str(limit))
+        assert code == 0 and _first_difference(out, want) is None, limit
+        code, out, _ = run(capsys, "records", "--limit", str(limit), "--out", str(target))
+        assert code == 0 and out == ""
+        assert _first_difference(target.read_bytes().decode("ascii"), want) is None, limit
+    assert want.count("\n") == 4 * WRITE_CHUNK_LINES + 1
+
+
+# SHA-256 of `generate --a A --n 40000 [FLAGS]` on stdout, pinned from the
+# row-by-row writer that the chunked one replaced; 40000 rows span three chunks.
+GENERATE_SHA256 = {
+    (3, ()): "0625c0a3ab8c0f23fdadfc8fec803a124c7f1a6f28b17fbdecd35a4ce0c317ed",
+    (3, ("--format", "plain")): "f5ad1f0eee775342c3a700ce5e792e55949035726e7681530273ca9efe69219c",
+    (3, ("--with-derivative",)): "8abc475e51c26ce21d34a7440b3e4d95f457f3f58038cbabac93dbaec2624ef5",
+    (7, ()): "5dde28785953e88ff9c462204d813b8fd98c6e8517150461764d2cc40b82e7a2",
+    (7, ("--format", "plain")): "5929938335836911ec6d668caac4741f686f3db94c0d5fd3cc3d4d9d6ede8dd7",
+    (7, ("--with-derivative",)): "4040ecb689e7cab4636f6aff3cc440029dd73d3d42b00c10f983655edaf54827",
+}
+
+
+@pytest.mark.parametrize("a,flags", sorted(GENERATE_SHA256))
+def test_generate_bytes_are_pinned(capsys, a, flags):
+    assert 40_000 > 2 * WRITE_CHUNK_LINES
+    code, out, _ = run(capsys, "generate", "--a", str(a), "--n", "40000", *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == GENERATE_SHA256[a, flags]
 
 
 @pytest.mark.parametrize("limit", ["-5", "0", "4"])

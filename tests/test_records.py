@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 from bisect import bisect_right
 
 import pytest
@@ -158,6 +159,38 @@ def test_reconstruct_requires_coverage(monkeypatch):
     terms = generate_prefix(3, 1000).terms
     assert [reconstruct_f3(n) for n in range(990, 1001)] == list(terms[990:1001])
     assert records._CACHE[-1] > 1001
+
+
+WHEEL = 30_030  # 2*3*5*7*11*13: the block the record list grows by
+
+
+def _plain_walk(limit):
+    """Records from 5 by one ``next_record`` call each, through the first one past limit."""
+    walk = [FIRST_RECORD]
+    while walk[-1] <= limit:
+        walk.append(next_record(walk[-1]))
+    return walk
+
+
+def test_block_stepper_matches_the_plain_walk(monkeypatch):
+    # The block memo answers every record except r = 1 (mod 30030), where
+    # smallest_prime_not_dividing takes over; the plain walk is the oracle.
+    monkeypatch.setattr(records, "_CACHE", array("q", [FIRST_RECORD]))
+    monkeypatch.setattr(records, "_BLOCKS", {})
+    limit = 10**7
+    walk = _plain_walk(limit)
+    assert record_values(limit) == walk[:-1]
+    fallbacks = [r for r in walk if r % WHEEL == 1 and r < limit]
+    assert fallbacks == list(range(WHEEL + 1, limit, WHEEL)) and len(fallbacks) == 333
+    assert sorted(records._BLOCKS) == [4, 16, 18, 22]  # the offsets that enter a block
+
+
+def test_block_stepper_resumes_from_any_record(monkeypatch):
+    walk = _plain_walk(4 * WHEEL)
+    for end in (WHEEL + 1, max(r for r in walk if r < 2 * WHEEL)):
+        monkeypatch.setattr(records, "_CACHE", array("q", [r for r in walk if r <= end]))
+        assert record_values(4 * WHEEL) == walk[:-1]
+        assert records._CACHE[-1] > 4 * WHEEL
 
 
 def test_reconstruct_reads_only_the_shared_record_list():
