@@ -33,15 +33,15 @@ EXIT_IO = 3
 WRITE_CHUNK_LINES = 16_384
 
 
-def _write_rows(path: str | None, header: str | None, row_format: str, rows) -> None:
+def _write_rows(path: str | None, header: str | None, row_format: str, chunks) -> None:
     """Write an optional header line, then one line per row, to path or to stdout.
 
-    row_format formats one row, one %-field per value, and ends in LF.  The
-    rows are formatted WRITE_CHUNK_LINES at a time, each chunk by a single
-    ``%`` on the values of all its rows.
+    chunks yields tuples of equally long columns, at most WRITE_CHUNK_LINES
+    rows each.  row_format formats one row, one %-field per column, and ends
+    in LF.  Each chunk is interleaved into one list by slice assignment and
+    formatted by a single ``%``.
     """
     width = row_format.count("%")
-    it = iter(rows)
     if path is None:
         sink = nullcontext(sys.stdout)
     else:
@@ -49,42 +49,61 @@ def _write_rows(path: str | None, header: str | None, row_format: str, rows) -> 
     with sink as fh:
         if header is not None:
             fh.write(header + "\n")
-        while values := tuple(
-            itertools.chain.from_iterable(itertools.islice(it, WRITE_CHUNK_LINES))
-        ):
-            fh.write(row_format * (len(values) // width) % values)
+        values = []
+        for columns in chunks:
+            rows = len(columns[0])
+            if len(values) != rows * width:
+                values = [0] * (rows * width)
+            for j, column in enumerate(columns):
+                values[j::width] = column
+            fh.write(row_format * rows % tuple(values))
 
 
-def _forward_differences(terms):
-    """f(n + 1) - f(n) for n = 1, 2, ... from a term store with terms[i] == f(i)."""
-    return map(operator.sub, itertools.islice(terms, 2, None), itertools.islice(terms, 1, None))
+def _spans(n: int):
+    """(start, stop) of the chunks of the indices 1..n, WRITE_CHUNK_LINES each."""
+    for s in range(1, n + 1, WRITE_CHUNK_LINES):
+        yield s, min(s + WRITE_CHUNK_LINES, n + 1)
+
+
+def _differences(terms, s: int, e: int) -> list[int]:
+    """g(i) = f(i + 1) - f(i) for i in s..e - 1, from a term store with terms[i] == f(i)."""
+    return list(map(operator.sub, terms[s + 1 : e + 1], terms[s:e]))
+
+
+def _row_chunks(rows):
+    """Column chunks of an iterable of rows, for the commands that build rows."""
+    it = iter(rows)
+    while chunk := list(itertools.islice(it, WRITE_CHUNK_LINES)):
+        yield tuple(zip(*chunk))
 
 
 def cmd_generate(args) -> int:
-    n = args.n + 1 if args.with_derivative else args.n
-    terms = f3_terms(n) if args.a == 3 else generate_prefix(args.a, n).terms
-    columns = [range(1, args.n + 1), itertools.islice(terms, 1, None)]
-    if args.with_derivative:
-        columns.append(_forward_differences(terms))
+    n, derivative = args.n, args.with_derivative
+    stop = n + 1 if derivative else n  # g(n) needs f(n + 1)
+    terms = f3_terms(stop) if args.a == 3 else generate_prefix(args.a, stop).terms
+    if args.format == "plain":
+        header, row_format = None, "%d %d %d\n" if derivative else "%d %d\n"
+    elif derivative:
         header, row_format = "n,f_n,g_n", "%d,%d,%d\n"
-    elif args.format == "plain":
-        header, row_format = None, "%d %d\n"
     else:
         header, row_format = "n,f_n", "%d,%d\n"
-    _write_rows(args.out, header, row_format, zip(*columns))
+    chunks = (
+        (range(s, e), terms[s:e], _differences(terms, s, e)) if derivative
+        else (range(s, e), terms[s:e])
+        for s, e in _spans(n)
+    )
+    _write_rows(args.out, header, row_format, chunks)
     return EXIT_OK
 
 
 def cmd_records(args) -> int:
-    def rows():
-        i = 1
-        for values, turning_points, jumps, composite in _annotated(
-                _record_array(args.limit), WRITE_CHUNK_LINES):
-            yield from zip(range(i, i + len(values)), values, turning_points, jumps, composite)
-            i += len(values)
-
+    chunks = (
+        (range(s, s + len(columns[0])), *columns)
+        for s, columns in zip(itertools.count(1, WRITE_CHUNK_LINES),
+                              _annotated(_record_array(args.limit), WRITE_CHUNK_LINES))
+    )
     _write_rows(args.out, "index,record,turning_point,jump,is_composite", "%d,%d,%d,%d,%d\n",
-                rows())
+                chunks)
     return EXIT_OK
 
 
@@ -160,13 +179,15 @@ def cmd_diff_bfile(args) -> int:
 
 
 def _figure_rows(which: str, limit: int | None):
-    """(header, row format, rows) of one figure's CSV."""
+    """(header, row format, column chunks) of one figure's CSV."""
     if which == "fig1":
-        return "j,m_j,M_j,gap_a,gap_b", "%d,%d,%d,%d,%d\n", twin_cycle_gaps(limit or 10_000)
+        return ("j,m_j,M_j,gap_a,gap_b", "%d,%d,%d,%d,%d\n",
+                _row_chunks(twin_cycle_gaps(limit or 10_000)))
     if which == "fig2":
         span = limit or 12_000
         terms = f3_terms(span + 1)
-        return "t,g_t", "%d,%d\n", zip(range(1, span + 1), _forward_differences(terms))
+        return "t,g_t", "%d,%d\n", ((range(s, e), _differences(terms, s, e))
+                                      for s, e in _spans(span))
     if which in ("fig3", "fig4"):
         count = limit or 1_000
         recs = record_values(10 * count + 100)
@@ -174,8 +195,9 @@ def _figure_rows(which: str, limit: int | None):
             recs = record_values(2 * recs[-1])
         nth_value = recs[count - 1]
         if which == "fig3":
-            return "n,ratio_ln", "%d,%r\n", prime_ratio_series(nth_value)
-        return "n,primes_among_records", "%d,%d\n", primes_within_records_series(nth_value)
+            return "n,ratio_ln", "%d,%r\n", _row_chunks(prime_ratio_series(nth_value))
+        return ("n,primes_among_records", "%d,%d\n",
+                _row_chunks(primes_within_records_series(nth_value)))
     raise ValueError(f"unknown figure {which!r}")
 
 
@@ -194,8 +216,8 @@ def cmd_scan(args) -> int:
     rows = scan_identity_seeds(args.bound)
     _write_rows(args.out, "a,verdict,witness,record_test,primorial_test,agree",
                 "%d,%s,%d,%d,%d,%d\n",
-                ((r.a, r.verdict, r.witness, r.record_test, r.primorial_test, r.agree)
-                 for r in rows))
+                _row_chunks((r.a, r.verdict, r.witness, r.record_test, r.primorial_test, r.agree)
+                            for r in rows))
     disagreements = [r.a for r in rows if not r.agree]
     if disagreements:
         print(f"disagreement at seeds: {disagreements}", file=sys.stderr)
@@ -247,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "plain"), default="csv",
                    help="csv with header, or plain 'n value' lines (b-file style)")
     p.add_argument("--with-derivative", action="store_true",
-                   help="emit n,f_n,g_n rows with the forward difference")
+                   help="add the forward difference g_n = f_(n+1) - f_n as a third column: "
+                        "n,f_n,g_n rows in csv, 'n f g' lines in plain")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("records", help="write the f_3 records up to a limit as CSV")

@@ -36,8 +36,11 @@ the largest record, not from a primality test per record.
 
 The records pin f_3 down completely: ``reconstruct_f3`` answers one index,
 and ``f3_terms`` builds the whole prefix f_3(1..n) as an ``array('q')``
-(8 bytes per term) by patching the counting stretch f_3(n) = n - 1 at each
-turning point, with no simulation.
+(8 bytes per term), with no simulation.  Between consecutive records
+q < r the terms on the indices q + 1..r are r, q + 1, ..., r - 1, so the
+terms of a block also follow from the offset of the record that enters it.
+The same memo holds them next to the records, and one block walker,
+``_step_block``, appends either kind, a block per int addition.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from operator import sub
 from typing import Iterator, NamedTuple, Sequence
 
@@ -156,28 +159,68 @@ def is_record(v: int) -> bool:
 _CACHE = array("q", [FIRST_RECORD])
 
 # Block memo: for a record r with o = (r - 1) % _WHEEL > 0, _BLOCKS[o] holds
-# the offsets r' - (r - 1 - o) of the records r' after r, through the first
-# one that leaves the block of r - 1.  Filled as offsets occur.
-_BLOCKS: dict[int, tuple[int, int, int]] = {}
+# what r fixes up to the first record r* past the block of r - 1: at index
+# _RECORDS the records after r through r*, at index _TERMS the terms
+# f_3(r + 1..r*), both less the block base r - 1 - o.  Each pattern is
+# filled the first time it is asked for.
+_BLOCKS: dict[int, list] = {}
+_RECORDS, _TERMS = 0, 1
 
 
-def _block_after(o: int) -> tuple[int, int, int]:
-    """The ``_BLOCKS`` entry for offset o (0 < o < _WHEEL).
+def _block_pattern(o: int, kind: int) -> tuple[int, int, int, int]:
+    """The ``_BLOCKS[o][kind]`` pattern for offset o (0 < o < _WHEEL).
 
-    The offsets come from the recurrence m -> m + spnd(m) - 1 on m = r - 1,
-    stepped on offsets within the block.  They are kept as the bytes of an
-    ``array('q')`` read as one int, ``packed``, next to ``ones``, the int
-    with a 1 in each 8-byte lane, and the byte count: packed + base * ones
-    then holds base + offset in every lane, since no lane overflows.
+    The records come from the recurrence m -> m + spnd(m) - 1 on m = r - 1,
+    stepped on offsets within the block.  The terms lag their index,
+    f_3(i) = i - 1, except f_3(q + 1) = q' for consecutive records q < q'.
+    A pattern is (packed, ones, size, last): the lanes as the bytes of an
+    ``array('q')`` read as one int, the int with a 1 in each 8-byte lane,
+    the byte count, and the offset of r*.  packed + base * ones then holds
+    base + lane in every lane, since no lane overflows.
     """
-    offsets = array("q")
-    while o < _WHEEL:
-        o += _WHEEL_SPND[o] - 1
-        offsets.append(o + 1)
-    lanes = offsets.tobytes()
-    ones = array("q", [1]).tobytes() * len(offsets)
-    return (int.from_bytes(lanes, sys.byteorder), int.from_bytes(ones, sys.byteorder),
-            len(lanes))
+    records = array("q")
+    m = o
+    while m < _WHEEL:
+        m += _WHEEL_SPND[m] - 1
+        records.append(m + 1)
+    lanes = records
+    if kind == _TERMS:  # lane k holds the term at index r + 1 + k
+        lanes = array("q", range(o + 1, records[-1]))
+        q = o + 1
+        for nxt in records:
+            lanes[q - o - 1] = nxt
+            q = nxt
+    data = lanes.tobytes()
+    ones = array("q", [1]).tobytes() * len(lanes)
+    return (int.from_bytes(data, sys.byteorder), int.from_bytes(ones, sys.byteorder),
+            len(data), records[-1])
+
+
+def _step_block(out: array, r: int, kind: int) -> int:
+    """Append to out what the record r fixes up to the first record r* past
+    the block of r - 1, and return r*.
+
+    kind _RECORDS appends the records after r through r*, kind _TERMS the
+    terms f_3(r + 1..r*).  One int addition per block, except at r = 1
+    (mod _WHEEL), where spnd(r - 1) >= 17 depends on r - 1 itself and not
+    only on its offset.
+    """
+    m = r - 1
+    o = m % _WHEEL
+    if not o:
+        nxt = m + smallest_prime_not_dividing(m)
+        out.append(nxt)
+        if kind == _TERMS:
+            out.extend(range(r + 1, nxt))
+        return nxt
+    entry = _BLOCKS.setdefault(o, [None, None])
+    pattern = entry[kind]
+    if pattern is None:
+        pattern = entry[kind] = _block_pattern(o, kind)
+    packed, ones, size, last = pattern
+    base = m - o
+    out.extend(array("q", (packed + base * ones).to_bytes(size, sys.byteorder)))
+    return base + last
 
 
 def cached_records(limit: int) -> array:
@@ -188,19 +231,7 @@ def cached_records(limit: int) -> array:
     cache = _CACHE
     r = cache[-1]
     while r <= limit:
-        m = r - 1
-        o = m % _WHEEL
-        if o:
-            entry = _BLOCKS.get(o)
-            if entry is None:
-                entry = _BLOCKS[o] = _block_after(o)
-            packed, ones, size = entry
-            block = array("q")
-            block.frombytes((packed + (m - o) * ones).to_bytes(size, sys.byteorder))
-            cache.extend(block)
-        else:  # spnd(m) >= 17 depends on m itself, not only on its offset
-            cache.append(m + smallest_prime_not_dividing(m))
-        r = cache[-1]
+        r = _step_block(cache, r, _RECORDS)
     return cache
 
 
@@ -282,21 +313,20 @@ def f3_terms(n: int) -> array:
     """f_3(1..n) from the records, laid out like ``SequenceBuffer.terms``:
     ``terms[i] == f_3(i)`` and slot 0 is padding (0).
 
-    Every index counts down, f_3(i) = i - 1, except the head 1, 3, 2, 5 and
-    the index after each record q, where f_3(q + 1) is the record after q.
-    Needs n >= 2 and obeys the engine's term cap (GCDPERM_MAX_TERMS).
+    Past the head 1, 3, 2, 5, 4, the terms between consecutive records
+    q < r are r, q + 1, ..., r - 1 on the indices q + 1..r.  They come a
+    block of 30030 values at a time from the ``_BLOCKS`` memo, with no
+    simulation and without the shared record list.  Needs n >= 2 and obeys
+    the engine's term cap (GCDPERM_MAX_TERMS).
     """
     if n < 2:
         raise ValueError(f"need n >= 2 (f(1)=1 and f(2)=a are fixed), got {n}")
     cap = max_terms_cap()
     if n > cap:
         raise LimitExceededError.terms(3, n, cap)
-    terms = array("q", range(-1, n))
-    head = (0, 1, 3, 2, 5)[: n + 1]
-    terms[: len(head)] = array("q", head)
-    # Records q <= n - 1 set terms[q + 1]; the list extends past n - 1,
-    # so each of them has a successor.
-    k = record_count(n - 1)
-    for q, r in zip(islice(_CACHE, k), islice(_CACHE, 1, None)):
-        terms[q + 1] = r
+    terms = array("q", (0, 1, 3, 2, 5, 4))
+    r = FIRST_RECORD  # the record at the last index, len(terms) - 1
+    while r < n:
+        r = _step_block(terms, r, _TERMS)
+    del terms[n + 1 :]
     return terms

@@ -361,16 +361,14 @@ def test_default_budget_exhaustion_names_the_term_cap(capsys, monkeypatch):
         assert "--budget" not in err
 
 
-def _simulated_generate(n, fmt="csv", with_derivative=False):
-    # Expected `generate --a 3` output, built from the simulation engine.
-    terms = generate_prefix(3, n + 1).terms
-    if with_derivative:
-        rows = ["n,f_n,g_n"]
-        rows += [f"{i},{terms[i]},{terms[i + 1] - terms[i]}" for i in range(1, n + 1)]
-    elif fmt == "plain":
-        rows = [f"{i} {terms[i]}" for i in range(1, n + 1)]
-    else:
-        rows = ["n,f_n"] + [f"{i},{terms[i]}" for i in range(1, n + 1)]
+def _simulated_generate(n, fmt="csv", with_derivative=False, a=3):
+    # Expected `generate --a A` output, built from the simulation engine.
+    terms = generate_prefix(a, n + 1).terms
+    sep = " " if fmt == "plain" else ","
+    rows = [] if fmt == "plain" else ["n,f_n,g_n" if with_derivative else "n,f_n"]
+    for i in range(1, n + 1):
+        fields = [i, terms[i]] + ([terms[i + 1] - terms[i]] if with_derivative else [])
+        rows.append(sep.join(map(str, fields)))
     return "".join(row + "\n" for row in rows)
 
 
@@ -390,6 +388,75 @@ def test_generate_f3_matches_simulation(tmp_path, capsys, n, flags, kind):
     code, out, _ = run(capsys, "generate", "--a", "3", "--n", str(n), *flags)
     assert code == 0
     assert out == want
+
+
+GENERATE_FORMATS = [
+    ([], {}),
+    (["--format", "plain"], {"fmt": "plain"}),
+    (["--with-derivative"], {"with_derivative": True}),
+    (["--format", "plain", "--with-derivative"], {"fmt": "plain", "with_derivative": True}),
+]
+
+
+@pytest.mark.parametrize("n", [WRITE_CHUNK_LINES - 1, WRITE_CHUNK_LINES, WRITE_CHUNK_LINES + 1,
+                               2 * WRITE_CHUNK_LINES + 1])
+@pytest.mark.parametrize("a", [3, 7])
+def test_generate_chunk_edges_match_simulation(tmp_path, capsys, a, n):
+    # The writer interleaves whole column chunks; n puts the last row just
+    # before, at, and just past the end of a chunk.
+    out_file = tmp_path / "f.out"
+    for flags, kind in GENERATE_FORMATS:
+        want = _simulated_generate(n, a=a, **kind)
+        code, out, _ = run(capsys, "generate", "--a", str(a), "--n", str(n), *flags)
+        assert code == 0 and _first_difference(out, want) is None, flags
+        code, out, _ = run(capsys, "generate", "--a", str(a), "--n", str(n), *flags,
+                           "--out", str(out_file))
+        assert code == 0 and out == ""
+        assert out_file.read_bytes() == want.encode("ascii"), flags
+
+
+def test_generate_plain_with_derivative_writes_plain_lines(capsys):
+    # An explicit --format plain is kept: the derivative is a third field.
+    code, out, _ = run(capsys, "generate", "--a", "3", "--n", "8", "--format", "plain",
+                       "--with-derivative")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "1 1 2" and lines[6] == "7 6 5" and len(lines) == 8
+
+
+# SHA-256 of each CSV, pinned from the row-at-a-time writer that the column
+# writer replaced.
+SCAN_3000_SHA256 = "18d89117e362797797e18a26a9ee9e486eb20f578a8af3e861f70c865e8880ab"
+FIGURES_SHA256 = {
+    ("--limit", "3"): {
+        "fig1.csv": "d0a821054b303950655427e3cf8053e7fb3ac97ed56ffaebef8665a546b6ddbf",
+        "fig2.csv": "2f75c2eafeab9e7e0901aad12dde86049886df5032c312365d6812f25bc77f1e",
+        "fig3.csv": "126ac36819ae0e642571dba691d1a69bea8777bc97be969635fe43c410b2269d",
+        "fig4.csv": "7279623f749793a9880b893cae99787957ccd2b5126feac8637263a8a321d26b",
+    },
+    (): {
+        "fig1.csv": "09c9398ce5131f4d22a00140bdf13da886d748f0315208fd46c6c1cd17d75581",
+        "fig2.csv": "9794f9d23cc0bc91af5a23fc65e0bbbb4128afa98704609f4542f2da289105d9",
+        "fig3.csv": "a52b5d835705371ebc843383e4dace0db18e070c0b808383a259214fa8ad2585",
+        "fig4.csv": "78209eed32535549524a91ed808eb8f6c3031ce20c3dcfac41e424e9d024c168",
+    },
+}
+
+
+def test_scan_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    code, _, _ = run(capsys, "scan", "--bound", "3000", "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_3000_SHA256
+
+
+@pytest.mark.parametrize("flags", sorted(FIGURES_SHA256))
+def test_export_figures_bytes_are_pinned(tmp_path, capsys, flags):
+    # With --limit 3, fig1 has no twin-prime gap at all: a header and no rows.
+    code, _, _ = run(capsys, "export-figures", "all", "--out-dir", str(tmp_path), *flags)
+    assert code == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == FIGURES_SHA256[flags]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,9 @@
 """Each shared table has one owner module.
 
-The shared f_3 record list belongs to ``records.py``: no other module names
-``cached_records`` or imports ``bisect``, and every count of records goes
-through ``records.record_count``.  The table of primes and primorials
+The shared f_3 record list and the block memo it grows from belong to
+``records.py``: no other module names ``cached_records``, ``_CACHE`` or
+``_BLOCKS`` or imports ``bisect``, and every count of records goes through
+``records.record_count``.  The table of primes and primorials
 belongs to ``primes.py``: no other module assigns ``_PRIMES`` or
 ``_PRIMORIALS``.
 """
@@ -54,7 +55,7 @@ def test_sources_found():
 def test_only_records_reads_the_shared_record_list():
     offenders = [
         p.name for p in SOURCES if p.name != "records.py"
-        and {"cached_records", "bisect", "_CACHE"} & set(_names(_tree(p)))
+        and {"cached_records", "bisect", "_CACHE", "_BLOCKS"} & set(_names(_tree(p)))
     ]
     assert offenders == []
 

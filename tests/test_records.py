@@ -324,3 +324,51 @@ def test_f3_terms_obeys_term_cap(monkeypatch):
         monkeypatch.setenv("GCDPERM_MAX_TERMS", bad)
         with pytest.raises(LimitExceededError, match="GCDPERM_MAX_TERMS"):
             f3_terms(10)
+
+
+def _f3_by_rows(n):
+    """f_3(0..n) one index at a time from ``record_values``: the head 1, 3, 2, 5,
+    then f_3(i) is the record after i - 1 when i - 1 is a record, else i - 1."""
+    recs = record_values(2 * n + 10)  # the record after each record <= n - 1
+    after = dict(zip(recs, recs[1:]))
+    return [0, 1, 3, 2, 5][: n + 1] + [after.get(i - 1, i - 1) for i in range(5, n + 1)]
+
+
+def test_block_built_terms_match_a_row_by_row_oracle(monkeypatch):
+    # A block of terms ends at the first record past a multiple of 30030;
+    # the first records r = 1 (mod 30030) take the smallest_prime_not_dividing
+    # path, whose stretch r + 1..r' runs up to the record r' after r.
+    monkeypatch.setattr(records, "_BLOCKS", {})
+    edges = [k * WHEEL + d for k in (1, 2, 3, 34) for d in (-1, 0, 1, 2)]
+    fallbacks = [r for r in range(WHEEL + 1, 10**7, WHEEL) if is_record(r)][:3]
+    assert fallbacks == [WHEEL + 1, 2 * WHEEL + 1, 3 * WHEEL + 1]
+    around = [n for r in fallbacks for s in (r, next_record(r)) for n in (s - 1, s, s + 1)]
+    for n in [*range(2, 13), *edges, *around]:
+        assert list(f3_terms(n)) == _f3_by_rows(n), n
+
+
+def test_block_built_terms_match_simulation_at_a_million(f3_million):
+    terms = f3_terms(10**6)
+    assert list(terms) == _f3_by_rows(10**6)
+    assert list(terms) == f3_million.terms
+
+
+def test_block_built_terms_from_a_cold_and_a_warm_memo(monkeypatch):
+    # Term patterns fill lazily beside the record patterns of one memo; a
+    # memo warmed by either kind gives the same terms as an empty one.
+    n = 5 * WHEEL + 7
+    monkeypatch.setattr(records, "_CACHE", array("q", [FIRST_RECORD]))
+    monkeypatch.setattr(records, "_BLOCKS", {})
+    cold = f3_terms(n)
+    assert len(records._CACHE) == 1  # the terms need no shared record list
+    def kinds():  # (records filled, terms filled) over the memo entries
+        return {tuple(p is not None for p in entry) for entry in records._BLOCKS.values()}
+
+    assert kinds() == {(False, True)}
+    assert f3_terms(n) == cold
+
+    monkeypatch.setattr(records, "_BLOCKS", {})
+    record_values(n)
+    assert kinds() == {(True, False)}
+    assert f3_terms(n) == cold
+    assert kinds() == {(True, True)}
