@@ -1,7 +1,8 @@
 """Command-line surface: generation, verification, b-file diffing, exports.
 
 Exit codes: 0 success, 1 verification failure/mismatch, 2 usage error,
-3 I/O or input-format error.  All CSV output uses a comma separator, a
+3 I/O or input-format error.  A reader that closes stdout early ends the
+run quietly with 0.  All CSV output uses a comma separator, a
 header row, LF line endings, and no quoting; identical flags produce
 byte-identical files.
 """
@@ -331,6 +332,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except BrokenPipeError:
+        # The reader of stdout stopped early.  Point stdout at devnull so that
+        # the interpreter's final flush of what is left does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

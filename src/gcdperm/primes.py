@@ -1,6 +1,6 @@
 """Prime utilities: sieve, Miller-Rabin primality proven exact below
-3,317,044,064,679,887,385,961,981 (about 3.3e24), the table of primes and
-primorials, non-divisor search."""
+3,317,044,064,679,887,385,961,981 (about 3.3e24) and refused from there on,
+the table of primes and primorials, non-divisor search."""
 
 import math
 
@@ -9,10 +9,16 @@ import math
 # all of them (Sorenson & Webster 2017).  The first 12 fail already at
 # 318,665,857,834,031,151,167,461 = 399165290221 * 798330580441.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin test, proven exact for n < 3.3e24 (see _MR_BASES)."""
+    """Deterministic Miller-Rabin test, proven exact for n < 3.3e24 (see _MR_BASES).
+
+    Raises ValueError at or above that bound rather than give an unproven answer.
+    """
+    if n >= _MR_BOUND:
+        raise ValueError(f"is_prime is proven exact only below {_MR_BOUND:,}; got {n:,}")
     if n < 2:
         return False
     for p in _MR_BASES:

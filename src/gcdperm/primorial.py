@@ -2,8 +2,11 @@
 
 The record set is nearly periodic with the primorials P_n = p_1 * ... * p_n
 as periods: every r * P_n +- 1 is a record for r up to p_{n+1} - 1, and
-f_3(P_n + k) = f_3(k) + P_n across a long k-range.  Counting records in
-primorial windows gives an exact recurrence
+f_3(P_n + k) = f_3(k) + P_n across a long k-range.  Both are checked from
+the records alone, with no simulation of f_3: the translation follows from
+two record walks P_n apart, which stay in step except past a record
+j * P_n + 1 (see ``verify_translation``).  Counting records in primorial
+windows gives an exact recurrence
 
     w_{n+1} = w_n * p_{n+1} - s_{n+1}
 
@@ -18,9 +21,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .primes import is_prime, nth_prime, primorial, sieve_flags
-from .records import is_record, next_record, record_count, record_values
-from .sequence import generate_prefix
+from .primes import is_prime, nth_prime, primorial, sieve_flags, smallest_prime_not_dividing
+from .records import FIRST_RECORD, _f3_at, _records_around, is_record, record_count, record_values
 
 
 def _count_records(lo: int, hi: int) -> int:
@@ -72,9 +74,11 @@ class TranslationReport:
     """Outcome of checking f_3(P_n + k) = f_3(k) + P_n over a k-range.
 
     ``stated`` is the range the window recurrence rests on,
-    [p_{n+1}, (p_{n+1} - 1) * P_n]; ``maximal`` is the widest contiguous
-    range around it that actually holds, found by probing outward (it is
-    (0, 0) when the stated range itself fails somewhere).
+    [p_{n+1}, (p_{n+1} - 1) * P_n]; ``failures`` is empty when the identity
+    holds there, and otherwise holds the first k of it where the identity
+    fails; ``maximal`` is the widest contiguous range around it that
+    actually holds, found by probing outward (it is (0, 0) when the stated
+    range itself fails somewhere).
     """
 
     n: int
@@ -87,22 +91,42 @@ class TranslationReport:
         return not self.failures
 
 
+def _first_record_from(v: int) -> int:
+    """The least f_3 record >= v (v >= 5)."""
+    q, r = _records_around(v)
+    return q if q == v else r
+
+
 def verify_translation(n: int) -> TranslationReport:
-    """Check the primorial translation identity for f_3 and find its true extent."""
+    """Check f_3(P_n + k) = f_3(k) + P_n on the stated range from two record
+    walks, and probe its true extent; nothing is simulated.
+
+    The identity holds at k exactly when k - 1 and P_n + k - 1 are both
+    records with successors P_n apart, or neither is a record.  The step
+    after a record r is spnd(r - 1), and spnd(m) = spnd(m + P_n) unless P_n
+    divides m, so walks that start P_n apart stay in step except past a
+    record j * P_n + 1 with spnd(j * P_n) != spnd((j + 1) * P_n).  The
+    maximal range is probed with ``_f3_at`` down to k = 1 and up to
+    k = P_n * p_{n+1}.  The probes stay below the bound of ``is_prime`` up
+    to n = 17; from n = 18 on, it raises ValueError.
+    """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     pn = primorial(n)
     p_next = nth_prime(n + 1)
     lo, hi = p_next, (p_next - 1) * pn
-    prefix = generate_prefix(3, pn * p_next + pn)
-    terms = prefix.terms
-    failures = tuple(k for k in range(lo, hi + 1) if terms[pn + k] != terms[k] + pn)
-    if failures:
-        return TranslationReport(n, (lo, hi), failures, (0, 0))
+    a = _first_record_from(max(lo - 1, FIRST_RECORD))
+    b = _first_record_from(pn + lo - 1)
+    if b - pn != a:
+        return TranslationReport(n, (lo, hi), (min(a, b - pn) + 1,), (0, 0))
+    for j in range(1, p_next - 1):
+        if (smallest_prime_not_dividing(j * pn) != smallest_prime_not_dividing((j + 1) * pn)
+                and is_record(j * pn + 1)):
+            return TranslationReport(n, (lo, hi), (j * pn + 2,), (0, 0))
     k_lo, k_hi = lo, hi
-    while k_lo > 1 and terms[pn + k_lo - 1] == terms[k_lo - 1] + pn:
+    while k_lo > 1 and _f3_at(pn + k_lo - 1) == _f3_at(k_lo - 1) + pn:
         k_lo -= 1
-    while pn + k_hi + 1 < len(terms) and terms[pn + k_hi + 1] == terms[k_hi + 1] + pn:
+    while k_hi < pn * p_next and _f3_at(pn + k_hi + 1) == _f3_at(k_hi + 1) + pn:
         k_hi += 1
     return TranslationReport(n, (lo, hi), (), (k_lo, k_hi))
 
@@ -171,34 +195,31 @@ def kappa_empirical(n: int) -> float:
     return record_count(n) / n
 
 
-def _prime_record_counts(limit: int, stride: int) -> list[tuple[int, int, int]]:
-    """(r, k, prime records among the first k) for every stride-th record r <= limit,
+def _prime_record_counts(limit: int) -> list[tuple[int, int, int]]:
+    """(r, k, prime records among the first k) for every record r <= limit,
     r being the k-th record."""
-    if stride < 1:
-        raise ValueError(f"need stride >= 1, got {stride}")
     flags = sieve_flags(limit)
     out = []
     prime_count = 0
     for k, r in enumerate(record_values(limit), start=1):
         prime_count += flags[r]
-        if k % stride == 0:
-            out.append((r, k, prime_count))
+        out.append((r, k, prime_count))
     return out
 
 
-def prime_ratio_series(limit: int, stride: int = 1) -> list[tuple[int, float]]:
-    """Sampled series of (prime records / records) * ln(record value).
+def prime_ratio_series(limit: int) -> list[tuple[int, float]]:
+    """Series of (prime records / records) * ln(record value).
 
-    One point per stride-th record r <= limit, counting records and prime
-    records up to and including r.  The series drifts toward the reciprocal
-    of the record density.
+    One point per record r <= limit, counting records and prime records up
+    to and including r.  The series drifts toward the reciprocal of the
+    record density.
     """
-    return [(r, primes / k * math.log(r)) for r, k, primes in _prime_record_counts(limit, stride)]
+    return [(r, primes / k * math.log(r)) for r, k, primes in _prime_record_counts(limit)]
 
 
-def primes_within_records_series(limit: int, stride: int = 1) -> list[tuple[int, int]]:
-    """Cumulative count of prime records at every stride-th record <= limit."""
-    return [(r, primes) for r, _, primes in _prime_record_counts(limit, stride)]
+def primes_within_records_series(limit: int) -> list[tuple[int, int]]:
+    """Cumulative count of prime records at every record <= limit."""
+    return [(r, primes) for r, _, primes in _prime_record_counts(limit)]
 
 
 @dataclass(frozen=True)
@@ -219,9 +240,8 @@ def derivative_bound_check(n: int, k_max: int) -> list[DerivativeCheck]:
     """Check g(q) >= 2n + 1 at every prime q = k * P_n + 1 with q > 5, k <= k_max.
 
     The report may be empty (vacuous) when no k in range yields a prime.
-    The derivative is read from the records: f_3(m) is the record after
-    m - 1 when m - 1 is a record, else m - 1; ``is_record`` answers each
-    query without growing the shared record list.
+    The derivative g(q) = f_3(q + 1) - f_3(q) is read from the records by
+    ``_f3_at``, without growing the shared record list.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -231,20 +251,17 @@ def derivative_bound_check(n: int, k_max: int) -> list[DerivativeCheck]:
         q = k * pn + 1
         if q <= 5 or not is_prime(q):
             continue
-        f3_q, f3_after = (next_record(m - 1) if is_record(m - 1) else m - 1 for m in (q, q + 1))
-        g = f3_after - f3_q
-        rows.append(DerivativeCheck(k, q, g, 2 * n + 1))
+        rows.append(DerivativeCheck(k, q, _f3_at(q + 1) - _f3_at(q), 2 * n + 1))
     return rows
 
 
 @dataclass(frozen=True)
 class DensityLedger:
-    """Window record counts with the density estimates they support."""
+    """Window record counts with the empirical record density."""
 
     s: tuple[int, ...]  # s[i] = s_{i+1}
     w: tuple[int, ...]  # w[i] = w_{i+1}
     kappa_empirical: float
-    bounds: KappaBounds
 
     def recurrence_holds(self) -> bool:
         # 0-based tuples: w[i] is the count w_{i+1}.
@@ -258,10 +275,10 @@ class DensityLedger:
         return all(b <= a for a, b in zip(ratios, ratios[1:]))
 
 
-def build_density_ledger(n_max: int = 5, kappa_at: int = 100_000) -> DensityLedger:
-    """Ledger of s_1..s_{n_max}, w_1..w_{n_max}, and the density estimates."""
+def build_density_ledger(n_max: int = 5) -> DensityLedger:
+    """Ledger of s_1..s_{n_max}, w_1..w_{n_max}, and the record density in [1, 100000]."""
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
     s = tuple(s_count(i) for i in range(1, n_max + 1))
     w = tuple(w_count(i) for i in range(1, n_max + 1))
-    return DensityLedger(s, w, kappa_empirical(kappa_at), kappa_bounds(max(4, n_max)))
+    return DensityLedger(s, w, kappa_empirical(100_000))

@@ -135,7 +135,7 @@ def _records_around(v: int) -> tuple[int, int]:
     6k +- 1.  So the walk steps down over the values 6k +- 1 to the largest
     prime p <= v, then follows ``next_record`` from p until it passes v; it
     costs about one prime gap.  Exact wherever ``is_prime`` is, that is for
-    v < 3.3e24.
+    v < 3.3e24; from there on ``is_prime`` raises ValueError.
     """
     if v < FIRST_RECORD:
         raise ValueError(f"records start at {FIRST_RECORD}, got {v}")
@@ -151,6 +151,18 @@ def _records_around(v: int) -> tuple[int, int]:
 def is_record(v: int) -> bool:
     """True iff v is an f_3 record, decided by ``_records_around`` without the shared list."""
     return v >= FIRST_RECORD and v % 6 in (1, 5) and _records_around(v)[0] == v
+
+
+def _f3_at(n: int) -> int:
+    """f_3(n) from ``_records_around(n - 1)``, without the shared list (n >= 1).
+
+    Past the head 1, 3, 2, 5, 4, f_3(n) is the record after n - 1 when
+    n - 1 is a record, and n - 1 otherwise.
+    """
+    if n <= 5:
+        return (1, 3, 2, 5, 4)[n - 1]
+    q, r = _records_around(n - 1)
+    return r if q == n - 1 else n - 1
 
 
 # Shared ascending record list, grown on demand.  Its tail always extends

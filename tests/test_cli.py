@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import os
 import subprocess
 import sys
@@ -181,13 +182,42 @@ def test_verify_suites_pass(capsys, suite, flags):
     assert "checks passed" in out
 
 
-def test_verify_thm7_n8_stops_at_the_term_cap(capsys, monkeypatch):
-    # The record half has no cap (44 is_record queries near 2e8); the
-    # translation half asks for about 2.3e8 terms of f_3.
+@pytest.mark.parametrize("suite", ["thm6", "thm7"])
+def test_verify_translation_n8_runs_under_the_default_term_cap(capsys, monkeypatch, suite):
+    # A simulated prefix would need about 2.3e8 terms of f_3; the record
+    # walks simulate none.
     monkeypatch.delenv("GCDPERM_MAX_TERMS", raising=False)
-    code, out, err = run(capsys, "verify", "thm7", "--n", "8")
+    code, out, _ = run(capsys, "verify", suite, "--n", "8")
+    assert code == 0 and "FAIL" not in out
+    assert "maximal" in out and "21, 213393181" in out
+
+
+@pytest.mark.parametrize("argv", [["thm5", "--n", "19"], ["thm6", "--n", "18"],
+                                  ["thm7", "--n", "18"]])
+def test_verify_past_the_primality_bound_is_usage_error(capsys, argv):
+    # Each reaches values past 3.3e24 (P_18 is about 1.2e23), where is_prime is unproven.
+    code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and out == ""
-    assert "terms of f_3; cap is 5000000" in err
+    assert "proven exact only below 3,317,044,064,679,887,385,961,981" in err
+
+
+def test_verify_thm5_n18_stays_below_the_primality_bound(capsys):
+    code, out, _ = run(capsys, "verify", "thm5", "--n", "18")
+    assert code == 0
+    assert out.splitlines()[-1] == "thm5: 17/17 checks passed"
+
+
+def test_verify_thm7_reports_a_broken_translation(capsys, monkeypatch):
+    # Let spnd(2 P_3) differ from spnd(P_3): the walks part past the record
+    # 31, and k = 32 fails.
+    primorial_module = importlib.import_module("gcdperm.primorial")
+    spnd = primorial_module.smallest_prime_not_dividing
+    monkeypatch.setattr(primorial_module, "smallest_prime_not_dividing",
+                        lambda m: 2 if m == 60 else spnd(m))
+    code, out, _ = run(capsys, "verify", "thm7", "--n", "3")
+    assert code == 1
+    assert "FAIL  [thm7] translation on stated range (7, 180)  maximal (0, 0)" in out
+    assert out.splitlines()[-1] == "thm7: 1/2 checks passed"
 
 
 def test_verify_thm6_n4(capsys):
@@ -631,3 +661,18 @@ def test_traced_run_finds_every_hook_point():
              for line in lines if line.startswith("calls ")}
     assert calls[("thm4", "classify.attempts")] >= 1
     assert calls[("thm4", "sequence.extend_to")] >= 1
+
+
+def test_closed_stdout_ends_quietly():
+    # A reader that takes one line and closes the pipe: the writer gets
+    # EPIPE on its next chunk and exits 0 with nothing on stderr.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "gcdperm", "generate", "--n", "200000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=root)
+    assert proc.stdout.readline() == b"n,f_n\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

@@ -5,7 +5,9 @@ The shared f_3 record list and the block memo it grows from belong to
 ``_BLOCKS`` or imports ``bisect``, and every count of records goes through
 ``records.record_count``.  The table of primes and primorials
 belongs to ``primes.py``: no other module assigns ``_PRIMES`` or
-``_PRIMORIALS``.
+``_PRIMORIALS``.  The primorial checks read the records and never the
+generation engine: ``primorial.py`` neither imports ``sequence`` nor names
+``generate_prefix`` or ``SequenceBuffer``.
 """
 
 import ast
@@ -66,3 +68,8 @@ def test_only_primes_holds_a_prime_table():
         and {"_PRIMES", "_PRIMORIALS"} & set(_assigned(_tree(p)))
     ]
     assert offenders == []
+
+
+def test_primorial_checks_do_not_simulate():
+    path = next(p for p in SOURCES if p.name == "primorial.py")
+    assert {"sequence", "generate_prefix", "SequenceBuffer"} & set(_names(_tree(path))) == set()

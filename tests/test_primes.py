@@ -52,6 +52,17 @@ def test_is_prime_rejects_psi12():
     assert not is_prime(PSI_12)
 
 
+def test_is_prime_refuses_from_the_proven_bound():
+    # 3,317,044,064,679,887,385,961,981 is the least strong pseudoprime to
+    # all 13 bases; below it the answer is proven, from it on there is none.
+    bound = 3_317_044_064_679_887_385_961_981
+    assert is_prime(bound - 1) is False
+    assert is_prime(bound - 168) and not any(is_prime(bound - d) for d in range(1, 168))
+    for n in (bound, bound + 2, 10**36):
+        with pytest.raises(ValueError, match="3,317,044,064,679,887,385,961,981"):
+            is_prime(n)
+
+
 def test_psi12_is_a_composite_record():
     # The largest prime below psi_12 is psi_12 - 20; the record walk from
     # there reaches psi_12, so it is a record although it is not prime.

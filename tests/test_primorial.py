@@ -1,3 +1,4 @@
+import importlib
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from gcdperm import (
     build_density_ledger,
+    generate_prefix,
     kappa_bounds,
     kappa_coarse_bounds,
     kappa_empirical,
@@ -19,6 +21,9 @@ from gcdperm import (
     w_count,
 )
 from gcdperm import primes
+
+# The package exports the function primorial under the submodule's name.
+primorial_module = importlib.import_module("gcdperm.primorial")
 
 
 def test_primorial_values():
@@ -85,6 +90,72 @@ def test_translation_ranges():
     assert r4.maximal == (9, 2101)
 
 
+def _simulated_translation(n):
+    """(stated, failures, maximal) of the translation identity, read from a
+    simulated prefix of P_n * (p_{n+1} + 1) terms: every failing k in the
+    stated range, and the maximal range probed as far as the prefix allows."""
+    pn = primorial(n)
+    p_next = nth_prime(n + 1)
+    lo, hi = p_next, (p_next - 1) * pn
+    terms = generate_prefix(3, pn * p_next + pn).terms
+    failures = tuple(k for k in range(lo, hi + 1) if terms[pn + k] != terms[k] + pn)
+    if failures:
+        return (lo, hi), failures, (0, 0)
+    k_lo, k_hi = lo, hi
+    while k_lo > 1 and terms[pn + k_lo - 1] == terms[k_lo - 1] + pn:
+        k_lo -= 1
+    while pn + k_hi + 1 < len(terms) and terms[pn + k_hi + 1] == terms[k_hi + 1] + pn:
+        k_hi += 1
+    return (lo, hi), (), (k_lo, k_hi)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_translation_matches_simulation(n):
+    report = verify_translation(n)
+    assert (report.stated, report.failures, report.maximal) == _simulated_translation(n)
+
+
+def test_translation_far_primorials():
+    # n = 7 needs 10,210,200 simulated terms, past the default term cap.
+    assert verify_translation(7).maximal == (19, 9_189_181)
+    for n in range(8, 18):
+        report = verify_translation(n)
+        hi = report.stated[1]
+        assert hi == (nth_prime(n + 1) - 1) * primorial(n)
+        assert report.holds_on_stated and report.maximal[1] == hi + 1, n
+
+
+def test_translation_start_mismatch(monkeypatch):
+    # Hide the record 37 = P_3 + 7 from the walk that starts at P_3 + lo - 1
+    # = 36: it then starts at 41, and k = 8 (7 a record, 37 not) fails first.
+    around = primorial_module._records_around
+    monkeypatch.setattr(primorial_module, "_records_around",
+                        lambda v: (35, 41) if v == 36 else around(v))
+    report = verify_translation(3)
+    assert report.failures == (8,) and report.maximal == (0, 0)
+
+
+@pytest.mark.parametrize("n,j", [(3, 1), (3, 4), (3, 5), (5, 7), (5, 11)])
+def test_translation_break_at_a_multiple_of_the_primorial(monkeypatch, n, j):
+    # A changed spnd((j + 1) P_n) makes the walks past the record j P_n + 1
+    # part, so k = j P_n + 2 is the first k where the identity fails.
+    pn = primorial(n)
+    spnd = primorial_module.smallest_prime_not_dividing
+    monkeypatch.setattr(primorial_module, "smallest_prime_not_dividing",
+                        lambda m: 2 if m == (j + 1) * pn else spnd(m))
+    report = verify_translation(n)
+    assert report.failures == (j * pn + 2,)
+    assert report.maximal == (0, 0) and not report.holds_on_stated
+
+
+def test_translation_break_past_the_stated_range(monkeypatch):
+    # j = p_{n+1} - 1 parts the walks past the record hi + 1, outside the range.
+    spnd = primorial_module.smallest_prime_not_dividing
+    monkeypatch.setattr(primorial_module, "smallest_prime_not_dividing",
+                        lambda m: 2 if m == 7 * 30 else spnd(m))
+    assert verify_translation(3).holds_on_stated
+
+
 def test_kappa_coarse_bounds():
     bounds = kappa_coarse_bounds()
     assert bounds.upper == Fraction(296, 1000)
@@ -135,8 +206,6 @@ def test_prime_ratio_series():
     rows = prime_ratio_series(31)
     assert abs(rows[-1][1] - 9 / 10 * math.log(31)) < 1e-12  # 25 is composite
 
-    assert len(prime_ratio_series(1000, stride=10)) == len(prime_ratio_series(1000)) // 10
-
 
 def test_primes_within_records_series():
     rows = primes_within_records_series(31)
@@ -146,7 +215,7 @@ def test_primes_within_records_series():
 def test_prime_ratio_trend(records_million):
     # The scaled ratio drifts toward the reciprocal of the record density,
     # which the bounds place in [1/0.296, 1/0.26067].
-    last = prime_ratio_series(1_000_000, stride=100_000)[-1]
+    last = prime_ratio_series(1_000_000)[-1]
     assert 3.38 <= last[1] <= 3.84
 
 

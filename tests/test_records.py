@@ -18,7 +18,7 @@ from gcdperm import (
     record_values,
 )
 from gcdperm import records
-from gcdperm.records import _records_around
+from gcdperm.records import _f3_at, _records_around
 from gcdperm.primes import is_prime, primes_upto
 
 RECORDS_7_TO_211 = [
@@ -251,6 +251,15 @@ def test_records_around_brackets_v_with_consecutive_records():
         assert _records_around(v) == (recs[i - 1], recs[i]), v
     with pytest.raises(ValueError):
         _records_around(4)
+
+
+def test_sparse_f3_matches_the_prefix():
+    terms = f3_terms(10_000)
+    assert [_f3_at(i) for i in range(1, 10_001)] == terms[1:].tolist()
+    # Past 30030 * 34 = 1,021,020 too, where a record r = 1 (mod 30030) sits.
+    span = range(1_021_000, 1_021_100)
+    terms = f3_terms(span[-1])
+    assert [_f3_at(i) for i in span] == [terms[i] for i in span]
 
 
 def test_prime_multiple_records():
