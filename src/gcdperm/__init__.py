@@ -17,6 +17,7 @@ from .classify import (
     eventually_identity_by_primorial,
     eventually_identity_by_record,
     exceptional_seed_density,
+    prefix_terms,
     scan_identity_seeds,
 )
 from .cycles import (
@@ -105,6 +106,7 @@ __all__ = [
     "kappa_empirical",
     "next_record",
     "nth_prime",
+    "prefix_terms",
     "prime_ratio_series",
     "primes_within_records_series",
     "primorial",

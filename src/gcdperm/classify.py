@@ -20,6 +20,9 @@ No identity certificate follows an ETP: from one ETP to the next f counts
 upward below the index.  The term cap (GCDPERM_MAX_TERMS) is the one limit;
 it bounds the terms simulated past an even seed.
 
+``prefix_terms`` builds f_a from the certificate: a simulated head, then
+``f3_terms`` or the identity.
+
 Two closed-form membership tests for the eventually-identity seeds are
 provided alongside, one in terms of records adjacent to a, one in terms of
 primorial-offset representations of a, plus the density of the multiples
@@ -28,12 +31,13 @@ of 6 that both tests exclude.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .primes import nth_prime, primorial
-from .records import _records_around, _turning_points, is_record, next_record
-from .sequence import SequenceBuffer, max_terms_cap
+from .records import _records_around, _turning_points, f3_terms, is_record, next_record
+from .sequence import LimitExceededError, SequenceBuffer, generate_prefix, max_terms_cap
 
 IDENTITY = "identity"
 C3 = "c3"
@@ -118,6 +122,26 @@ def classify(a: int) -> ClassLabel:
     return label
 
 
+def prefix_terms(a: int, n: int) -> array:
+    """f_a(1..n) as an ``array('q')``, ``terms[i] == f_a(i)``; slot 0 is padding.
+
+    Simulates only the head up to the classify witness, at most about
+    a + 16 terms: from there f_a is f_3 or the identity.  Needs n >= 2 and
+    obeys the term cap (GCDPERM_MAX_TERMS).
+    """
+    cap = max_terms_cap()
+    if n > cap:
+        raise LimitExceededError.terms(a, n, cap)
+    if n <= a:  # every witness of a seed a >= 3 lies past a
+        return array("q", generate_prefix(a, n).terms)
+    label = classify(a)
+    # a = 2 has witness 1, but the engine's shortest prefix is f(1..2).
+    head = generate_prefix(a, max(2, min(n, label.witness))).terms
+    terms = f3_terms(n) if label.verdict == C3 else array("q", range(n + 1))
+    terms[: len(head)] = array("q", head)
+    return terms
+
+
 def eventually_identity_by_record(a: int) -> bool:
     """Membership test for the eventually-identity seeds via records.
 
@@ -127,9 +151,14 @@ def eventually_identity_by_record(a: int) -> bool:
     return a in (2, 4) or a % 6 == 0 and (is_record(a - 1) or is_record(a + 1))
 
 
+def _band_top(k: int) -> int:
+    """T_k = (p_{k+1} - 2) // 6, the top of the band of offsets of P_k; T_3 = 0."""
+    return (nth_prime(k + 1) - 2) // 6
+
+
 # (P_k, 6 T_k) for k = 4, 5, ...: each primorial of at least four primes with
-# the top of its band of offsets, T_k = (p_{k+1} - 2) // 6.  Grown on demand
-# until the last primorial exceeds every seed asked about.
+# the top of its band of offsets.  Grown on demand until the last primorial
+# exceeds every seed asked about.
 _BANDS: list[tuple[int, int]] = []
 
 
@@ -147,7 +176,7 @@ def eventually_identity_by_primorial(a: int) -> bool:
     bands = _BANDS
     while not bands or bands[-1][0] + 6 <= a:
         k = len(bands) + 4
-        bands.append((primorial(k), 6 * ((nth_prime(k + 1) - 2) // 6)))
+        bands.append((primorial(k), 6 * _band_top(k)))
     for pk, top in bands:
         if pk + 6 > a:
             break
@@ -167,10 +196,24 @@ def exceptional_seed_density(k_max: int) -> Fraction:
     of offsets per k, which is where the summand comes from.
     """
     return sum(
-        (Fraction((nth_prime(k + 1) - 2) // 6 - (nth_prime(k) - 2) // 6, primorial(k))
-         for k in range(4, k_max + 1)),
+        (Fraction(_band_top(k) - _band_top(k - 1), primorial(k)) for k in range(4, k_max + 1)),
         Fraction(0),
     )
+
+
+def _excluded_count(limit: int) -> int:
+    """Multiples of 6 up to limit that the primorial test excludes, counted exactly.
+
+    They are the disjoint progressions m P_k + 6t with m >= 1 and
+    T_{k-1} < t <= T_k, so each t contributes max(0, (limit - 6t) // P_k).
+    """
+    count = 0
+    k = 4
+    while (pk := primorial(k)) + 6 <= limit:
+        bands = range(_band_top(k - 1) + 1, _band_top(k) + 1)
+        count += sum(max(0, (limit - 6 * t) // pk) for t in bands)
+        k += 1
+    return count
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,11 @@ import sys
 from contextlib import nullcontext
 
 from . import __version__
-from .classify import BudgetExhaustedError, scan_identity_seeds
+from .classify import BudgetExhaustedError, prefix_terms, scan_identity_seeds
 from .cycles import twin_cycle_gaps
 from .primorial import prime_ratio_series, primes_within_records_series
-from .records import FIRST_RECORD, _annotated, _record_array, f3_terms, record_values
-from .sequence import MAX_TERMS_ENV, LimitExceededError, generate_prefix
+from .records import FIRST_RECORD, _annotated, _record_array, record_values
+from .sequence import MAX_TERMS_ENV, LimitExceededError
 from .suites import SUITES, TABLE
 
 EXIT_OK = 0
@@ -81,7 +81,7 @@ def _row_chunks(rows):
 def cmd_generate(args) -> int:
     n, derivative = args.n, args.with_derivative
     stop = n + 1 if derivative else n  # g(n) needs f(n + 1)
-    terms = f3_terms(stop) if args.a == 3 else generate_prefix(args.a, stop).terms
+    terms = prefix_terms(args.a, stop)
     if args.format == "plain":
         header, row_format = None, "%d %d %d\n" if derivative else "%d %d\n"
     elif derivative:
@@ -164,8 +164,7 @@ def cmd_diff_bfile(args) -> int:
         print("warning: no terms left after --offset/--from filtering", file=sys.stderr)
         return EXIT_OK
     top = max(local for local, _, _ in usable)
-    buf = generate_prefix(args.a, max(top, 2))
-    terms = buf.terms
+    terms = prefix_terms(args.a, max(top, 2))
     checked = 0
     for local, value, lineno in usable:
         if terms[local] != value:
@@ -186,7 +185,7 @@ def _figure_rows(which: str, limit: int | None):
                 _row_chunks(twin_cycle_gaps(limit or 10_000)))
     if which == "fig2":
         span = limit or 12_000
-        terms = f3_terms(span + 1)
+        terms = prefix_terms(3, span + 1)
         return "t,g_t", "%d,%d\n", ((range(s, e), _differences(terms, s, e))
                                       for s, e in _spans(span))
     if which in ("fig3", "fig4"):

@@ -18,9 +18,9 @@ Generation is inherently sequential: each term depends on the one before,
 but callers grow a buffer in chunks with ``extend_to``, not term by term.
 Buffers take no locks and the module starts no threads or processes.
 
-This engine is the general path, for every seed, and the oracle for f_3:
-bulk f_3 output is built from the records instead (``records.f3_terms``),
-and the tests hold the two equal.
+This engine is the oracle and the head simulation: ``classify.prefix_terms``
+builds bulk output from a short simulated head and a tail from the records
+(``records.f3_terms``) or the identity, and the tests hold the two equal.
 """
 
 from __future__ import annotations

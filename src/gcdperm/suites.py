@@ -20,6 +20,7 @@ from .classify import (
     C3,
     IDENTITY,
     BudgetExhaustedError,
+    _excluded_count,
     classify,
     eventually_identity_by_primorial,
     exceptional_seed_density,
@@ -252,22 +253,6 @@ def thm8_recurrence(n=5) -> list[CheckResult]:
                     coarse.lower <= Fraction(ledger.kappa_empirical) <= coarse.upper,
                     f"kappa ~ {ledger.kappa_empirical:.6f}"),
     ]
-
-
-def _excluded_count(limit: int) -> int:
-    """Multiples of 6 up to limit that the primorial test excludes, counted exactly.
-
-    They are the disjoint progressions m P_k + 6t with m >= 1 and
-    T_{k-1} < t <= T_k, where T_k = (p_{k+1} - 2) // 6 (T_3 = 0), so each
-    offset t contributes max(0, (limit - 6t) // P_k) seeds.
-    """
-    count = 0
-    k = 4
-    while (pk := primorial(k)) + 6 <= limit:
-        bands = range((nth_prime(k) - 2) // 6 + 1, (nth_prime(k + 1) - 2) // 6 + 1)
-        count += sum(max(0, (limit - 6 * t) // pk) for t in bands)
-        k += 1
-    return count
 
 
 def cor2(limit=1_000_000) -> list[CheckResult]:

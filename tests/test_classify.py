@@ -9,12 +9,14 @@ from gcdperm import (
     IDENTITY,
     BudgetExhaustedError,
     ClassLabel,
+    LimitExceededError,
     classify,
     eventually_identity_by_primorial,
     eventually_identity_by_record,
     exceptional_seed_density,
     find_turning_points,
     generate_prefix,
+    prefix_terms,
     record_values,
     scan_identity_seeds,
 )
@@ -361,3 +363,40 @@ def test_scan_identity_members_to_40():
 def test_classify_validates_seed():
     with pytest.raises(ValueError):
         classify(1)
+
+
+# The term builder: a simulated head up to the classify witness, then f_3 or
+# the identity.  The engine and the naive generator are its oracles.
+
+
+def test_prefix_terms_equals_the_engine_on_small_seeds():
+    for a in range(2, 601):
+        n = 3 * a + 300
+        terms = prefix_terms(a, n)
+        assert terms.typecode == "q" and list(terms) == generate_prefix(a, n).terms, a
+
+
+@pytest.mark.parametrize("a", [7, 216, 30_030, 999_998])
+def test_prefix_terms_equals_the_engine_at_a_million(a):
+    n = 10**6 + 100  # past the witness of 999998 too
+    assert list(prefix_terms(a, n)) == generate_prefix(a, n).terms
+
+
+def test_prefix_terms_equals_the_naive_generator(naive_prefix):
+    for a in (2, 3, 4, 6, 7, 216, 426):
+        assert list(prefix_terms(a, 20_000)) == naive_prefix(a, 20_000), a
+
+
+@pytest.mark.parametrize("a", [2, 7, 216, 30_030])
+def test_prefix_terms_at_the_seed_and_the_witness(a):
+    w = classify(a).witness
+    for n in {2, a - 1, a, a + 1, w - 1, w, w + 1}:
+        if n >= 2:
+            assert list(prefix_terms(a, n)) == generate_prefix(a, n).terms, n
+
+
+def test_prefix_terms_obeys_the_term_cap_for_its_seed(monkeypatch):
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "100")
+    with pytest.raises(LimitExceededError, match="requested 101 terms of f_7; cap is 100"):
+        prefix_terms(7, 101)
+    assert len(prefix_terms(7, 100)) == 101

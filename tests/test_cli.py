@@ -129,7 +129,10 @@ def test_records_csv_matches_a_row_by_row_oracle(tmp_path, capsys):
 
 
 # SHA-256 of `generate --a A --n 40000 [FLAGS]` on stdout, pinned from the
-# row-by-row writer that the chunked one replaced; 40000 rows span three chunks.
+# row-by-row writer that the chunked one replaced (seeds 3 and 7), and from
+# the engine that the head-and-tail builder replaced (seeds 2, 4, 216 and
+# 30030); 40000 rows span three chunks.  New entries go last: pytest numbers
+# the flags ids by position.
 GENERATE_SHA256 = {
     (3, ()): "0625c0a3ab8c0f23fdadfc8fec803a124c7f1a6f28b17fbdecd35a4ce0c317ed",
     (3, ("--format", "plain")): "f5ad1f0eee775342c3a700ce5e792e55949035726e7681530273ca9efe69219c",
@@ -137,15 +140,43 @@ GENERATE_SHA256 = {
     (7, ()): "5dde28785953e88ff9c462204d813b8fd98c6e8517150461764d2cc40b82e7a2",
     (7, ("--format", "plain")): "5929938335836911ec6d668caac4741f686f3db94c0d5fd3cc3d4d9d6ede8dd7",
     (7, ("--with-derivative",)): "4040ecb689e7cab4636f6aff3cc440029dd73d3d42b00c10f983655edaf54827",
+    (2, ()): "f438598aa20fe948e81887b8108a89f2c28009429729be6ed0377288748bb084",
+    (2, ("--format", "plain")): "b1b5d612b7d5db143919278d761c224e21ef20fe79e79d9a573adb85544067dc",
+    (2, ("--with-derivative",)): "34b851ebddfedfa49e0955d027cdf0581de32163f09d63975a2f5815fd6ce2b0",
+    (4, ()): "25d1e54f630c21d3869af1e87c2593a8b24ffedc0f64781db496268b342f50f5",
+    (4, ("--format", "plain")): "273a178f84dd062e58eaac7f970e064d3a712026b8be03e297bdb08f31bea112",
+    (4, ("--with-derivative",)): "23661eae8b91626947f2979b515d3303ed7db283cea961ab04df2ab02f3d94f4",
+    (216, ()): "b90381c27af590ad752c842dd419ab63233ff25bbe66c95daecc8d239a54a19a",
+    (216, ("--format", "plain")):
+        "3f24cc054468f85be3941c70d55a740128bdcfea298f6a10a0b1d474aa480b87",
+    (216, ("--with-derivative",)):
+        "929e15d54d851b19fb8cd437d217ef3ca149e1ae2f779a31d60b08e38152d2d6",
+    (30030, ()): "b3cfb39ec89ce1d96f183072280b7e0843ca058b8cb7dc06372ed488069d0bf9",
+    (30030, ("--format", "plain")):
+        "d9d5752e711155a2d8cefc8a645f1145b739dbaadb304b6a891f5b32b250ec6a",
+    (30030, ("--with-derivative",)):
+        "273638f3b317832626061e7982f2d8bc5e7124239f1295d7b43ff0978c8da2ba",
 }
 
 
-@pytest.mark.parametrize("a,flags", sorted(GENERATE_SHA256))
+@pytest.mark.parametrize("a,flags", list(GENERATE_SHA256))
 def test_generate_bytes_are_pinned(capsys, a, flags):
     assert 40_000 > 2 * WRITE_CHUNK_LINES
     code, out, _ = run(capsys, "generate", "--a", str(a), "--n", "40000", *flags)
     assert code == 0
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == GENERATE_SHA256[a, flags]
+
+
+def test_term_cap_message_names_the_seed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "100")
+    bfile = tmp_path / "b.txt"
+    bfile.write_text("1 1\n2 7\n150 3\n")
+    for argv in (("generate", "--a", "7", "--n", "200"),
+                 ("generate", "--a", "7", "--n", "100", "--with-derivative"),
+                 ("diff-bfile", str(bfile), "--a", "7")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "terms of f_7; cap is 100" in err, argv
 
 
 @pytest.mark.parametrize("limit", ["-5", "0", "4"])

@@ -7,7 +7,9 @@ The shared f_3 record list and the block memo it grows from belong to
 belongs to ``primes.py``: no other module assigns ``_PRIMES`` or
 ``_PRIMORIALS``.  The primorial checks read the records and never the
 generation engine: ``primorial.py`` neither imports ``sequence`` nor names
-``generate_prefix`` or ``SequenceBuffer``.
+``generate_prefix`` or ``SequenceBuffer``.  The CLI has one term source,
+``classify.prefix_terms``: ``cli.py`` names neither the engine
+(``generate_prefix``, ``SequenceBuffer``) nor ``f3_terms``.
 """
 
 import ast
@@ -73,3 +75,10 @@ def test_only_primes_holds_a_prime_table():
 def test_primorial_checks_do_not_simulate():
     path = next(p for p in SOURCES if p.name == "primorial.py")
     assert {"sequence", "generate_prefix", "SequenceBuffer"} & set(_names(_tree(path))) == set()
+
+
+def test_cli_has_one_term_source():
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    names = set(_names(_tree(path)))
+    assert "prefix_terms" in names
+    assert {"generate_prefix", "SequenceBuffer", "f3_terms"} & names == set()

@@ -1,4 +1,3 @@
-import math
 import random
 from array import array
 from bisect import bisect_right
@@ -286,22 +285,6 @@ def test_twin_records_equal_jump_one_records():
     assert pairs == from_jumps
 
 
-def _naive_f3(n):
-    # f_3(1..n) by the definition, with a set of used values; slot 0 is 0.
-    terms = [0, 1, 3]
-    used = {1, 3}
-    low = 2
-    while len(terms) <= n:
-        while low in used:
-            low += 1
-        c, last = low, terms[-1]
-        while c in used or math.gcd(c, last) != 1:
-            c += 1
-        used.add(c)
-        terms.append(c)
-    return terms[: n + 1]
-
-
 def test_f3_terms_equals_simulation():
     for n in range(2, 301):
         assert list(f3_terms(n)) == generate_prefix(3, n).terms, n
@@ -309,8 +292,8 @@ def test_f3_terms_equals_simulation():
     assert list(f3_terms(n)) == generate_prefix(3, n).terms
 
 
-def test_f3_terms_equals_naive_generator():
-    naive = _naive_f3(20_000)
+def test_f3_terms_equals_naive_generator(naive_prefix):
+    naive = naive_prefix(3, 20_000)
     for n in (2, 3, 4, 5, 6, 7, 1000, 20_000):
         assert list(f3_terms(n)) == naive[: n + 1], n
 

@@ -69,30 +69,13 @@ def test_resume_continues_from_a_given_state(a, n, monkeypatch):
         buf.extend()
 
 
-def _naive_prefix(a, n):
-    # The definition as stated: f(1) = 1, f(2) = a, then the smallest value
-    # not used so far that is coprime to the previous term.
-    terms = [0, 1, a]
-    used = {1, a}
-    low = 2
-    while len(terms) <= n:
-        while low in used:
-            low += 1
-        c = low
-        while c in used or math.gcd(c, terms[-1]) != 1:
-            c += 1
-        used.add(c)
-        terms.append(c)
-    return terms
-
-
-def test_engine_matches_naive_generator():
+def test_engine_matches_naive_generator(naive_prefix):
     for a in range(2, 301):
         n = 3 * a + 300
-        assert generate_prefix(a, n).terms == _naive_prefix(a, n), a
+        assert generate_prefix(a, n).terms == naive_prefix(a, n), a
     # Seeds whose unused values 2..a-1 wait below a for about a terms.
     for a in (20_002, 30_030, 200_002):
-        assert generate_prefix(a, 2 * a).terms == _naive_prefix(a, 2 * a), a
+        assert generate_prefix(a, 2 * a).terms == naive_prefix(a, 2 * a), a
 
 
 def test_pool_peak_against_running_maximum():
