@@ -7,6 +7,14 @@ it verifies and its check function.  The check's keyword parameters, with
 their defaults, are the suite's ``verify`` flags; an explicit value below a
 parameter's range raises ValueError.  ``SUITES`` maps each name to its
 check, and is the one place the CLI runs a suite from.
+
+thm1 (for f_3), cor1, prop1 and prop2 check identities against the
+definition, so they read a simulated prefix of f_3 from the engine, not
+the records.  One process shares one such prefix: ``_f3_prefix`` grows it
+to the longest limit asked so far, it stays resident, and each suite reads
+only up to its own limit.  The term cap (GCDPERM_MAX_TERMS) is re-read on
+every request, so a request past the current cap raises even when the
+prefix already holds the terms.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import eq
 from typing import Callable, NamedTuple, Sequence
 
 from .classify import (
@@ -34,8 +43,8 @@ from .primorial import (
     verify_primorial_records,
     verify_translation,
 )
-from .records import find_turning_points, is_record, record_values
-from .sequence import generate_prefix
+from .records import _turning_points, is_record, record_values
+from .sequence import LimitExceededError, SequenceBuffer, generate_prefix, max_terms_cap
 
 
 @dataclass(frozen=True)
@@ -66,9 +75,36 @@ def _listed(bad: Sequence[int], detail: str, label: str = "failed") -> str:
     return f"{label}: {bad[:5]}" if bad else detail
 
 
+# The simulated prefix of f_3 that thm1, cor1, prop1 and prop2 share; see _f3_prefix.
+_F3_PREFIX: SequenceBuffer | None = None
+
+
+def _f3_prefix(n: int) -> SequenceBuffer:
+    """The shared simulated buffer of f_3, grown through index n; it may hold more.
+
+    The term cap is read on each request, and a request past it raises even
+    when the buffer already holds n terms.  The buffer's own cap was read
+    when it was built, so it takes the current cap before it grows.
+    """
+    global _F3_PREFIX
+    cap = max_terms_cap()
+    if n > cap:
+        raise LimitExceededError.terms(3, n, cap)
+    if _F3_PREFIX is None:
+        _F3_PREFIX = SequenceBuffer(3)
+    _F3_PREFIX.cap = cap
+    _F3_PREFIX.extend_to(n)
+    return _F3_PREFIX
+
+
 def _index_identity(suite: str, terms, m: int, k_lo: int, k_max: int) -> CheckResult:
-    """f_3(m*k + 1) = m*k for k_lo <= k <= k_max, read from a prefix of f_3."""
-    ok = all(terms[m * k + 1] == m * k for k in range(k_lo, k_max + 1))
+    """f_3(m*k + 1) = m*k for k_lo <= k <= k_max, read from a prefix of f_3.
+
+    A prefix that stops before index m*k_max + 1 fails the check.
+    """
+    top = m * k_max + 1
+    ok = len(terms) > top and all(
+        map(eq, terms[m * k_lo + 1 : top + 1 : m], range(m * k_lo, top, m)))
     detail = f"k <= {k_max}" if k_lo == 1 else f"{k_lo} <= k <= {k_max}"
     return CheckResult(suite, f"f_3({m}k+1) = {m}k", ok, detail, max(k_max - k_lo + 1, 0))
 
@@ -76,8 +112,9 @@ def _index_identity(suite: str, terms, m: int, k_lo: int, k_max: int) -> CheckRe
 def thm1(limit=10_000) -> list[CheckResult]:
     _at_least(3, limit=limit)
     out = []
-    for a in (3, 7):
-        tps = find_turning_points(generate_prefix(a, limit))
+    for buf in (_f3_prefix(limit), generate_prefix(7, limit)):
+        a = buf.a
+        tps = list(_turning_points(buf, limit))
         etps = [tp for tp in tps if tp.is_etp]
         pairs = max(len(etps) - 1, 0)
         chain_ok = all(nxt.t == cur.record_value + 1 for cur, nxt in zip(etps, etps[1:]))
@@ -94,30 +131,33 @@ def thm1(limit=10_000) -> list[CheckResult]:
 
 def cor1(limit=100_000) -> list[CheckResult]:
     _at_least(3, limit=limit)
-    buf = generate_prefix(3, limit)
+    buf = _f3_prefix(limit)
     recs = set(record_values(limit))
     primes = [p for p in primes_upto(limit) if p >= 5]
     missing = [p for p in primes if p not in recs]
-    tps = find_turning_points(buf)
-    parity_ok = all(tp.t % 2 == 0 and tp.record_value % 2 == 1 for tp in tps)
+    tps = 0
+    parity_ok = True
+    for tp in _turning_points(buf, limit):
+        tps += 1
+        parity_ok = parity_ok and tp.t % 2 == 0 and tp.record_value % 2 == 1
     form_ok = all(r % 6 in (1, 5) for r in recs)
     return [
         _index_identity("cor1", buf.terms, 2, 1, (limit - 1) // 2),
         CheckResult("cor1", "every prime in [5, limit] is a record", not missing,
                     f"{len(missing)} missing" if missing else f"limit {limit}", len(primes)),
-        CheckResult("cor1", "turning points even, records odd", parity_ok, items=len(tps)),
+        CheckResult("cor1", "turning points even, records odd", parity_ok, items=tps),
         CheckResult("cor1", "records are 6k +- 1", form_ok, items=len(recs)),
     ]
 
 
 def prop1(limit=100_000) -> list[CheckResult]:
     _at_least(1, limit=limit)
-    return [_index_identity("prop1", generate_prefix(3, 2 * limit + 1).terms, 2, 1, limit)]
+    return [_index_identity("prop1", _f3_prefix(2 * limit + 1).terms, 2, 1, limit)]
 
 
 def prop2(limit=100_000) -> list[CheckResult]:
     _at_least(1, limit=limit)
-    return [_index_identity("prop2", generate_prefix(3, 3 * limit + 1).terms, 3, 2, limit)]
+    return [_index_identity("prop2", _f3_prefix(3 * limit + 1).terms, 3, 2, limit)]
 
 
 def prop3(n=4, kmax=8) -> list[CheckResult]:
@@ -174,29 +214,36 @@ def thm3(bound=300) -> list[CheckResult]:
     ]
 
 
-def _agreement(bound: int) -> tuple[int, list[int], list[int]]:
-    """Seeds scanned, then the seeds where the record test and where the
-    primorial test disagree with simulation."""
+def _agreement(bound: int) -> tuple[int, int, list[int], list[int]]:
+    """Seeds scanned, identity verdicts among them, then the seeds where the
+    record test and where the primorial test disagree with simulation."""
     rows = scan_identity_seeds(bound)
+    identities = sum(r.verdict == IDENTITY for r in rows)
     bad_rec = [r.a for r in rows if (r.verdict == IDENTITY) != r.record_test]
     bad_pri = [r.a for r in rows if (r.verdict == IDENTITY) != r.primorial_test]
-    return len(rows), bad_rec, bad_pri
+    return len(rows), identities, bad_rec, bad_pri
 
 
 def thm4(bound=300) -> list[CheckResult]:
     _at_least(1, bound=bound)
-    seeds, bad_rec, _ = _agreement(bound)
+    seeds, _, bad_rec, _ = _agreement(bound)
     return [CheckResult("thm4", "record test == simulation", not bad_rec,
                         _listed(bad_rec, f"{seeds} seeds"), seeds)]
 
 
 def thm10(bound=300) -> list[CheckResult]:
     _at_least(1, bound=bound)
-    seeds, bad_rec, bad_pri = _agreement(bound)
+    seeds, identities, bad_rec, bad_pri = _agreement(bound)
+    # Every seed 2, 4 and 6k is identity unless cor2's bands exclude it.
+    small = sum(a <= bound for a in (2, 4))
+    excluded = _excluded_count(bound)
     return [
         CheckResult("thm10", "primorial test == simulation", not bad_pri,
                     _listed(bad_pri, f"{seeds} seeds"), seeds),
         CheckResult("thm10", "all three tests agree", not (bad_rec or bad_pri), items=seeds),
+        CheckResult("thm10", "identity count vs band count",
+                    identities == small + bound // 6 - excluded,
+                    f"identity {identities}, bands {small} + {bound // 6} - {excluded}", seeds),
     ]
 
 
@@ -294,7 +341,8 @@ TABLE = {
     "thm7": Suite("r P_n +- 1 records for r < p_{n+1}; translation on the full range", thm7),
     "thm8-recurrence": Suite("window counts satisfy w_{n+1} = w_n p_{n+1} - s_{n+1}",
                              thm8_recurrence),
-    "thm10": Suite("primorial-representation membership test agrees with simulation", thm10),
+    "thm10": Suite("primorial-representation membership test agrees with simulation; "
+                   "identity count matches the band count", thm10),
     "cor2": Suite("exceptional-seed count from the density bands matches a brute-force count",
                   cor2),
 }

@@ -1,9 +1,17 @@
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
-from gcdperm import derivative_bound_check, reconstruct_f3, records
+from gcdperm import derivative_bound_check, generate_prefix, reconstruct_f3, records, suites
+from gcdperm.cli import main
 from gcdperm.suites import SUITES, TABLE
+
+
+def _verify(capsys, *argv):
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def test_every_suite_is_in_the_table_and_runnable():
@@ -102,3 +110,68 @@ def test_readme_table_lists_each_suite_with_its_flags():
     for name, flags in documented:
         want = " ".join(f"--{flag} {default}" for flag, default in TABLE[name].flags.items())
         assert flags == want, name
+
+
+def test_shared_prefix_obeys_the_current_term_cap(capsys, monkeypatch):
+    monkeypatch.setattr(suites, "_F3_PREFIX", None)
+    monkeypatch.delenv("GCDPERM_MAX_TERMS", raising=False)
+    assert _verify(capsys, "prop1", "--limit", "1000")[0] == 0
+    assert len(suites._F3_PREFIX) == 2001
+    # The buffer already holds the terms, but the requests pass the new cap.
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "100")
+    for argv, n in ((["prop1", "--limit", "60"], 121), (["cor1", "--limit", "101"], 101)):
+        code, out, err = _verify(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert f"requested {n} terms of f_3; cap is 100" in err, argv
+    assert _verify(capsys, "cor1", "--limit", "100")[0] == 0
+    # A buffer built under a cap of 100 grows once the cap is raised.
+    monkeypatch.setattr(suites, "_F3_PREFIX", None)
+    assert _verify(capsys, "prop1", "--limit", "40")[0] == 0
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "5000")
+    for argv in (["prop1", "--limit", "2000"], ["cor1", "--limit", "4500"]):
+        code, out, _ = _verify(capsys, *argv)
+        assert code == 0 and "FAIL" not in out, argv
+    assert len(suites._F3_PREFIX) == 4500
+
+
+def test_shared_prefix_output_does_not_depend_on_the_order(capsys, monkeypatch):
+    limits = {"thm1": 3000, "cor1": 50, "prop1": 700, "prop2": 2000}
+
+    def out(name):
+        # The results too: they hold the item counts, which stdout only shows when 0.
+        code, text, _ = _verify(capsys, name, "--limit", str(limits[name]))
+        assert code == 0
+        return text, SUITES[name](limit=limits[name])
+
+    alone = {}
+    for name in limits:
+        monkeypatch.setattr(suites, "_F3_PREFIX", None)
+        alone[name] = out(name)
+    for order in permutations(limits):
+        monkeypatch.setattr(suites, "_F3_PREFIX", None)
+        assert [out(name) for name in order] == [alone[name] for name in order], order
+
+
+def test_generate_prefix_never_returns_the_shared_prefix():
+    shared = suites._f3_prefix(200)
+    for n in (100, 200, 300):
+        assert generate_prefix(3, n) is not shared
+    assert suites._f3_prefix(150) is shared
+
+
+def test_truncated_prefix_fails_the_index_identity():
+    terms = generate_prefix(3, 2 * 60 + 1).terms
+    assert suites._index_identity("prop1", terms, 2, 1, 60).ok
+    for short in (terms[:-1], terms[:-2], terms[:50]):
+        assert not suites._index_identity("prop1", short, 2, 1, 60).ok
+    # A prefix that holds more than the check reads passes as one that holds enough.
+    assert suites._index_identity("prop1", generate_prefix(3, 500).terms, 2, 1, 60).ok
+
+
+@pytest.mark.parametrize("bound,identities", [
+    (1, 0), (2, 1), (4, 2), (6, 3), (300, 51), (1200, 197), (30_030, 4865),
+])
+def test_thm10_identity_count_matches_the_band_count(bound, identities):
+    result = SUITES["thm10"](bound=bound)[-1]
+    assert result.name == "identity count vs band count"
+    assert result.ok and result.detail.startswith(f"identity {identities}, bands ")
