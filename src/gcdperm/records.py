@@ -6,8 +6,8 @@ a record.  An essential turning point (ETP) additionally has f(t-1) = t-2
 with the values 1..t-1 fully used, which pins the whole future of the
 recursion: the next ETP is f(t) + 1, and between the two the sequence just
 counts upward.  One scanner, ``_turning_points``, holds these predicates;
-``find_turning_points``, ``classify`` and the suites read it, from the first
-index past the state a buffer starts from.
+``find_turning_points``, ``classify`` and cor1 read it, from the first index
+past the state a buffer starts from.
 
 For f_3 this gives a closed enumeration of records with no sequence
 generation at all: after a record r, the next record is (r-1) + p where p

@@ -9,12 +9,9 @@ parameter's range raises ValueError.  ``SUITES`` maps each name to its
 check, and is the one place the CLI runs a suite from.
 
 thm1 (for f_3), cor1, prop1 and prop2 check identities against the
-definition, so they read a simulated prefix of f_3 from the engine, not
-the records.  One process shares one such prefix: ``_f3_prefix`` grows it
-to the longest limit asked so far, it stays resident, and each suite reads
-only up to its own limit.  The term cap (GCDPERM_MAX_TERMS) is re-read on
-every request, so a request past the current cap raises even when the
-prefix already holds the terms.
+definition, so each simulates its own prefix of f_3 with the engine, not
+from the records, and drops it when it returns.  The term cap
+(GCDPERM_MAX_TERMS) bounds each prefix.
 """
 
 from __future__ import annotations
@@ -43,8 +40,8 @@ from .primorial import (
     verify_primorial_records,
     verify_translation,
 )
-from .records import _turning_points, is_record, record_values
-from .sequence import LimitExceededError, SequenceBuffer, generate_prefix, max_terms_cap
+from .records import _turning_points, find_turning_points, is_record, record_values
+from .sequence import generate_prefix
 
 
 @dataclass(frozen=True)
@@ -75,36 +72,14 @@ def _listed(bad: Sequence[int], detail: str, label: str = "failed") -> str:
     return f"{label}: {bad[:5]}" if bad else detail
 
 
-# The simulated prefix of f_3 that thm1, cor1, prop1 and prop2 share; see _f3_prefix.
-_F3_PREFIX: SequenceBuffer | None = None
-
-
-def _f3_prefix(n: int) -> SequenceBuffer:
-    """The shared simulated buffer of f_3, grown through index n; it may hold more.
-
-    The term cap is read on each request, and a request past it raises even
-    when the buffer already holds n terms.  The buffer's own cap was read
-    when it was built, so it takes the current cap before it grows.
-    """
-    global _F3_PREFIX
-    cap = max_terms_cap()
-    if n > cap:
-        raise LimitExceededError.terms(3, n, cap)
-    if _F3_PREFIX is None:
-        _F3_PREFIX = SequenceBuffer(3)
-    _F3_PREFIX.cap = cap
-    _F3_PREFIX.extend_to(n)
-    return _F3_PREFIX
-
-
 def _index_identity(suite: str, terms, m: int, k_lo: int, k_max: int) -> CheckResult:
     """f_3(m*k + 1) = m*k for k_lo <= k <= k_max, read from a prefix of f_3.
 
     A prefix that stops before index m*k_max + 1 fails the check.
     """
     top = m * k_max + 1
-    ok = len(terms) > top and all(
-        map(eq, terms[m * k_lo + 1 : top + 1 : m], range(m * k_lo, top, m)))
+    got = map(terms.__getitem__, range(m * k_lo + 1, top + 1, m))
+    ok = len(terms) > top and all(map(eq, got, range(m * k_lo, top, m)))
     detail = f"k <= {k_max}" if k_lo == 1 else f"{k_lo} <= k <= {k_max}"
     return CheckResult(suite, f"f_3({m}k+1) = {m}k", ok, detail, max(k_max - k_lo + 1, 0))
 
@@ -112,9 +87,8 @@ def _index_identity(suite: str, terms, m: int, k_lo: int, k_max: int) -> CheckRe
 def thm1(limit=10_000) -> list[CheckResult]:
     _at_least(3, limit=limit)
     out = []
-    for buf in (_f3_prefix(limit), generate_prefix(7, limit)):
-        a = buf.a
-        tps = list(_turning_points(buf, limit))
+    for a in (3, 7):
+        tps = find_turning_points(generate_prefix(a, limit))
         etps = [tp for tp in tps if tp.is_etp]
         pairs = max(len(etps) - 1, 0)
         chain_ok = all(nxt.t == cur.record_value + 1 for cur, nxt in zip(etps, etps[1:]))
@@ -131,7 +105,7 @@ def thm1(limit=10_000) -> list[CheckResult]:
 
 def cor1(limit=100_000) -> list[CheckResult]:
     _at_least(3, limit=limit)
-    buf = _f3_prefix(limit)
+    buf = generate_prefix(3, limit)
     recs = set(record_values(limit))
     primes = [p for p in primes_upto(limit) if p >= 5]
     missing = [p for p in primes if p not in recs]
@@ -152,12 +126,12 @@ def cor1(limit=100_000) -> list[CheckResult]:
 
 def prop1(limit=100_000) -> list[CheckResult]:
     _at_least(1, limit=limit)
-    return [_index_identity("prop1", _f3_prefix(2 * limit + 1).terms, 2, 1, limit)]
+    return [_index_identity("prop1", generate_prefix(3, 2 * limit + 1).terms, 2, 1, limit)]
 
 
 def prop2(limit=100_000) -> list[CheckResult]:
     _at_least(1, limit=limit)
-    return [_index_identity("prop2", _f3_prefix(3 * limit + 1).terms, 3, 2, limit)]
+    return [_index_identity("prop2", generate_prefix(3, 3 * limit + 1).terms, 3, 2, limit)]
 
 
 def prop3(n=4, kmax=8) -> list[CheckResult]:

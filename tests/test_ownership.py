@@ -9,10 +9,7 @@ belongs to ``primes.py``: no other module assigns ``_PRIMES`` or
 generation engine: ``primorial.py`` neither imports ``sequence`` nor names
 ``generate_prefix`` or ``SequenceBuffer``.  The CLI has one term source,
 ``classify.prefix_terms``: ``cli.py`` names neither the engine
-(``generate_prefix``, ``SequenceBuffer``) nor ``f3_terms``.  The simulated
-f_3 prefix that the definition suites share belongs to ``suites.py``: no
-other module names ``_F3_PREFIX``, and ``suites.py`` never asks
-``generate_prefix`` for seed 3.
+(``generate_prefix``, ``SequenceBuffer``) nor ``f3_terms``.
 """
 
 import ast
@@ -85,16 +82,3 @@ def test_cli_has_one_term_source():
     names = set(_names(_tree(path)))
     assert "prefix_terms" in names
     assert {"generate_prefix", "SequenceBuffer", "f3_terms"} & names == set()
-
-
-def test_only_suites_holds_the_shared_f3_prefix():
-    offenders = [p.name for p in SOURCES if "_F3_PREFIX" in set(_names(_tree(p)))]
-    assert offenders == ["suites.py"]
-    tree = _tree(next(p for p in SOURCES if p.name == "suites.py"))
-    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and "generate_prefix" in (getattr(node.func, "id", None),
-                                       getattr(node.func, "attr", None))]
-    # Each call names its seed, and none names 3: f_3 comes from the shared prefix.
-    assert calls
-    assert all(isinstance(seed, ast.Constant) and seed.value != 3
-               for seed in (call.args[0] for call in calls))

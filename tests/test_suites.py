@@ -1,10 +1,11 @@
-from itertools import permutations
+import gc
 from pathlib import Path
 
 import pytest
 
 from gcdperm import derivative_bound_check, generate_prefix, reconstruct_f3, records, suites
 from gcdperm.cli import main
+from gcdperm.sequence import SequenceBuffer
 from gcdperm.suites import SUITES, TABLE
 
 
@@ -112,51 +113,30 @@ def test_readme_table_lists_each_suite_with_its_flags():
         assert flags == want, name
 
 
-def test_shared_prefix_obeys_the_current_term_cap(capsys, monkeypatch):
-    monkeypatch.setattr(suites, "_F3_PREFIX", None)
-    monkeypatch.delenv("GCDPERM_MAX_TERMS", raising=False)
-    assert _verify(capsys, "prop1", "--limit", "1000")[0] == 0
-    assert len(suites._F3_PREFIX) == 2001
-    # The buffer already holds the terms, but the requests pass the new cap.
+def test_definition_suites_obey_the_term_cap(capsys, monkeypatch):
     monkeypatch.setenv("GCDPERM_MAX_TERMS", "100")
     for argv, n in ((["prop1", "--limit", "60"], 121), (["cor1", "--limit", "101"], 101)):
         code, out, err = _verify(capsys, *argv)
         assert code == 2 and out == "", argv
         assert f"requested {n} terms of f_3; cap is 100" in err, argv
     assert _verify(capsys, "cor1", "--limit", "100")[0] == 0
-    # A buffer built under a cap of 100 grows once the cap is raised.
-    monkeypatch.setattr(suites, "_F3_PREFIX", None)
-    assert _verify(capsys, "prop1", "--limit", "40")[0] == 0
     monkeypatch.setenv("GCDPERM_MAX_TERMS", "5000")
     for argv in (["prop1", "--limit", "2000"], ["cor1", "--limit", "4500"]):
         code, out, _ = _verify(capsys, *argv)
         assert code == 0 and "FAIL" not in out, argv
-    assert len(suites._F3_PREFIX) == 4500
 
 
-def test_shared_prefix_output_does_not_depend_on_the_order(capsys, monkeypatch):
-    limits = {"thm1": 3000, "cor1": 50, "prop1": 700, "prop2": 2000}
-
-    def out(name):
-        # The results too: they hold the item counts, which stdout only shows when 0.
-        code, text, _ = _verify(capsys, name, "--limit", str(limits[name]))
-        assert code == 0
-        return text, SUITES[name](limit=limits[name])
-
-    alone = {}
-    for name in limits:
-        monkeypatch.setattr(suites, "_F3_PREFIX", None)
-        alone[name] = out(name)
-    for order in permutations(limits):
-        monkeypatch.setattr(suites, "_F3_PREFIX", None)
-        assert [out(name) for name in order] == [alone[name] for name in order], order
+def _live_buffers():
+    gc.collect()
+    return sum(isinstance(obj, SequenceBuffer) for obj in gc.get_objects())
 
 
-def test_generate_prefix_never_returns_the_shared_prefix():
-    shared = suites._f3_prefix(200)
-    for n in (100, 200, 300):
-        assert generate_prefix(3, n) is not shared
-    assert suites._f3_prefix(150) is shared
+@pytest.mark.parametrize("name,limit", [("thm1", 3000), ("cor1", 3000), ("prop1", 700),
+                                        ("prop2", 2000)])
+def test_no_buffer_outlives_a_suite_call(name, limit):
+    before = _live_buffers()
+    assert all(r.ok for r in SUITES[name](limit=limit))
+    assert _live_buffers() == before
 
 
 def test_truncated_prefix_fails_the_index_identity():
