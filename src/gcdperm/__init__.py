@@ -5,6 +5,11 @@ later term the smallest unused value coprime to its predecessor.  This
 package generates the sequences, extracts their structure (turning points,
 records, cycles), classifies each seed into the two observed equivalence
 classes, and measures record density against the primorial numbers.
+
+Importing the package stays cheap, since most CLI calls do only
+milliseconds of work: the result records are ``typing.NamedTuple``s, and
+the few functions that return exact rationals import ``fractions`` when
+they run.
 """
 
 from .classify import (

@@ -26,18 +26,21 @@ it bounds the terms simulated past an even seed.
 Two closed-form membership tests for the eventually-identity seeds are
 provided alongside, one in terms of records adjacent to a, one in terms of
 primorial-offset representations of a, plus the density of the multiples
-of 6 that both tests exclude.
+of 6 that both tests exclude, an exact ``Fraction`` (``fractions`` is
+imported when it is asked for).
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .primes import nth_prime, primorial
 from .records import _records_around, _turning_points, f3_terms, is_record, next_record
 from .sequence import LimitExceededError, SequenceBuffer, generate_prefix, max_terms_cap
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 IDENTITY = "identity"
 C3 = "c3"
@@ -52,8 +55,7 @@ class BudgetExhaustedError(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class ClassLabel:
+class ClassLabel(NamedTuple):
     """Verdict with its witness index.
 
     For ``identity`` the witness is the smallest M with f(n) = n for all
@@ -195,6 +197,8 @@ def exceptional_seed_density(k_max: int) -> Fraction:
     set is a disjoint union of arithmetic progressions mod p_k#, one band
     of offsets per k, which is where the summand comes from.
     """
+    from fractions import Fraction
+
     return sum(
         (Fraction(_band_top(k) - _band_top(k - 1), primorial(k)) for k in range(4, k_max + 1)),
         Fraction(0),
@@ -216,8 +220,7 @@ def _excluded_count(limit: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     a: int
     verdict: str
     witness: int

@@ -10,7 +10,7 @@ down to its turning point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .primes import twin_prime_pairs
 from .records import record_count
@@ -21,9 +21,13 @@ class IncompleteCycleError(RuntimeError):
     """A cycle walk left the generated prefix and the cap forbids extending."""
 
 
-@dataclass(frozen=True)
-class Cycle:
-    """One finite cycle; ``index`` counts nontrivial cycles, None for fixed points."""
+class Cycle(NamedTuple):
+    """One finite cycle; ``index`` counts nontrivial cycles, None for fixed points.
+
+    ``len(cycle)`` counts the elements, not the two fields.  ``_make`` and
+    ``_replace`` check the field count with ``len``, so do not use them on
+    a cycle.
+    """
 
     elements: tuple[int, ...]
     index: int | None

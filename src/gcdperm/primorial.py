@@ -12,17 +12,21 @@ windows gives an exact recurrence
 
 with s_n the record count in [p_n, p_{n+1}) and w_n the count in
 [p_{n+1}, P_n + 1], from which the asymptotic record density (about 0.2948)
-is bracketed rigorously.
+is bracketed rigorously.  The brackets are exact ``Fraction``s; the
+functions that build them import ``fractions`` when they run, so importing
+the module does not.  The reports are frozen ``NamedTuple``s.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .primes import is_prime, nth_prime, primorial, sieve_flags, smallest_prime_not_dividing
 from .records import FIRST_RECORD, _f3_at, _records_around, is_record, record_count, record_values
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _count_records(lo: int, hi: int) -> int:
@@ -44,8 +48,7 @@ def w_count(n: int) -> int:
     return _count_records(nth_prime(n + 1), primorial(n) + 1)
 
 
-@dataclass(frozen=True)
-class PrimorialRecordReport:
+class PrimorialRecordReport(NamedTuple):
     """Outcome of checking that every r * P_n +- 1 is a record."""
 
     n: int
@@ -69,8 +72,7 @@ def verify_primorial_records(n: int) -> PrimorialRecordReport:
     return PrimorialRecordReport(n, (1, r_hi), targets, missing)
 
 
-@dataclass(frozen=True)
-class TranslationReport:
+class TranslationReport(NamedTuple):
     """Outcome of checking f_3(P_n + k) = f_3(k) + P_n over a k-range.
 
     ``stated`` is the range the window recurrence rests on,
@@ -131,8 +133,7 @@ def verify_translation(n: int) -> TranslationReport:
     return TranslationReport(n, (lo, hi), (), (k_lo, k_hi))
 
 
-@dataclass(frozen=True)
-class KappaBounds:
+class KappaBounds(NamedTuple):
     """Rigorous two-sided estimate of the record density."""
 
     lower: Fraction
@@ -152,6 +153,8 @@ def kappa_bounds(k_max: int) -> KappaBounds:
     """
     if k_max < 4:
         raise ValueError(f"need k_max >= 4, got {k_max}")
+    from fractions import Fraction
+
     lower_sum = Fraction(0)
     upper_sum = Fraction(0)
     for k in range(4, k_max + 1):
@@ -178,6 +181,8 @@ def kappa_coarse_bounds() -> KappaBounds:
     Weaker than kappa_bounds (the lower side drops a factor 1/2) but exact
     round numbers, handy as a reference interval.
     """
+    from fractions import Fraction
+
     series_lo = Fraction(704, 1000)
     series_hi = Fraction(706, 1000)
     head2 = Fraction(1, 2) + Fraction(1, 6)
@@ -222,8 +227,7 @@ def primes_within_records_series(limit: int) -> list[tuple[int, int]]:
     return [(r, primes) for r, _, primes in _prime_record_counts(limit)]
 
 
-@dataclass(frozen=True)
-class DerivativeCheck:
+class DerivativeCheck(NamedTuple):
     """One probe of the forward difference at a prime index q = k * P_n + 1."""
 
     k: int
@@ -255,8 +259,7 @@ def derivative_bound_check(n: int, k_max: int) -> list[DerivativeCheck]:
     return rows
 
 
-@dataclass(frozen=True)
-class DensityLedger:
+class DensityLedger(NamedTuple):
     """Window record counts with the empirical record density."""
 
     s: tuple[int, ...]  # s[i] = s_{i+1}
@@ -271,6 +274,8 @@ class DensityLedger:
         )
 
     def ratios_non_increasing(self) -> bool:
+        from fractions import Fraction
+
         ratios = [Fraction(wn, primorial(i + 1)) for i, wn in enumerate(self.w)]
         return all(b <= a for a, b in zip(ratios, ratios[1:]))
 

@@ -48,7 +48,6 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import chain
 from operator import sub
 from typing import Iterator, NamedTuple, Sequence
@@ -67,8 +66,7 @@ class TurningPoint(NamedTuple):
     complete_below: bool  # the values 1..t-1 were all used before t
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     """An f_3 record with its index and jump j = value - index."""
 
     value: int

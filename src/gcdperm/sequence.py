@@ -77,8 +77,9 @@ class SequenceBuffer:
     read-only.  ``len(buffer)`` is the last index generated.
     ``head_max`` is the largest value of the given terms f(1..max(base, 2)).
     ``cap`` is the term cap read from GCDPERM_MAX_TERMS when the buffer is
-    built; it bounds the indices past ``base``.  ``pool_peak`` is the most
-    values ever left unused below the largest value assigned so far.
+    built; it bounds the indices past ``base``, not the seed.  ``pool_peak``
+    is the most values ever left unused below the largest value assigned so
+    far.
     """
 
     __slots__ = ("a", "base", "head_max", "cap", "pool_peak", "_terms", "_low", "_above")
@@ -88,8 +89,6 @@ class SequenceBuffer:
             raise ValueError(f"seed must be >= 2, got {a}")
         self.a = a
         self.cap = max_terms_cap()
-        if a > self.cap:
-            raise LimitExceededError(f"seed {a} exceeds the term cap {self.cap}")
         self.base = 0
         self.head_max = a
         self._terms = [0, 1, a]

@@ -3,8 +3,9 @@
 Each suite re-checks one of the library's documented identities at a desk
 scale chosen by its parameters, and returns one line per check.  ``TABLE``
 maps each suite's short stable name (thm1, cor1, prop1, ..., cor2) to what
-it verifies and its check function.  The check's keyword parameters, with
-their defaults, are the suite's ``verify`` flags; an explicit value below a
+it verifies and its check function.  The check's keyword-only parameters,
+with their defaults, are the suite's ``verify`` flags (``Suite.flags`` reads
+them from the function's ``__kwdefaults__``); an explicit value below a
 parameter's range raises ValueError.  ``SUITES`` maps each name to its
 check, and is the one place the CLI runs a suite from.
 
@@ -16,9 +17,6 @@ from the records, and drops it when it returns.  The term cap
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass
-from fractions import Fraction
 from operator import eq
 from typing import Callable, NamedTuple, Sequence
 
@@ -44,8 +42,7 @@ from .records import _turning_points, find_turning_points, is_record, record_val
 from .sequence import generate_prefix
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One check line; ``items`` counts what the check covered, when countable."""
 
     suite: str
@@ -84,7 +81,7 @@ def _index_identity(suite: str, terms, m: int, k_lo: int, k_max: int) -> CheckRe
     return CheckResult(suite, f"f_3({m}k+1) = {m}k", ok, detail, max(k_max - k_lo + 1, 0))
 
 
-def thm1(limit=10_000) -> list[CheckResult]:
+def thm1(*, limit=10_000) -> list[CheckResult]:
     _at_least(3, limit=limit)
     out = []
     for a in (3, 7):
@@ -103,7 +100,7 @@ def thm1(limit=10_000) -> list[CheckResult]:
     return out
 
 
-def cor1(limit=100_000) -> list[CheckResult]:
+def cor1(*, limit=100_000) -> list[CheckResult]:
     _at_least(3, limit=limit)
     buf = generate_prefix(3, limit)
     recs = set(record_values(limit))
@@ -124,17 +121,17 @@ def cor1(limit=100_000) -> list[CheckResult]:
     ]
 
 
-def prop1(limit=100_000) -> list[CheckResult]:
+def prop1(*, limit=100_000) -> list[CheckResult]:
     _at_least(1, limit=limit)
     return [_index_identity("prop1", generate_prefix(3, 2 * limit + 1).terms, 2, 1, limit)]
 
 
-def prop2(limit=100_000) -> list[CheckResult]:
+def prop2(*, limit=100_000) -> list[CheckResult]:
     _at_least(1, limit=limit)
     return [_index_identity("prop2", generate_prefix(3, 3 * limit + 1).terms, 3, 2, limit)]
 
 
-def prop3(n=4, kmax=8) -> list[CheckResult]:
+def prop3(*, n=4, kmax=8) -> list[CheckResult]:
     _at_least(1, n=n, kmax=kmax)
     out = []
     for m in range(1, n + 1):
@@ -150,7 +147,7 @@ def prop3(n=4, kmax=8) -> list[CheckResult]:
     return out
 
 
-def thm2(bound=999) -> list[CheckResult]:
+def thm2(*, bound=999) -> list[CheckResult]:
     _at_least(1, bound=bound)
     seeds = range(3, bound + 1, 2)
     bad_verdict = []
@@ -168,7 +165,7 @@ def thm2(bound=999) -> list[CheckResult]:
     ]
 
 
-def thm3(bound=300) -> list[CheckResult]:
+def thm3(*, bound=300) -> list[CheckResult]:
     _at_least(1, bound=bound)
     seeds = range(6, bound + 1, 6)
     undecided = []
@@ -198,14 +195,14 @@ def _agreement(bound: int) -> tuple[int, int, list[int], list[int]]:
     return len(rows), identities, bad_rec, bad_pri
 
 
-def thm4(bound=300) -> list[CheckResult]:
+def thm4(*, bound=300) -> list[CheckResult]:
     _at_least(1, bound=bound)
     seeds, _, bad_rec, _ = _agreement(bound)
     return [CheckResult("thm4", "record test == simulation", not bad_rec,
                         _listed(bad_rec, f"{seeds} seeds"), seeds)]
 
 
-def thm10(bound=300) -> list[CheckResult]:
+def thm10(*, bound=300) -> list[CheckResult]:
     _at_least(1, bound=bound)
     seeds, identities, bad_rec, bad_pri = _agreement(bound)
     # Every seed 2, 4 and 6k is identity unless cor2's bands exclude it.
@@ -221,7 +218,7 @@ def thm10(bound=300) -> list[CheckResult]:
     ]
 
 
-def thm5(n=4) -> list[CheckResult]:
+def thm5(*, n=4) -> list[CheckResult]:
     _at_least(2, n=n)
     out = []
     for m in range(2, n + 1):
@@ -233,7 +230,7 @@ def thm5(n=4) -> list[CheckResult]:
     return out
 
 
-def thm6(n=3) -> list[CheckResult]:
+def thm6(*, n=3) -> list[CheckResult]:
     _at_least(2, n=n)
     report = verify_translation(n)
     p_next = nth_prime(n + 1)
@@ -246,7 +243,7 @@ def thm6(n=3) -> list[CheckResult]:
     ]
 
 
-def thm7(n=3) -> list[CheckResult]:
+def thm7(*, n=3) -> list[CheckResult]:
     _at_least(2, n=n)
     rec_report = verify_primorial_records(n)
     tr_report = verify_translation(n)
@@ -260,7 +257,9 @@ def thm7(n=3) -> list[CheckResult]:
     ]
 
 
-def thm8_recurrence(n=5) -> list[CheckResult]:
+def thm8_recurrence(*, n=5) -> list[CheckResult]:
+    from fractions import Fraction
+
     _at_least(2, n=n)
     ledger = build_density_ledger(n)
     # Finite-range densities approach the limit from above, so test them
@@ -276,7 +275,7 @@ def thm8_recurrence(n=5) -> list[CheckResult]:
     ]
 
 
-def cor2(limit=1_000_000) -> list[CheckResult]:
+def cor2(*, limit=1_000_000) -> list[CheckResult]:
     _at_least(1, limit=limit)
     seeds = range(6, limit + 1, 6)
     count = sum(1 for a in seeds if not eventually_identity_by_primorial(a))
@@ -297,7 +296,7 @@ class Suite(NamedTuple):
     @property
     def flags(self) -> dict[str, int]:
         """The suite's parameters, one ``verify`` flag each, with their defaults."""
-        return {p.name: p.default for p in inspect.signature(self.check).parameters.values()}
+        return dict(self.check.__kwdefaults__)
 
 
 TABLE = {

@@ -179,6 +179,18 @@ def test_term_cap_message_names_the_seed(tmp_path, capsys, monkeypatch):
         assert "terms of f_7; cap is 100" in err, argv
 
 
+def test_term_cap_bounds_terms_not_the_seed(capsys, monkeypatch, naive_prefix):
+    # A seed above the cap still gets every prefix the cap holds.
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "5")
+    code, out, err = run(capsys, "generate", "--a", "7", "--n", "3")
+    assert code == 0 and err == ""
+    want = naive_prefix(7, 3)
+    assert out.splitlines() == ["n,f_n"] + [f"{i},{want[i]}" for i in range(1, 4)]
+    code, out, err = run(capsys, "generate", "--a", "7", "--n", "6")
+    assert code == 2 and out == ""
+    assert "terms of f_7; cap is 5" in err
+
+
 @pytest.mark.parametrize("limit", ["-5", "0", "4"])
 def test_records_limit_below_first_record_is_usage_error(capsys, limit):
     with pytest.raises(SystemExit) as exc:
@@ -651,15 +663,61 @@ def test_vacuous_checks_print_vacuous(capsys):
     assert out.splitlines()[-1] == "prop3: 6/6 checks passed"
 
 
-def test_verify_help_lists_each_suite_with_its_flags(capsys):
+# `gcdperm verify --help` at 80 columns, byte for byte.
+VERIFY_HELP = """\
+usage: gcdperm verify [-h] [--limit LIMIT] [--bound BOUND] [--n N]
+                      [--kmax KMAX]
+                      suite
+
+positional arguments:
+  suite          one of: cor1, cor2, prop1, prop2, prop3, thm1, thm10, thm2,
+                 thm3, thm4, thm5, thm6, thm7, thm8-recurrence
+
+options:
+  -h, --help     show this help message and exit
+  --limit LIMIT  index/value limit
+  --bound BOUND  seed bound
+  --n N          primorial index
+  --kmax KMAX    multiplier bound
+
+suites, each with the flags it takes and their defaults:
+  thm1             ETP recursion: next ETP is record+1, no turning points in between
+                   --limit 10000
+  cor1             odd-index identity f_3(2k+1)=2k; every prime >= 5 is a record; parities
+                   --limit 100000
+  prop1            f_3(2k+1) = 2k for all k up to the limit
+                   --limit 100000
+  prop2            f_3(3k+1) = 3k for all 2 <= k up to the limit
+                   --limit 100000
+  prop3            forward difference >= 2n+1 at prime indices k*P_n + 1
+                   --n 4 --kmax 8
+  thm2             odd seeds merge into f_3 with every ETP even
+                   --bound 999
+  thm3             multiples of 6 settle to identity or merge, ETPs even
+                   --bound 300
+  thm4             record-adjacency membership test agrees with simulation
+                   --bound 300
+  thm5             P_n +- 1 and 2 P_n +- 1 are records
+                   --n 4
+  thm6             translation f(P_n + k) = f(k) + P_n on [p_{n+1}, 2 P_n]
+                   --n 3
+  thm7             r P_n +- 1 records for r < p_{n+1}; translation on the full range
+                   --n 3
+  thm8-recurrence  window counts satisfy w_{n+1} = w_n p_{n+1} - s_{n+1}
+                   --n 5
+  thm10            primorial-representation membership test agrees with simulation; identity count matches the band count
+                   --bound 300
+  cor2             exceptional-seed count from the density bands matches a brute-force count
+                   --limit 1000000
+"""
+
+
+def test_verify_help_lists_each_suite_with_its_flags(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--help"])
     assert exc.value.code == 0
-    lines = capsys.readouterr().out.splitlines()
-    for suite, flags in (("prop3", "--n 4 --kmax 8"), ("thm2", "--bound 999"),
-                         ("cor2", "--limit 1000000"), ("thm8-recurrence", "--n 5")):
-        i = next(i for i, line in enumerate(lines) if line.split()[:1] == [suite])
-        assert lines[i + 1].strip() == flags
+    assert capsys.readouterr().out == VERIFY_HELP
 
 
 def test_traced_run_finds_every_hook_point():

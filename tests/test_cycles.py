@@ -154,3 +154,12 @@ def test_incomplete_cycle_error(monkeypatch):
     monkeypatch.setenv("GCDPERM_MAX_TERMS", "12")
     cycles = decompose(9, 10)
     assert cycles[-1].elements == (11, 10)
+
+
+def test_seed_above_the_term_cap_decomposes_within_it(monkeypatch):
+    # The cap bounds the terms walked, not the seed: f_7 starts 1, 7, 2, 3,
+    # so the cycle through 1 closes at once and the one through 2 needs f(7).
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "5")
+    assert [c.elements for c in decompose(7, 1, include_fixed=True)] == [(1,)]
+    with pytest.raises(IncompleteCycleError, match="cycle through 2 in f_7"):
+        decompose(7, 2)

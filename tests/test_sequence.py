@@ -163,7 +163,7 @@ def test_seed_validation():
     assert SequenceBuffer(2).a == 2
 
 
-def test_term_cap(monkeypatch):
+def test_term_cap(monkeypatch, naive_prefix):
     monkeypatch.setenv("GCDPERM_MAX_TERMS", "50")
     with pytest.raises(LimitExceededError):
         generate_prefix(3, 100)
@@ -171,8 +171,11 @@ def test_term_cap(monkeypatch):
     assert buf.cap == 50
     with pytest.raises(LimitExceededError):
         buf.extend()
-    with pytest.raises(LimitExceededError):
-        SequenceBuffer(100)
+    # The cap bounds the terms, not the seed: a seed above the cap starts,
+    # and its terms stop at the cap.
+    assert list(generate_prefix(100, 50)) == naive_prefix(100, 50)[1:]
+    with pytest.raises(LimitExceededError, match="requested 51 terms of f_100; cap is 50"):
+        generate_prefix(100, 51)
 
 
 def test_term_cap_env_override(monkeypatch):

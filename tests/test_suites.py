@@ -88,6 +88,39 @@ def test_suites_take_only_their_own_parameters():
     assert TABLE["thm10"].flags == {"bound": 300}
 
 
+# Each suite's verify flags with their defaults, in table and parameter order.
+SUITE_FLAGS = {
+    "thm1": {"limit": 10_000},
+    "cor1": {"limit": 100_000},
+    "prop1": {"limit": 100_000},
+    "prop2": {"limit": 100_000},
+    "prop3": {"n": 4, "kmax": 8},
+    "thm2": {"bound": 999},
+    "thm3": {"bound": 300},
+    "thm4": {"bound": 300},
+    "thm5": {"n": 4},
+    "thm6": {"n": 3},
+    "thm7": {"n": 3},
+    "thm8-recurrence": {"n": 5},
+    "thm10": {"bound": 300},
+    "cor2": {"limit": 1_000_000},
+}
+
+
+def test_suite_flags_are_pinned():
+    got = [(name, list(suite.flags.items())) for name, suite in TABLE.items()]
+    assert got == [(name, list(flags.items())) for name, flags in SUITE_FLAGS.items()]
+    # flags is a copy: changing it leaves the check's defaults alone.
+    TABLE["prop3"].flags["n"] = 0
+    assert TABLE["prop3"].flags == {"n": 4, "kmax": 8}
+
+
+def test_suite_parameters_are_keyword_only():
+    for name, check in SUITES.items():
+        with pytest.raises(TypeError):
+            check(*SUITE_FLAGS[name].values())
+
+
 def test_explicit_small_values_run_as_given():
     # Before, prop3(n=..., kmax=...) fell back to n=4, k<=8 on a falsy value;
     # the smallest in-range values now run as written.
