@@ -50,9 +50,7 @@ from .primorial import (
     verify_translation,
     w_count,
 )
-# After the primorial module is loaded, so that ``gcdperm.primorial`` names
-# the function, not the module.
-from .primes import nth_prime, primorial
+from .primes import nth_prime
 from .records import (
     FIRST_ETP,
     FIRST_RECORD,
@@ -114,7 +112,6 @@ __all__ = [
     "prefix_terms",
     "prime_ratio_series",
     "primes_within_records_series",
-    "primorial",
     "reconstruct_f3",
     "record_stream_upto",
     "record_values",

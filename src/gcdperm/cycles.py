@@ -22,7 +22,7 @@ class IncompleteCycleError(RuntimeError):
 
 
 class Cycle(NamedTuple):
-    """One finite cycle; ``index`` counts nontrivial cycles, None for fixed points.
+    """One nontrivial finite cycle; ``index`` counts them from 1.
 
     ``len(cycle)`` counts the elements, not the two fields.  ``_make`` and
     ``_replace`` check the field count with ``len``, so do not use them on
@@ -30,17 +30,17 @@ class Cycle(NamedTuple):
     """
 
     elements: tuple[int, ...]
-    index: int | None
+    index: int
 
     def __len__(self) -> int:
         return len(self.elements)
 
 
-def decompose(a: int, n: int, include_fixed: bool = False) -> list[Cycle]:
-    """All complete cycles of f_a whose smallest element is <= n.
+def decompose(a: int, n: int) -> list[Cycle]:
+    """All complete nontrivial cycles of f_a whose smallest element is <= n.
 
-    Ordered by ascending smallest element.  Length-1 cycles (fixed points)
-    are suppressed unless include_fixed is set; they never consume an index.
+    Ordered by ascending smallest element.  Fixed points are left out and
+    never consume an index.
     The backing prefix starts at max(2n, 64) terms, clamped to the term
     cap, and is extended as needed to close each cycle, up to the cap.
     """
@@ -75,8 +75,6 @@ def decompose(a: int, n: int, include_fixed: bool = False) -> list[Cycle]:
             reach(v, start)
             v = terms[v]
         if len(path) == 1:
-            if include_fixed:
-                cycles.append(Cycle((start,), None))
             continue
         top = path.index(max(path))
         cycles.append(Cycle(tuple(path[top:] + path[:top]), next_index))
@@ -105,19 +103,9 @@ def twin_cycle_gaps(limit: int) -> list[tuple[int, int, int, int, int]]:
     Pairs are enumerated with M_j <= limit.
     """
     pairs = twin_prime_pairs(limit)
-    if len(pairs) < 2:
-        return []
-    rows = []
-    for j in range(len(pairs) - 1):
-        lo, hi = pairs[j]
-        nxt_lo, nxt_hi = pairs[j + 1]
-        rows.append(
-            (
-                j + 1,
-                lo,
-                hi,
-                cycle_index(nxt_lo) - cycle_index(hi),
-                cycle_index(nxt_hi) - cycle_index(lo),
-            )
-        )
-    return rows
+    index = [(cycle_index(lo), cycle_index(hi)) for lo, hi in pairs]
+    return [
+        (j, lo, hi, c_next_lo - c_hi, c_next_hi - c_lo)
+        for j, ((lo, hi), (c_lo, c_hi), (c_next_lo, c_next_hi))
+        in enumerate(zip(pairs, index, index[1:]), start=1)
+    ]

@@ -16,10 +16,11 @@ every later record r sits at index (previous record) + 1, every prime >= 5
 shows up as a record, and every record is odd and congruent to 1 or 5 mod 6.
 
 Point queries go to ``_records_around``: the consecutive records q <= v < r,
-found by walking the recurrence from the largest prime <= v, with no list.
-``is_record`` reads it, and so does classification, which takes the state
-of an even seed a at index a from the records around a - 1.  Range work goes
-to the shared ascending record list, which this module alone reads:
+by one bisect where the shared list reaches past v, else by a walk from the
+largest prime <= v; it never grows the list.  ``is_record`` and ``_f3_at``
+read it, and so does classification, which takes the state of an even seed
+a at index a from the records around a - 1.  Range work goes to the shared
+ascending record list, which this module alone reads:
 ``cached_records`` grows it until it passes a limit, and ``record_count``
 bisects it; every other module asks ``record_count`` or ``record_values``.
 The list is an ``array('q')``, 8 bytes per record, and it grows one block
@@ -127,16 +128,20 @@ def next_record(r: int) -> int:
 
 
 def _records_around(v: int) -> tuple[int, int]:
-    """The consecutive f_3 records q <= v < r (v >= 5), found without the shared list.
+    """The consecutive f_3 records q <= v < r (v >= 5); never grows the shared list.
 
-    Rests on Cor 1: every prime >= 5 is a record and every record is
-    6k +- 1.  So the walk steps down over the values 6k +- 1 to the largest
+    Below the last record of the shared list, one bisect answers.  Past it,
+    the walk rests on Cor 1: every prime >= 5 is a record and every record
+    is 6k +- 1.  So it steps down over the values 6k +- 1 to the largest
     prime p <= v, then follows ``next_record`` from p until it passes v; it
     costs about one prime gap.  Exact wherever ``is_prime`` is, that is for
     v < 3.3e24; from there on ``is_prime`` raises ValueError.
     """
     if v < FIRST_RECORD:
         raise ValueError(f"records start at {FIRST_RECORD}, got {v}")
+    if v < _CACHE[-1]:
+        i = bisect_right(_CACHE, v)
+        return _CACHE[i - 1], _CACHE[i]
     q = v - (1, 0, 1, 2, 3, 0)[v % 6]  # the largest 6k +- 1 <= v
     while not is_prime(q):
         q -= 2 if q % 6 == 1 else 4
@@ -147,12 +152,12 @@ def _records_around(v: int) -> tuple[int, int]:
 
 
 def is_record(v: int) -> bool:
-    """True iff v is an f_3 record, decided by ``_records_around`` without the shared list."""
+    """True iff v is an f_3 record, decided by ``_records_around``; never grows the shared list."""
     return v >= FIRST_RECORD and v % 6 in (1, 5) and _records_around(v)[0] == v
 
 
 def _f3_at(n: int) -> int:
-    """f_3(n) from ``_records_around(n - 1)``, without the shared list (n >= 1).
+    """f_3(n) from ``_records_around(n - 1)`` (n >= 1); never grows the shared list.
 
     Past the head 1, 3, 2, 5, 4, f_3(n) is the record after n - 1 when
     n - 1 is a record, and n - 1 otherwise.
@@ -303,20 +308,13 @@ def record_stream_upto(limit: int) -> list[Record]:
 def reconstruct_f3(n: int) -> int:
     """f_3(n) straight from the record list, without sequential generation.
 
-    If n-1 is a record, n is a turning point and f_3(n) is the next record;
-    otherwise f_3(n) = n - 1 (counting stretch), with f(1)=1 and f(2)=3
-    handled directly.  The shared record list is grown as needed.
+    Grows the shared record list past n + 1, so that ``_f3_at`` answers
+    from it with one bisect.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n <= 4:
-        return (1, 3, 2, 5)[n - 1]
-    # record_count grows the list past n + 1, so a record n - 1 has its successor in it.
-    k = record_count(n + 1)
-    i = k - 2 if _CACHE[k - 1] == n + 1 else k - 1  # the largest record <= n
-    if _CACHE[i] == n - 1:
-        return _CACHE[i + 1]
-    return n - 1
+    cached_records(n + 1)
+    return _f3_at(n)
 
 
 def f3_terms(n: int) -> array:

@@ -89,27 +89,24 @@ class SequenceBuffer:
             raise ValueError(f"seed must be >= 2, got {a}")
         self.a = a
         self.cap = max_terms_cap()
-        self.base = 0
-        self.head_max = a
-        self._terms = [0, 1, a]
-        self._low = 3 if a == 2 else 2
-        self._above = {a} if a > 2 else set()
-        self.pool_peak = a - 2
+        self._start(0, [0, 1, a], 3 if a == 2 else 2, {a} if a > 2 else set())
 
     @classmethod
     def resume(cls, a: int, n: int, last: int, low: int, above: set[int]) -> "SequenceBuffer":
         """The buffer of f_a at index n, given f(n) = last, the smallest
         unused value low and the set of used values above it."""
-        buf = cls.__new__(cls)
-        buf.a = a
-        buf.cap = max_terms_cap()
-        buf.base = n
-        buf.head_max = max(above, default=low - 1)
-        buf._terms = [last]
-        buf._low = low
-        buf._above = above
-        buf.pool_peak = buf.head_max - n
+        buf = cls(a)
+        buf._start(n, [last], low, above)
         return buf
+
+    def _start(self, base: int, terms: list[int], low: int, above: set[int]) -> None:
+        """Set the state at index base: the term store, low and the used values above it."""
+        self.base = base
+        self._terms = terms
+        self._low = low
+        self._above = above
+        self.head_max = max(above, default=low - 1)
+        self.pool_peak = self.head_max - max(base, 2)
 
     def __len__(self) -> int:
         return self.base + len(self._terms) - 1

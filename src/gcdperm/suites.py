@@ -11,8 +11,10 @@ check, and is the one place the CLI runs a suite from.
 
 thm1 (for f_3), cor1, prop1 and prop2 check identities against the
 definition, so each simulates its own prefix of f_3 with the engine, not
-from the records, and drops it when it returns.  The term cap
-(GCDPERM_MAX_TERMS) bounds each prefix.
+from the records, and drops it when it returns; cor1 reads its records off
+that prefix.  thm2 checks the first ETP ``classify`` takes for each odd seed
+a <= 199 against a simulated f_a(1..a+2).  The term cap (GCDPERM_MAX_TERMS)
+bounds each prefix.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .primorial import (
     verify_primorial_records,
     verify_translation,
 )
-from .records import _turning_points, find_turning_points, is_record, record_values
+from .records import _turning_points, find_turning_points, is_record
 from .sequence import generate_prefix
 
 
@@ -103,14 +105,17 @@ def thm1(*, limit=10_000) -> list[CheckResult]:
 def cor1(*, limit=100_000) -> list[CheckResult]:
     _at_least(3, limit=limit)
     buf = generate_prefix(3, limit)
-    recs = set(record_values(limit))
-    primes = [p for p in primes_upto(limit) if p >= 5]
-    missing = [p for p in primes if p not in recs]
+    # Every record r <= limit sits at a turning point t < r.
+    recs: set[int] = set()
     tps = 0
     parity_ok = True
     for tp in _turning_points(buf, limit):
         tps += 1
         parity_ok = parity_ok and tp.t % 2 == 0 and tp.record_value % 2 == 1
+        if tp.record_value <= limit:
+            recs.add(tp.record_value)
+    primes = [p for p in primes_upto(limit) if p >= 5]
+    missing = [p for p in primes if p not in recs]
     form_ok = all(r % 6 in (1, 5) for r in recs)
     return [
         _index_identity("cor1", buf.terms, 2, 1, (limit - 1) // 2),
@@ -150,18 +155,28 @@ def prop3(*, n=4, kmax=8) -> list[CheckResult]:
 def thm2(*, bound=999) -> list[CheckResult]:
     _at_least(1, bound=bound)
     seeds = range(3, bound + 1, 2)
+    top = min(bound, 199)  # the simulated seeds take about 10k terms
+    simulated = range(3, top + 1, 2)
     bad_verdict = []
     bad_parity = []
+    bad_first = []
     for a in seeds:
         label = classify(a)
         if label.verdict != C3:
             bad_verdict.append(a)
         if any(t % 2 for t in label.etps):
             bad_parity.append(a)
+        if a <= top:
+            first = next((tp.t for tp in _turning_points(generate_prefix(a, a + 2), a + 2)
+                          if tp.is_etp), None)
+            if first != label.etps[0]:
+                bad_first.append(a)
     return [
         CheckResult("thm2", "odd seeds merge into f_3", not bad_verdict,
                     _listed(bad_verdict, f"a odd, 3..{bound}"), len(seeds)),
         CheckResult("thm2", "all ETPs even", not bad_parity, items=len(seeds)),
+        CheckResult("thm2", "first ETP as simulated", not bad_first,
+                    _listed(bad_first, f"a odd, 3..{top}"), len(simulated)),
     ]
 
 

@@ -213,6 +213,15 @@ def test_even_seed_state_matches_simulation():
         assert head_max == max(terms[1 : a + 1]), a
 
 
+def test_even_seed_buffer_head_max_and_pool_peak():
+    # At index a the largest value so far is max f(1..a), and the values
+    # unused below it number that maximum minus a.
+    for a in range(6, 61, 2):
+        buf = _even_seed_buffer(a)
+        head_max = max(generate_prefix(a, a).terms[1:])
+        assert (len(buf), buf.head_max, buf.pool_peak) == (a, head_max, head_max - a), a
+
+
 def _prefix_label(a, records):
     """(verdict, witness, etps) of f_a by simulating it from the seed and
     scanning every turning point; records is a set of f_3 records."""

@@ -9,7 +9,7 @@ from gcdperm import (
     twin_cycle_gaps,
 )
 from gcdperm.cli import main
-from gcdperm.primes import primes_upto
+from gcdperm.primes import primes_upto, twin_prime_pairs
 
 F3_CYCLES_TO_25 = [
     (3, 2),
@@ -48,23 +48,24 @@ def test_cycles_roundtrip():
 
 
 def test_cycles_partition_covered_range():
-    cycles = decompose(3, 100, include_fixed=True)
-    covered = sorted(v for c in cycles for v in c.elements if v <= 100)
+    # The nontrivial cycles and the fixed points of the prefix cover 1..100 once each.
+    terms = generate_prefix(3, 100).terms
+    fixed = [v for v in range(1, 101) if terms[v] == v]
+    covered = sorted(fixed + [v for c in decompose(3, 100) for v in c.elements if v <= 100])
     assert covered == list(range(1, 101))
 
 
 def test_fixed_points():
-    with_fixed = decompose(12, 13, include_fixed=True)
-    fixed = [c.elements[0] for c in with_fixed if len(c) == 1]
-    assert fixed == [1, 7, 13]
-    assert all(c.index is None for c in with_fixed if len(c) == 1)
-    # suppressed by default, and indices unaffected either way
-    assert [c.index for c in decompose(12, 13)] == [1, 2, 3]
-    assert [c.index for c in with_fixed if c.index] == [1, 2, 3]
+    terms = generate_prefix(12, 13).terms
+    assert [v for v in range(1, 14) if terms[v] == v] == [1, 7, 13]
+    # left out of the decomposition, and they take no index
+    cycles = decompose(12, 13)
+    assert all(len(c) > 1 for c in cycles)
+    assert [c.index for c in cycles] == [1, 2, 3]
 
 
 def _index_by_value(cycles):
-    return {v: c.index for c in cycles if c.index is not None for v in c.elements}
+    return {v: c.index for c in cycles for v in c.elements}
 
 
 def test_cycle_index_examples():
@@ -134,6 +135,18 @@ def test_twin_cycle_gaps_degenerate():
     assert twin_cycle_gaps(6) == []  # single pair (3,5): nothing to difference
 
 
+@pytest.mark.parametrize("limit", [4, 5, 7, 13, 10_000])
+def test_twin_cycle_gaps_against_a_row_by_row_oracle(limit):
+    pairs = twin_prime_pairs(limit)
+    want = [
+        (j + 1, lo, hi,
+         cycle_index(pairs[j + 1][0]) - cycle_index(hi),
+         cycle_index(pairs[j + 1][1]) - cycle_index(lo))
+        for j, (lo, hi) in enumerate(pairs[:-1])
+    ]
+    assert twin_cycle_gaps(limit) == want
+
+
 def test_twin_cycle_gap_range_probe():
     # Observed range of the second gap series up to 1e6; reported, not asserted.
     rows = twin_cycle_gaps(1_000_000)
@@ -160,6 +173,6 @@ def test_seed_above_the_term_cap_decomposes_within_it(monkeypatch):
     # The cap bounds the terms walked, not the seed: f_7 starts 1, 7, 2, 3,
     # so the cycle through 1 closes at once and the one through 2 needs f(7).
     monkeypatch.setenv("GCDPERM_MAX_TERMS", "5")
-    assert [c.elements for c in decompose(7, 1, include_fixed=True)] == [(1,)]
+    assert decompose(7, 1) == []
     with pytest.raises(IncompleteCycleError, match="cycle through 2 in f_7"):
         decompose(7, 2)

@@ -9,6 +9,7 @@ exact rationals import ``Fraction`` when they run.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -41,6 +42,19 @@ def test_import_loads_no_heavy_stdlib_module():
     assert "gcdperm" in package and LAYERS <= cli
     assert (package - bare) & HEAVY == set()
     assert (cli - bare) & HEAVY == set()
+
+
+def test_each_layer_module_imports_by_path():
+    # The package binds no function over a submodule's name, except
+    # ``gcdperm.classify``, the function that callers of the package use.
+    for name in sorted(LAYERS):
+        module = importlib.import_module(name)
+        assert module.__name__ == name and sys.modules[name] is module
+        attr = name.rpartition(".")[2]
+        if attr == "classify":
+            assert gcdperm.classify is module.classify
+        else:
+            assert getattr(gcdperm, attr) is module, name
 
 
 def _import_time_imports(body):

@@ -1,4 +1,3 @@
-import importlib
 import math
 from fractions import Fraction
 
@@ -13,7 +12,6 @@ from gcdperm import (
     nth_prime,
     prime_ratio_series,
     primes_within_records_series,
-    primorial,
     derivative_bound_check,
     s_count,
     verify_primorial_records,
@@ -21,9 +19,8 @@ from gcdperm import (
     w_count,
 )
 from gcdperm import primes
-
-# The package exports the function primorial under the submodule's name.
-primorial_module = importlib.import_module("gcdperm.primorial")
+from gcdperm import primorial as primorial_module
+from gcdperm.primes import primorial
 
 
 def test_primorial_values():

@@ -252,6 +252,30 @@ def test_records_around_brackets_v_with_consecutive_records():
         _records_around(4)
 
 
+@pytest.mark.parametrize("grow_to", [None, 10**5])
+def test_records_around_on_both_sides_of_the_shared_list(monkeypatch, grow_to):
+    # Below the last record of the list one bisect answers and no primality
+    # test runs; from it on the prime walk answers.  Both agree with the
+    # plain next_record walk, and neither grows the list.
+    monkeypatch.setattr(records, "_CACHE", array("q", [FIRST_RECORD]))
+    if grow_to:
+        records.cached_records(grow_to)
+    end = records._CACHE[-1]
+    before = len(records._CACHE)
+    walk = _plain_walk(end + 2000)
+    values = sorted({*range(5, 500), *range(max(5, end - 2000), end + 2000)})
+    want = {v: (walk[bisect_right(walk, v) - 1], walk[bisect_right(walk, v)]) for v in values}
+    below = [v for v in values if v < end]
+    assert bool(below) == bool(grow_to)
+    is_prime = records.is_prime
+    monkeypatch.setattr(records, "is_prime", lambda n: pytest.fail(f"walked for {n}"))
+    assert [_records_around(v) for v in below] == [want[v] for v in below]
+    monkeypatch.setattr(records, "is_prime", is_prime)
+    beyond = [v for v in values if v >= end]
+    assert [_records_around(v) for v in beyond] == [want[v] for v in beyond]
+    assert len(records._CACHE) == before
+
+
 def test_sparse_f3_matches_the_prefix():
     terms = f3_terms(10_000)
     assert [_f3_at(i) for i in range(1, 10_001)] == terms[1:].tolist()

@@ -69,6 +69,20 @@ def test_resume_continues_from_a_given_state(a, n, monkeypatch):
         buf.extend()
 
 
+def test_resume_refuses_the_seeds_the_constructor_refuses():
+    with pytest.raises(ValueError, match="seed must be >= 2, got 1"):
+        SequenceBuffer(1)
+    with pytest.raises(ValueError, match="seed must be >= 2, got 1"):
+        SequenceBuffer.resume(1, 5, 4, 5, set())
+
+
+def test_fresh_buffer_head_max_and_pool_peak():
+    # f(1..2) = 1, a: the largest value is a, and a - 2 values lie unused below it.
+    for a, head_max, pool_peak in ((2, 2, 0), (3, 3, 1), (36, 36, 34)):
+        buf = SequenceBuffer(a)
+        assert (len(buf), buf.head_max, buf.pool_peak) == (2, head_max, pool_peak), a
+
+
 def test_engine_matches_naive_generator(naive_prefix):
     for a in range(2, 301):
         n = 3 * a + 300

@@ -43,6 +43,25 @@ def test_explicit_out_of_range_value_raises(suite, params):
         SUITES[suite](**params)
 
 
+def test_thm2_catches_a_wrong_first_etp_of_an_odd_seed(monkeypatch):
+    # An odd branch that put the first ETP at a + 3: the verdict and the
+    # parity lines still pass, the simulated first ETP does not.
+    classify = suites.classify
+
+    def mutated(a):
+        label = classify(a)
+        return label._replace(etps=(a + 3,) + label.etps[1:]) if a % 2 else label
+
+    monkeypatch.setattr(suites, "classify", mutated)
+    results = SUITES["thm2"](bound=99)
+    assert [(r.name, r.ok) for r in results] == [
+        ("odd seeds merge into f_3", True),
+        ("all ETPs even", True),
+        ("first ETP as simulated", False),
+    ]
+    assert results[2].detail.startswith("failed: [3, 5, 7, 9, 11]")
+
+
 def test_thm5_leaves_the_shared_record_list_alone():
     # Each target is one is_record query; P_12 is about 7.4e12.
     before = len(records._CACHE)
