@@ -20,7 +20,7 @@ from . import __version__
 from .classify import BudgetExhaustedError, prefix_terms, scan_identity_seeds
 from .cycles import twin_cycle_gaps
 from .primorial import prime_ratio_series, primes_within_records_series
-from .records import FIRST_RECORD, _annotated, _record_array, record_values
+from .records import FIRST_RECORD, _annotated, cached_records, record_values
 from .sequence import MAX_TERMS_ENV, LimitExceededError
 from .suites import SUITES, TABLE
 
@@ -101,7 +101,7 @@ def cmd_records(args) -> int:
     chunks = (
         (range(s, s + len(columns[0])), *columns)
         for s, columns in zip(itertools.count(1, WRITE_CHUNK_LINES),
-                              _annotated(_record_array(args.limit), WRITE_CHUNK_LINES))
+                              _annotated(cached_records(args.limit), WRITE_CHUNK_LINES))
     )
     _write_rows(args.out, "index,record,turning_point,jump,is_composite", "%d,%d,%d,%d,%d\n",
                 chunks)

@@ -23,7 +23,8 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .primes import is_prime, nth_prime, primorial, sieve_flags, smallest_prime_not_dividing
-from .records import FIRST_RECORD, _f3_at, _records_around, is_record, record_count, record_values
+from .records import (FIRST_RECORD, _records_around, is_record, reconstruct_f3, record_count,
+                      record_values)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -108,9 +109,9 @@ def verify_translation(n: int) -> TranslationReport:
     after a record r is spnd(r - 1), and spnd(m) = spnd(m + P_n) unless P_n
     divides m, so walks that start P_n apart stay in step except past a
     record j * P_n + 1 with spnd(j * P_n) != spnd((j + 1) * P_n).  The
-    maximal range is probed with ``_f3_at`` down to k = 1 and up to
-    k = P_n * p_{n+1}.  The probes stay below the bound of ``is_prime`` up
-    to n = 17; from n = 18 on, it raises ValueError.
+    maximal range is probed with ``reconstruct_f3`` down to k = 1 and up to
+    k = P_n * p_{n+1}.  The record queries need no primality test, so they
+    are exact below P_3248, far past any n the probes can reach in time.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -126,9 +127,9 @@ def verify_translation(n: int) -> TranslationReport:
                 and is_record(j * pn + 1)):
             return TranslationReport(n, (lo, hi), (j * pn + 2,), (0, 0))
     k_lo, k_hi = lo, hi
-    while k_lo > 1 and _f3_at(pn + k_lo - 1) == _f3_at(k_lo - 1) + pn:
+    while k_lo > 1 and reconstruct_f3(pn + k_lo - 1) == reconstruct_f3(k_lo - 1) + pn:
         k_lo -= 1
-    while k_hi < pn * p_next and _f3_at(pn + k_hi + 1) == _f3_at(k_hi + 1) + pn:
+    while k_hi < pn * p_next and reconstruct_f3(pn + k_hi + 1) == reconstruct_f3(k_hi + 1) + pn:
         k_hi += 1
     return TranslationReport(n, (lo, hi), (), (k_lo, k_hi))
 
@@ -245,7 +246,7 @@ def derivative_bound_check(n: int, k_max: int) -> list[DerivativeCheck]:
 
     The report may be empty (vacuous) when no k in range yields a prime.
     The derivative g(q) = f_3(q + 1) - f_3(q) is read from the records by
-    ``_f3_at``, without growing the shared record list.
+    ``reconstruct_f3``.  ``is_prime`` raises ValueError for q from about 3.3e24 on.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -255,7 +256,7 @@ def derivative_bound_check(n: int, k_max: int) -> list[DerivativeCheck]:
         q = k * pn + 1
         if q <= 5 or not is_prime(q):
             continue
-        rows.append(DerivativeCheck(k, q, _f3_at(q + 1) - _f3_at(q), 2 * n + 1))
+        rows.append(DerivativeCheck(k, q, reconstruct_f3(q + 1) - reconstruct_f3(q), 2 * n + 1))
     return rows
 
 

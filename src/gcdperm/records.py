@@ -15,23 +15,22 @@ is the smallest prime not dividing r-1.  The first record is 5 at index 4,
 every later record r sits at index (previous record) + 1, every prime >= 5
 shows up as a record, and every record is odd and congruent to 1 or 5 mod 6.
 
-Point queries go to ``_records_around``: the consecutive records q <= v < r,
-by one bisect where the shared list reaches past v, else by a walk from the
-largest prime <= v; it never grows the list.  ``is_record`` and ``_f3_at``
-read it, and so does classification, which takes the state of an even seed
-a at index a from the records around a - 1.  Range work goes to the shared
-ascending record list, which this module alone reads:
-``cached_records`` grows it until it passes a limit, and ``record_count``
-bisects it; every other module asks ``record_count`` or ``record_values``.
-The list is an ``array('q')``, 8 bytes per record, and it grows one block
-of 30030 = 2*3*5*7*11*13 values at a time.  This is the primorial
-periodicity of the recurrence: the step after a record r is
-spnd(r - 1), the smallest prime not dividing r - 1, and that is a
-function of (r - 1) mod 30030 unless 30030 divides r - 1.  So the records
-of a block follow from the offset of the record that enters it; a memo
-keyed by that offset holds them, and only a record r = 1 (mod 30030)
-needs ``smallest_prime_not_dividing``.  Few offsets ever enter a block (4
-up to 5e7), so the memo stays small.  Annotation yields the columns of
+On m = r - 1 the recurrence is the walk m -> m + spnd(m) - 1 from m = 4,
+spnd(m) the smallest prime not dividing m.  Inside a block [30030 j,
+30030 (j + 1)), 30030 = 2*3*5*7*11*13, spnd(m) depends only on m mod 30030,
+except at the block start.  The walk C through block 0 has 8,855 points
+from 4 to 30028, steps from 30028 to exactly 30030, and holds p - 1 for
+every prime 17 <= p < 30030.  So block j >= 1 holds 30030 j and then
+30030 j + c for every c in C from spnd(30030 j) - 1 on, below P_3248, the
+product of the primes up to 30029, where spnd(30030 j) first passes 30030.
+``_records_around`` (read by ``is_record``, ``reconstruct_f3`` and
+classification) and ``record_count`` take one divmod, one spnd and a bisect
+in C, and ``record_count`` one term per prime p for the blocks whose start
+has spnd p; from P_3248 on they raise ValueError.  ``cached_records``, the
+one dense enumerator, returns a new ``array('q')`` of the records up to a
+limit, a block at a time: a memo keyed by the offset of the record that
+enters a block holds a slice of C, and only a record r = 1 (mod 30030)
+needs ``smallest_prime_not_dividing``.  Annotation yields the columns of
 the records in chunks, and derives ``is_composite`` from one sieve up to
 the largest record, not from a primality test per record.
 
@@ -48,12 +47,14 @@ from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import chain
+from math import prod
 from operator import sub
 from typing import Iterator, NamedTuple, Sequence
 
-from .primes import _WHEEL, _WHEEL_SPND, is_prime, sieve_flags, smallest_prime_not_dividing
+from .primes import (_WHEEL, _WHEEL_SPND, nth_prime, primes_upto, sieve_flags,
+                     smallest_prime_not_dividing)
 from .sequence import LimitExceededError, SequenceBuffer, max_terms_cap
 
 FIRST_ETP = 4
@@ -92,10 +93,10 @@ def _turning_points(buffer: SequenceBuffer, stop: int) -> Iterator[TurningPoint]
     running_max = buffer.head_max
     t = max(base, 2)  # last index scanned
     while t < stop:
-        if len(buffer) == t:
+        if buffer.last_index == t:
             buffer.extend_to(min(2 * t - base + 1, stop))
         prev = terms[t - base]
-        for t in range(t + 1, min(len(buffer), stop) + 1):
+        for t in range(t + 1, min(buffer.last_index, stop) + 1):
             v = terms[t - base]
             if v - prev > 1 if t > 3 else v != smallest_free:
                 complete_below = running_max == t - 1  # {f(1..t-1)} == {1..t-1}
@@ -127,51 +128,79 @@ def next_record(r: int) -> int:
     return m + smallest_prime_not_dividing(m)
 
 
-def _records_around(v: int) -> tuple[int, int]:
-    """The consecutive f_3 records q <= v < r (v >= 5); never grows the shared list.
+# C, the walk m -> m + spnd(m) - 1 from m = 4 through block 0 and on to
+# 30030, as a list (it bisects about twice as fast as an array); filled by
+# _block.
+_WALK: list[int] = []
 
-    Below the last record of the shared list, one bisect answers.  Past it,
-    the walk rests on Cor 1: every prime >= 5 is a record and every record
-    is 6k +- 1.  So it steps down over the values 6k +- 1 to the largest
-    prime p <= v, then follows ``next_record`` from p until it passes v; it
-    costs about one prime gap.  Exact wherever ``is_prime`` is, that is for
-    v < 3.3e24; from there on ``is_prime`` raises ValueError.
-    """
+
+def _block(v: int) -> tuple[list[int], int, int, int]:
+    """(C, 30030 j, v - 1 - 30030 j, c) for the block j of m = v - 1
+    (v < P_3248): block j holds 30030 j + C[:-1] from its point c on, and
+    block j >= 1 holds 30030 j too, with c = spnd(30030 j) - 1."""
+    if not _WALK:
+        m, walk = 4, [4]
+        while m < _WHEEL:
+            m += _WHEEL_SPND[m] - 1
+            walk.append(m)
+        _WALK[:] = walk
+    # P_3248 has 42,966 bits; it is formed only for a value that long.
+    if v.bit_length() > 42_000 and v >= prod(primes_upto(_WHEEL)):
+        raise ValueError("the f_3 records are exact only below P_3248, the product "
+                         "of the primes up to 30029 (about 6.9e12933)")
+    walk = _WALK
+    j, off = divmod(v - 1, _WHEEL)
+    base = v - 1 - off
+    return walk, base, off, smallest_prime_not_dividing(base) - 1 if j else 4
+
+
+def _records_around(v: int) -> tuple[int, int]:
+    """The consecutive f_3 records q <= v < r (5 <= v < P_3248), from C."""
     if v < FIRST_RECORD:
         raise ValueError(f"records start at {FIRST_RECORD}, got {v}")
-    if v < _CACHE[-1]:
-        i = bisect_right(_CACHE, v)
-        return _CACHE[i - 1], _CACHE[i]
-    q = v - (1, 0, 1, 2, 3, 0)[v % 6]  # the largest 6k +- 1 <= v
-    while not is_prime(q):
-        q -= 2 if q % 6 == 1 else 4
-    r = next_record(q)
-    while r <= v:
-        q, r = r, next_record(r)
-    return q, r
+    walk, base, off, first = _block(v)
+    if off < first:  # past the block start, before the walk rejoins C
+        return base + 1, base + first + 1
+    i = bisect_right(walk, off)
+    return base + walk[i - 1] + 1, base + walk[i] + 1
 
 
 def is_record(v: int) -> bool:
-    """True iff v is an f_3 record, decided by ``_records_around``; never grows the shared list."""
+    """True iff v is an f_3 record, decided by ``_records_around``."""
     return v >= FIRST_RECORD and v % 6 in (1, 5) and _records_around(v)[0] == v
 
 
-def _f3_at(n: int) -> int:
-    """f_3(n) from ``_records_around(n - 1)`` (n >= 1); never grows the shared list.
+def reconstruct_f3(n: int) -> int:
+    """f_3(n) from ``_records_around(n - 1)`` (n >= 1), without sequential generation.
 
     Past the head 1, 3, 2, 5, 4, f_3(n) is the record after n - 1 when
     n - 1 is a record, and n - 1 otherwise.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     if n <= 5:
         return (1, 3, 2, 5, 4)[n - 1]
     q, r = _records_around(n - 1)
     return r if q == n - 1 else n - 1
 
 
-# Shared ascending record list, grown on demand.  Its tail always extends
-# past any limit it was asked to cover, so "the record after x" is always
-# resolvable for x <= limit.
-_CACHE = array("q", [FIRST_RECORD])
+def record_count(x: int) -> int:
+    """Number of f_3 records <= x (x < P_3248; 3 = f_3(2) is not one)."""
+    if x < FIRST_RECORD:
+        return 0
+    walk, base, off, first = _block(x)
+    # Block 0 holds len(walk) - 1 records, so with the start of block j:
+    count = max(0, bisect_right(walk, off) - bisect_left(walk, first)) + (len(walk) if base else 0)
+    # Of the full blocks b = 1..n, t = n // Q have Q | b, and spnd(30030 b)
+    # is p for those where p does not divide b / Q too.
+    t, k = base // _WHEEL - 1, 7  # p_7 = 17
+    while t > 0:
+        p = nth_prime(k)
+        count += (t - t // p) * (len(walk) - bisect_left(walk, p - 1))
+        t //= p
+        k += 1
+    return count
+
 
 # Block memo: for a record r with o = (r - 1) % _WHEEL > 0, _BLOCKS[o] holds
 # what r fixes up to the first record r* past the block of r - 1: at index
@@ -185,19 +214,16 @@ _RECORDS, _TERMS = 0, 1
 def _block_pattern(o: int, kind: int) -> tuple[int, int, int, int]:
     """The ``_BLOCKS[o][kind]`` pattern for offset o (0 < o < _WHEEL).
 
-    The records come from the recurrence m -> m + spnd(m) - 1 on m = r - 1,
-    stepped on offsets within the block.  The terms lag their index,
-    f_3(i) = i - 1, except f_3(q + 1) = q' for consecutive records q < q'.
+    The records are c + 1 for the points c of C above o, the last 30031
+    past the base.  The terms lag their index, f_3(i) = i - 1, except
+    f_3(q + 1) = q' for consecutive records q < q'.
     A pattern is (packed, ones, size, last): the lanes as the bytes of an
     ``array('q')`` read as one int, the int with a 1 in each 8-byte lane,
     the byte count, and the offset of r*.  packed + base * ones then holds
     base + lane in every lane, since no lane overflows.
     """
-    records = array("q")
-    m = o
-    while m < _WHEEL:
-        m += _WHEEL_SPND[m] - 1
-        records.append(m + 1)
+    walk = _block(FIRST_RECORD)[0]
+    records = array("q", [c + 1 for c in walk[bisect_right(walk, o):]])
     lanes = records
     if kind == _TERMS:  # lane k holds the term at index r + 1 + k
         lanes = array("q", range(o + 1, records[-1]))
@@ -239,30 +265,18 @@ def _step_block(out: array, r: int, kind: int) -> int:
 
 
 def cached_records(limit: int) -> array:
-    """The shared record list, grown block by block until it extends beyond limit.
-
-    Returns the live internal array; do not mutate.
-    """
-    cache = _CACHE
-    r = cache[-1]
+    """All f_3 records <= limit, ascending, as a new ``array('q')``, a block at a time."""
+    out = array("q", [FIRST_RECORD])
+    r = FIRST_RECORD
     while r <= limit:
-        r = _step_block(cache, r, _RECORDS)
-    return cache
-
-
-def record_count(x: int) -> int:
-    """Number of f_3 records <= x (3 = f_3(2) is not one)."""
-    return bisect_right(cached_records(x), x)
-
-
-def _record_array(limit: int) -> array:
-    """All f_3 record values <= limit, ascending, as an ``array('q')``."""
-    return _CACHE[: record_count(limit)]
+        r = _step_block(out, r, _RECORDS)
+    del out[bisect_right(out, limit):]
+    return out
 
 
 def record_values(limit: int) -> list[int]:
     """All f_3 record values <= limit, ascending."""
-    return _record_array(limit).tolist()
+    return cached_records(limit).tolist()
 
 
 # bytes.translate table: sieve flag 1 (prime) -> 0, 0 -> 1.
@@ -305,18 +319,6 @@ def record_stream_upto(limit: int) -> list[Record]:
     return records_from_values(record_values(limit))
 
 
-def reconstruct_f3(n: int) -> int:
-    """f_3(n) straight from the record list, without sequential generation.
-
-    Grows the shared record list past n + 1, so that ``_f3_at`` answers
-    from it with one bisect.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    cached_records(n + 1)
-    return _f3_at(n)
-
-
 def f3_terms(n: int) -> array:
     """f_3(1..n) from the records, laid out like ``SequenceBuffer.terms``:
     ``terms[i] == f_3(i)`` and slot 0 is padding (0).
@@ -324,7 +326,7 @@ def f3_terms(n: int) -> array:
     Past the head 1, 3, 2, 5, 4, the terms between consecutive records
     q < r are r, q + 1, ..., r - 1 on the indices q + 1..r.  They come a
     block of 30030 values at a time from the ``_BLOCKS`` memo, with no
-    simulation and without the shared record list.  Needs n >= 2 and obeys
+    simulation and no record list.  Needs n >= 2 and obeys
     the engine's term cap (GCDPERM_MAX_TERMS).
     """
     if n < 2:

@@ -74,7 +74,8 @@ class SequenceBuffer:
     starts from a given state at index ``base`` and stores no term below
     it.  ``terms`` exposes the raw store, ``terms[i] == f(base + i)``
     (slot 0 is padding when base is 0), for hot loops; treat it as
-    read-only.  ``len(buffer)`` is the last index generated.
+    read-only.  ``last_index`` is the last index generated, and so is
+    ``len(buffer)`` below 2**63.
     ``head_max`` is the largest value of the given terms f(1..max(base, 2)).
     ``cap`` is the term cap read from GCDPERM_MAX_TERMS when the buffer is
     built; it bounds the indices past ``base``, not the seed.  ``pool_peak``
@@ -108,13 +109,18 @@ class SequenceBuffer:
         self.head_max = max(above, default=low - 1)
         self.pool_peak = self.head_max - max(base, 2)
 
-    def __len__(self) -> int:
+    @property
+    def last_index(self) -> int:
+        """The last index generated; ``len()`` raises OverflowError from 2**63 on."""
         return self.base + len(self._terms) - 1
+
+    def __len__(self) -> int:
+        return self.last_index
 
     def __getitem__(self, n: int) -> int:
         first = max(self.base, 1)
-        if not first <= n <= len(self):
-            raise IndexError(f"index {n} outside generated range {first}..{len(self)}")
+        if not first <= n <= self.last_index:
+            raise IndexError(f"index {n} outside generated range {first}..{self.last_index}")
         return self._terms[n - self.base]
 
     def __iter__(self):
@@ -124,7 +130,7 @@ class SequenceBuffer:
         return it
 
     def __repr__(self) -> str:
-        return f"SequenceBuffer(a={self.a}, terms={len(self)})"
+        return f"SequenceBuffer(a={self.a}, terms={self.last_index})"
 
     @property
     def terms(self) -> list[int]:
@@ -138,7 +144,8 @@ class SequenceBuffer:
 
     def extend_to(self, n: int) -> None:
         """Grow the buffer through index n."""
-        if n <= len(self):
+        last_index = self.last_index
+        if n <= last_index:
             return
         if n - self.base > self.cap:
             raise LimitExceededError.terms(self.a, n - self.base, self.cap)
@@ -148,7 +155,7 @@ class SequenceBuffer:
         peak = self.pool_peak
         last = terms[-1]
         gcd = math.gcd
-        for i in range(len(self) + 1, n + 1):
+        for i in range(last_index + 1, n + 1):
             c = low
             while c in above or gcd(c, last) != 1:
                 c += 1

@@ -258,6 +258,13 @@ def test_classify_decides_large_seeds():
         assert is_id == eventually_identity_by_record(a) == eventually_identity_by_primorial(a), a
 
 
+@pytest.mark.parametrize("a", [2**63 - 2, 2**63 + 2, 6 * 10**30, 6 * 10**30 + 2, 6 * 10**40 + 4])
+def test_classify_decides_seeds_past_the_machine_word(a):
+    # The engine resumes at index a; len() of such a buffer would overflow.
+    is_id = classify(a).verdict == IDENTITY
+    assert is_id == eventually_identity_by_record(a) == eventually_identity_by_primorial(a)
+
+
 def test_scan_agreement_to_1e5():
     assert all(r.agree for r in scan_identity_seeds(10**5))
 
@@ -283,7 +290,7 @@ def test_record_membership_test():
 
 
 def test_record_membership_matches_a_record_list_bisect():
-    # is_record against the shared record list: a record in [a-1, a+1].
+    # is_record against a record list: a record in [a-1, a+1].
     recs = record_values(60_001)
 
     def by_list(a):

@@ -235,13 +235,22 @@ def test_verify_translation_n8_runs_under_the_default_term_cap(capsys, monkeypat
     assert "maximal" in out and "21, 213393181" in out
 
 
-@pytest.mark.parametrize("argv", [["thm5", "--n", "19"], ["thm6", "--n", "18"],
-                                  ["thm7", "--n", "18"]])
+@pytest.mark.parametrize("argv", [["prop3", "--n", "19", "--kmax", "2"],
+                                  ["prop3", "--n", "18", "--kmax", "30"],
+                                  ["prop3", "--n", "25", "--kmax", "1"]])
 def test_verify_past_the_primality_bound_is_usage_error(capsys, argv):
-    # Each reaches values past 3.3e24 (P_18 is about 1.2e23), where is_prime is unproven.
+    # Each reaches prime indices k P_n + 1 past 3.3e24 (P_18 is about
+    # 1.2e23), where is_prime is unproven.
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert "proven exact only below 3,317,044,064,679,887,385,961,981" in err
+
+
+@pytest.mark.parametrize("suite", ["thm5", "thm6", "thm7", "thm8-recurrence"])
+def test_verify_primorial_suites_pass_at_n30(capsys, suite):
+    # P_30 is about 3.2e46; the record queries run no primality test.
+    code, out, _ = run(capsys, "verify", suite, "--n", "30")
+    assert code == 0 and "FAIL" not in out
 
 
 def test_verify_thm5_n18_stays_below_the_primality_bound(capsys):

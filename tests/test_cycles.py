@@ -74,7 +74,7 @@ def test_cycle_index_examples():
     assert cycle_index(25) == 9
     assert cycle_index(5) == 2
     assert cycle_index(24) == 9  # whole block shares the index
-    assert cycle_index(26) == 10  # no limit: the record list grows on demand
+    assert cycle_index(26) == 10  # no limit: record_count answers any v
 
 
 def test_record_backed_index_agrees_with_decomposition():

@@ -1,9 +1,9 @@
 """Each shared table has one owner module.
 
-The shared f_3 record list and the block memo it grows from belong to
-``records.py``: no other module names ``cached_records``, ``_CACHE`` or
-``_BLOCKS`` or imports ``bisect``, and every count of records goes through
-``records.record_count``.  The table of primes and primorials
+The walk through the first block of 30030 and the block memo built from
+it belong to ``records.py``: no other module names ``_WALK`` or
+``_BLOCKS`` or imports ``bisect``, every count of records goes through
+``records.record_count``, and ``records.py`` runs no primality test.  The table of primes and primorials
 belongs to ``primes.py``: no other module assigns ``_PRIMES`` or
 ``_PRIMORIALS``.  The primorial checks read the records and never the
 generation engine: ``primorial.py`` neither imports ``sequence`` nor names
@@ -56,12 +56,17 @@ def test_sources_found():
     assert {p.name for p in SOURCES} >= {"records.py", "primes.py", "cycles.py", "primorial.py"}
 
 
-def test_only_records_reads_the_shared_record_list():
+def test_only_records_reads_the_record_walk():
     offenders = [
         p.name for p in SOURCES if p.name != "records.py"
-        and {"cached_records", "bisect", "_CACHE", "_BLOCKS"} & set(_names(_tree(p)))
+        and {"bisect", "_WALK", "_BLOCKS"} & set(_names(_tree(p)))
     ]
     assert offenders == []
+
+
+def test_records_runs_no_primality_test():
+    path = next(p for p in SOURCES if p.name == "records.py")
+    assert "is_prime" not in set(_names(_tree(path)))
 
 
 def test_only_primes_holds_a_prime_table():

@@ -17,8 +17,8 @@ from gcdperm import (
     record_values,
 )
 from gcdperm import records
-from gcdperm.records import _f3_at, _records_around
-from gcdperm.primes import is_prime, primes_upto
+from gcdperm.records import _RECORDS, _records_around, _step_block, record_count
+from gcdperm.primes import is_prime, primes_upto, primorial
 
 RECORDS_7_TO_211 = [
     7, 11, 13, 17, 19, 23, 25, 29, 31,
@@ -149,18 +149,7 @@ def test_reconstruct_examples():
     assert [reconstruct_f3(n) for n in range(1, 5)] == [1, 3, 2, 5]
 
 
-def test_reconstruct_requires_coverage(monkeypatch):
-    # The shared record list grows to cover n + 1, so the record after n - 1
-    # is always at hand.
-    monkeypatch.setattr(records, "_CACHE", [FIRST_RECORD])
-    assert reconstruct_f3(8) == 11
-    assert records._CACHE[-1] > 9
-    terms = generate_prefix(3, 1000).terms
-    assert [reconstruct_f3(n) for n in range(990, 1001)] == list(terms[990:1001])
-    assert records._CACHE[-1] > 1001
-
-
-WHEEL = 30_030  # 2*3*5*7*11*13: the block the record list grows by
+WHEEL = 30_030  # 2*3*5*7*11*13: the block of the record walk
 
 
 def _plain_walk(limit):
@@ -171,29 +160,35 @@ def _plain_walk(limit):
     return walk
 
 
-def test_block_stepper_matches_the_plain_walk(monkeypatch):
+@pytest.fixture(scope="module")
+def walk_1e7():
+    return _plain_walk(10**7)
+
+
+def test_block_stepper_matches_the_plain_walk(monkeypatch, walk_1e7):
     # The block memo answers every record except r = 1 (mod 30030), where
     # smallest_prime_not_dividing takes over; the plain walk is the oracle.
-    monkeypatch.setattr(records, "_CACHE", array("q", [FIRST_RECORD]))
     monkeypatch.setattr(records, "_BLOCKS", {})
     limit = 10**7
-    walk = _plain_walk(limit)
+    walk = walk_1e7
     assert record_values(limit) == walk[:-1]
     fallbacks = [r for r in walk if r % WHEEL == 1 and r < limit]
     assert fallbacks == list(range(WHEEL + 1, limit, WHEEL)) and len(fallbacks) == 333
     assert sorted(records._BLOCKS) == [4, 16, 18, 22]  # the offsets that enter a block
 
 
-def test_block_stepper_resumes_from_any_record(monkeypatch):
+def test_block_stepper_resumes_from_any_record():
     walk = _plain_walk(4 * WHEEL)
     for end in (WHEEL + 1, max(r for r in walk if r < 2 * WHEEL)):
-        monkeypatch.setattr(records, "_CACHE", array("q", [r for r in walk if r <= end]))
-        assert record_values(4 * WHEEL) == walk[:-1]
-        assert records._CACHE[-1] > 4 * WHEEL
+        out = array("q", [r for r in walk if r <= end])
+        r = end
+        while r <= 4 * WHEEL:
+            r = _step_block(out, r, _RECORDS)
+        assert out.tolist() == walk[: len(out)] and out[-1] > 4 * WHEEL
 
 
 def test_reconstruct_reads_only_the_shared_record_list():
-    # No caller-supplied record list can stand in for the shared one.
+    # No caller-supplied record list can stand in for the records.
     with pytest.raises(TypeError):
         reconstruct_f3(8, [5, 7, 9, 13])
 
@@ -252,37 +247,66 @@ def test_records_around_brackets_v_with_consecutive_records():
         _records_around(4)
 
 
-@pytest.mark.parametrize("grow_to", [None, 10**5])
-def test_records_around_on_both_sides_of_the_shared_list(monkeypatch, grow_to):
-    # Below the last record of the list one bisect answers and no primality
-    # test runs; from it on the prime walk answers.  Both agree with the
-    # plain next_record walk, and neither grows the list.
-    monkeypatch.setattr(records, "_CACHE", array("q", [FIRST_RECORD]))
-    if grow_to:
-        records.cached_records(grow_to)
-    end = records._CACHE[-1]
-    before = len(records._CACHE)
-    walk = _plain_walk(end + 2000)
-    values = sorted({*range(5, 500), *range(max(5, end - 2000), end + 2000)})
-    want = {v: (walk[bisect_right(walk, v) - 1], walk[bisect_right(walk, v)]) for v in values}
-    below = [v for v in values if v < end]
-    assert bool(below) == bool(grow_to)
-    is_prime = records.is_prime
-    monkeypatch.setattr(records, "is_prime", lambda n: pytest.fail(f"walked for {n}"))
-    assert [_records_around(v) for v in below] == [want[v] for v in below]
-    monkeypatch.setattr(records, "is_prime", is_prime)
-    beyond = [v for v in values if v >= end]
-    assert [_records_around(v) for v in beyond] == [want[v] for v in beyond]
-    assert len(records._CACHE) == before
+def test_block_zero_walk_holds_every_prime_from_17():
+    # C: the walk m -> m + spnd(m) - 1 on m = r - 1 from 4 through block 0 to 30030.
+    walk = records._block(FIRST_RECORD)[0]
+    assert len(walk) == 8855 + 1 and walk[:5] == [4, 6, 10, 12, 16]
+    assert walk[-2:] == [WHEEL - 2, WHEEL]  # 30028 steps to exactly 30030
+    assert walk == [r - 1 for r in _plain_walk(WHEEL)]
+    assert set(walk) >= {p - 1 for p in primes_upto(WHEEL) if p >= 17}
+
+
+def test_point_queries_and_counts_match_the_plain_walk(walk_1e7):
+    walk = walk_1e7
+    values = [*range(1, 200_001), *(k * WHEEL + d for k in range(1, 333) for d in range(-3, 4))]
+    for v in values:
+        i = bisect_right(walk, v)
+        assert record_count(v) == i, v
+        if v >= FIRST_RECORD:
+            assert _records_around(v) == (walk[i - 1], walk[i]), v
+
+
+def _records_around_by_primes(v):
+    """The records q <= v < r by Cor 1: every prime >= 5 is a record, so step
+    down over the values 6k +- 1 to the largest prime <= v, then follow
+    ``next_record`` past v (exact while ``is_prime`` is, v < 3.3e24)."""
+    q = v - (1, 0, 1, 2, 3, 0)[v % 6]  # the largest 6k +- 1 <= v
+    while not is_prime(q):
+        q -= 2 if q % 6 == 1 else 4
+    r = next_record(q)
+    while r <= v:
+        q, r = r, next_record(r)
+    return q, r
+
+
+def test_far_point_queries_match_the_walk_from_the_prime_below():
+    rng = random.Random(18)
+    values = [rng.randrange(5, 10 ** rng.randint(2, 22)) for _ in range(2000)]
+    values += [k * primorial(n) + d for n in range(7, 19) for k in (1, 2, 3, 17)
+               for d in (-2, -1, 0, 1, 2)]
+    assert [_records_around(v) for v in values] == [_records_around_by_primes(v) for v in values]
+
+
+def test_record_count_far_out():
+    assert record_count(10**40) == 2947698237257608450096420380653878597023
+
+
+def test_records_end_below_p_3248():
+    # The closed form holds below the product of the primes up to 30029.
+    bound = primorial(3248)
+    assert is_record(bound - 1) and record_count(bound - 1) > 0
+    for query in (is_record, record_count):
+        with pytest.raises(ValueError, match="only below P_3248"):
+            query(bound + 1)
 
 
 def test_sparse_f3_matches_the_prefix():
     terms = f3_terms(10_000)
-    assert [_f3_at(i) for i in range(1, 10_001)] == terms[1:].tolist()
+    assert [reconstruct_f3(i) for i in range(1, 10_001)] == terms[1:].tolist()
     # Past 30030 * 34 = 1,021,020 too, where a record r = 1 (mod 30030) sits.
     span = range(1_021_000, 1_021_100)
     terms = f3_terms(span[-1])
-    assert [_f3_at(i) for i in span] == [terms[i] for i in span]
+    assert [reconstruct_f3(i) for i in span] == [terms[i] for i in span]
 
 
 def test_prime_multiple_records():
@@ -373,10 +397,8 @@ def test_block_built_terms_from_a_cold_and_a_warm_memo(monkeypatch):
     # Term patterns fill lazily beside the record patterns of one memo; a
     # memo warmed by either kind gives the same terms as an empty one.
     n = 5 * WHEEL + 7
-    monkeypatch.setattr(records, "_CACHE", array("q", [FIRST_RECORD]))
     monkeypatch.setattr(records, "_BLOCKS", {})
     cold = f3_terms(n)
-    assert len(records._CACHE) == 1  # the terms need no shared record list
     def kinds():  # (records filled, terms filled) over the memo entries
         return {tuple(p is not None for p in entry) for entry in records._BLOCKS.values()}
 

@@ -76,6 +76,16 @@ def test_resume_refuses_the_seeds_the_constructor_refuses():
         SequenceBuffer.resume(1, 5, 4, 5, set())
 
 
+def test_resume_past_the_machine_word():
+    # len() cannot return 2**63 or more; the buffer reads its last index without it.
+    a = 2**63 + 2
+    buf = SequenceBuffer.resume(a, a, a - 2, a + 1, set())  # 1..a used, f(a) = a - 2
+    buf.extend_to(a + 3)
+    assert buf.last_index == a + 3
+    assert [buf[i] for i in range(a, a + 4)] == [a - 2, a + 1, a + 2, a + 3]
+    assert repr(buf) == f"SequenceBuffer(a={a}, terms={a + 3})"
+
+
 def test_fresh_buffer_head_max_and_pool_peak():
     # f(1..2) = 1, a: the largest value is a, and a - 2 values lie unused below it.
     for a, head_max, pool_peak in ((2, 2, 0), (3, 3, 1), (36, 36, 34)):

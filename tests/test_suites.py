@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from gcdperm import derivative_bound_check, generate_prefix, reconstruct_f3, records, suites
+from gcdperm import derivative_bound_check, generate_prefix, reconstruct_f3, suites
 from gcdperm.cli import main
 from gcdperm.sequence import SequenceBuffer
 from gcdperm.suites import SUITES, TABLE
@@ -62,20 +62,17 @@ def test_thm2_catches_a_wrong_first_etp_of_an_odd_seed(monkeypatch):
     assert results[2].detail.startswith("failed: [3, 5, 7, 9, 11]")
 
 
-def test_thm5_leaves_the_shared_record_list_alone():
-    # Each target is one is_record query; P_12 is about 7.4e12.
-    before = len(records._CACHE)
-    results = SUITES["thm5"](n=12)
-    assert len(results) == 11 and all(r.ok for r in results)
-    assert len(records._CACHE) == before
+def test_thm5_passes_past_the_primality_bound():
+    # Each target is one is_record query; P_30 is about 3.2e46, past the
+    # bound of is_prime, which no record query needs.
+    results = SUITES["thm5"](n=30)
+    assert len(results) == 29 and all(r.ok for r in results)
 
 
-def test_prop3_leaves_the_shared_record_list_alone():
-    # Each prime index q asks two is_record queries; q reaches about 3e6.
-    before = len(records._CACHE)
+def test_prop3_counts_its_prime_indices():
+    # Each prime index q asks two reconstruct_f3 queries; q reaches about 3e6.
     results = SUITES["prop3"](n=6, kmax=100)
     assert [r.items for r in results] == [43, 51, 51, 46, 42, 40] and all(r.ok for r in results)
-    assert len(records._CACHE) == before
 
 
 def test_prop3_derivative_matches_the_record_reconstruction():
