@@ -34,22 +34,26 @@ EXIT_IO = 3
 WRITE_CHUNK_LINES = 16_384
 
 
+def _write_stdout(data: bytes) -> None:
+    sys.stdout.write(data.decode("ascii"))
+
+
 def _write_rows(path: str | None, header: str | None, row_format: str, chunks) -> None:
     """Write an optional header line, then one line per row, to path or to stdout.
 
     chunks yields tuples of equally long columns, at most WRITE_CHUNK_LINES
     rows each.  row_format formats one row, one %-field per column, and ends
-    in LF.  Each chunk is interleaved into one list by slice assignment and
-    formatted by a single ``%``.
+    in LF; a %s column holds bytes.  Each chunk is interleaved into one list
+    by slice assignment and formatted as bytes by a single ``%``.  The bytes
+    go to the file, opened binary, as they are, and to stdout as ASCII text
+    through ``sys.stdout.write``, whatever stdout is at the time.
     """
     width = row_format.count("%")
-    if path is None:
-        sink = nullcontext(sys.stdout)
-    else:
-        sink = open(path, "w", encoding="ascii", newline="\n")
-    with sink as fh:
+    row = row_format.encode("ascii")
+    with nullcontext() if path is None else open(path, "wb") as fh:
+        write = _write_stdout if fh is None else fh.write
         if header is not None:
-            fh.write(header + "\n")
+            write(header.encode("ascii") + b"\n")
         values = []
         for columns in chunks:
             rows = len(columns[0])
@@ -57,7 +61,7 @@ def _write_rows(path: str | None, header: str | None, row_format: str, chunks) -
                 values = [0] * (rows * width)
             for j, column in enumerate(columns):
                 values[j::width] = column
-            fh.write(row_format * rows % tuple(values))
+            write(row * rows % tuple(values))
 
 
 def _spans(n: int):
@@ -216,8 +220,8 @@ def cmd_scan(args) -> int:
     rows = scan_identity_seeds(args.bound)
     _write_rows(args.out, "a,verdict,witness,record_test,primorial_test,agree",
                 "%d,%s,%d,%d,%d,%d\n",
-                _row_chunks((r.a, r.verdict, r.witness, r.record_test, r.primorial_test, r.agree)
-                            for r in rows))
+                _row_chunks((r.a, r.verdict.encode("ascii"), r.witness, r.record_test,
+                             r.primorial_test, r.agree) for r in rows))
     disagreements = [r.a for r in rows if not r.agree]
     if disagreements:
         print(f"disagreement at seeds: {disagreements}", file=sys.stderr)

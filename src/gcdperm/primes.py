@@ -3,6 +3,7 @@
 the table of primes and primorials, non-divisor search."""
 
 import math
+from itertools import compress
 
 # The first 13 primes as Miller-Rabin witnesses: deterministic for every
 # n < 3,317,044,064,679,887,385,961,981, the smallest strong pseudoprime to
@@ -58,8 +59,7 @@ def primes_upto(n: int) -> list[int]:
     """All primes <= n, ascending."""
     if n < 2:
         return []
-    flags = sieve_flags(n)
-    return [i for i, f in enumerate(flags) if f]
+    return list(compress(range(n + 1), sieve_flags(n)))
 
 
 def next_prime(n: int) -> int:
@@ -76,7 +76,8 @@ def next_prime(n: int) -> int:
     return k
 
 
-# p_1, p_2, ... and the exact primorials P_n = p_1 * ... * p_n, grown together.
+# p_1, p_2, ... from a sieve, and the exact primorials P_n = p_1 * ... * p_n
+# up to the largest n asked of ``primorial``.
 _PRIMES = [2]
 _PRIMORIALS = [2]
 
@@ -85,16 +86,19 @@ def nth_prime(n: int) -> int:
     """The n-th prime, 1-based: p_1 = 2."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    while len(_PRIMES) < n:
-        p = next_prime(_PRIMES[-1])
-        _PRIMES.append(p)
-        _PRIMORIALS.append(_PRIMORIALS[-1] * p)
+    if len(_PRIMES) < n:
+        # At least double the table; p_k < k (ln k + ln ln k) for k >= 6
+        # (Rosser & Schoenfeld 1962), and p_6 = 13.
+        k = max(n, 2 * len(_PRIMES), 6)
+        _PRIMES[:] = primes_upto(int(k * (math.log(k) + math.log(math.log(k)))) + 1)
     return _PRIMES[n - 1]
 
 
 def primorial(n: int) -> int:
     """Product of the first n primes: 2, 6, 30, 210, 2310, ..."""
     nth_prime(n)
+    for p in _PRIMES[len(_PRIMORIALS) : n]:
+        _PRIMORIALS.append(_PRIMORIALS[-1] * p)
     return _PRIMORIALS[n - 1]
 
 

@@ -30,9 +30,17 @@ has spnd p; from P_3248 on they raise ValueError.  ``cached_records``, the
 one dense enumerator, returns a new ``array('q')`` of the records up to a
 limit, a block at a time: a memo keyed by the offset of the record that
 enters a block holds a slice of C, and only a record r = 1 (mod 30030)
-needs ``smallest_prime_not_dividing``.  Annotation yields the columns of
-the records in chunks, and derives ``is_composite`` from one sieve up to
-the largest record, not from a primality test per record.
+needs spnd(r - 1), which is 17 unless 17 divides (r - 1) / 30030.
+
+The block walker and the annotation work on packed lanes: ``_pack`` reads
+the 8-byte lanes of an ``array('q')`` as one int, so one int addition or
+subtraction acts on every lane at once, and ``_unpack`` turns the int
+back.  Every value lies below 2^63 and stays non-negative, so no lane
+overflows into or borrows from its neighbour.  Annotation yields the
+columns of the records in chunks: the turning points are the previous
+records plus a 1 in each lane, the jumps the records less the turning
+points, and ``is_composite`` one gather from one sieve up to the largest
+record, not a primality test per record.
 
 The records pin f_3 down completely: ``reconstruct_f3`` answers one index,
 and ``f3_terms`` builds the whole prefix f_3(1..n) as an ``array('q')``
@@ -48,9 +56,8 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import chain
 from math import prod
-from operator import sub
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from .primes import (_WHEEL, _WHEEL_SPND, nth_prime, primes_upto, sieve_flags,
@@ -148,10 +155,14 @@ def _block(v: int) -> tuple[list[int], int, int, int]:
     if v.bit_length() > 42_000 and v >= prod(primes_upto(_WHEEL)):
         raise ValueError("the f_3 records are exact only below P_3248, the product "
                          "of the primes up to 30029 (about 6.9e12933)")
-    walk = _WALK
     j, off = divmod(v - 1, _WHEEL)
-    base = v - 1 - off
-    return walk, base, off, smallest_prime_not_dividing(base) - 1 if j else 4
+    return _WALK, v - 1 - off, off, _start_spnd(j) - 1 if j else 4
+
+
+def _start_spnd(j: int) -> int:
+    """spnd(30030 j) for j >= 1: 2..13 divide 30030 j, and 17 divides it
+    only when it divides j, in one block of 17."""
+    return 17 if j % 17 else smallest_prime_not_dividing(_WHEEL * j)
 
 
 def _records_around(v: int) -> tuple[int, int]:
@@ -209,6 +220,20 @@ def record_count(x: int) -> int:
 # filled the first time it is asked for.
 _BLOCKS: dict[int, list] = {}
 _RECORDS, _TERMS = 0, 1
+_ONE = array("q", [1])
+
+
+def _pack(lanes: array) -> int:
+    """The 8-byte lanes of an ``array('q')`` as one int, its bytes read in
+    the native byte order.  Adding or subtracting such ints adds or
+    subtracts lane by lane, as long as every lane of the result stays in
+    0..2^63 - 1: then no lane carries into or borrows from the next."""
+    return int.from_bytes(lanes, sys.byteorder)
+
+
+def _unpack(packed: int, count: int) -> array:
+    """The ``array('q')`` of count lanes that ``_pack`` maps to packed."""
+    return array("q", packed.to_bytes(8 * count, sys.byteorder))
 
 
 def _block_pattern(o: int, kind: int) -> tuple[int, int, int, int]:
@@ -217,10 +242,9 @@ def _block_pattern(o: int, kind: int) -> tuple[int, int, int, int]:
     The records are c + 1 for the points c of C above o, the last 30031
     past the base.  The terms lag their index, f_3(i) = i - 1, except
     f_3(q + 1) = q' for consecutive records q < q'.
-    A pattern is (packed, ones, size, last): the lanes as the bytes of an
-    ``array('q')`` read as one int, the int with a 1 in each 8-byte lane,
-    the byte count, and the offset of r*.  packed + base * ones then holds
-    base + lane in every lane, since no lane overflows.
+    A pattern is (packed, ones, count, last): ``_pack`` of the lanes and
+    of count ones, the lane count, and the offset of r*.  packed + base *
+    ones then holds base + lane in every lane.
     """
     walk = _block(FIRST_RECORD)[0]
     records = array("q", [c + 1 for c in walk[bisect_right(walk, o):]])
@@ -231,10 +255,7 @@ def _block_pattern(o: int, kind: int) -> tuple[int, int, int, int]:
         for nxt in records:
             lanes[q - o - 1] = nxt
             q = nxt
-    data = lanes.tobytes()
-    ones = array("q", [1]).tobytes() * len(lanes)
-    return (int.from_bytes(data, sys.byteorder), int.from_bytes(ones, sys.byteorder),
-            len(data), records[-1])
+    return _pack(lanes), _pack(_ONE * len(lanes)), len(lanes), records[-1]
 
 
 def _step_block(out: array, r: int, kind: int) -> int:
@@ -249,7 +270,7 @@ def _step_block(out: array, r: int, kind: int) -> int:
     m = r - 1
     o = m % _WHEEL
     if not o:
-        nxt = m + smallest_prime_not_dividing(m)
+        nxt = m + _start_spnd(m // _WHEEL)
         out.append(nxt)
         if kind == _TERMS:
             out.extend(range(r + 1, nxt))
@@ -258,9 +279,9 @@ def _step_block(out: array, r: int, kind: int) -> int:
     pattern = entry[kind]
     if pattern is None:
         pattern = entry[kind] = _block_pattern(o, kind)
-    packed, ones, size, last = pattern
+    packed, ones, count, last = pattern
     base = m - o
-    out.extend(array("q", (packed + base * ones).to_bytes(size, sys.byteorder)))
+    out.extend(_unpack(packed + base * ones, count))
     return base + last
 
 
@@ -283,13 +304,20 @@ def record_values(limit: int) -> list[int]:
 _NOT = bytes([1, 0]) + bytes(254)
 
 
-def _annotated(values: Sequence[int], chunk: int) -> Iterator[tuple[Sequence[int], ...]]:
-    """Columns (value, turning_point, jump, is_composite) of a full ascending
-    record-value list (starting at 5), in chunks of at most chunk records.
+def _annotated(values: array, chunk: int) -> Iterator[tuple[Sequence[int], ...]]:
+    """Columns (value, turning_point, jump, is_composite) of the full
+    ascending ``array('q')`` of records from 5, in chunks of at most chunk
+    records.
 
     The index of the first record is 4; each later record r follows the
-    previous record q at index q + 1, so its jump is r - q - 1.
-    Compositeness (1 or 0) is read from one sieve up to the last value.
+    previous record q at index q + 1, so its jump is r - q - 1 >= 1.  A
+    chunk takes two int operations on ``_pack``ed lanes: the turning
+    points are packed(previous records) plus ones, the jumps are
+    packed(records) less the turning points.  Every value lies below 2^63
+    and every jump is at least 1, so no lane overflows or borrows.  The
+    array is read in slices, not copied.  Compositeness (1 or 0) is one
+    gather from one sieve up to the last value; a chunk of one row takes
+    its one flag by index.
     """
     if not values:
         return
@@ -298,13 +326,16 @@ def _annotated(values: Sequence[int], chunk: int) -> Iterator[tuple[Sequence[int
     composite = sieve_flags(values[-1]).translate(_NOT)
     for s in range(0, len(values), chunk):
         rs = values[s : s + chunk]
-        before = values[s - 1 : s - 1 + len(rs)] if s else chain((FIRST_ETP - 1,), rs[:-1])
-        ts = list(map((1).__add__, before))
-        yield rs, ts, list(map(sub, rs, ts)), bytes(map(composite.__getitem__, rs))
+        n = len(rs)
+        before = values[s - 1 : s - 1 + n] if s else array("q", [FIRST_ETP - 1]) + rs[:-1]
+        ts = _pack(before) + _pack(_ONE * n)
+        flags = itemgetter(*rs)(composite) if n > 1 else (composite[rs[0]],)
+        yield rs, _unpack(ts, n), _unpack(_pack(rs) - ts, n), flags
 
 
 def records_from_values(values: Sequence[int]) -> list[Record]:
     """Annotate a full ascending record-value list (starting at 5)."""
+    values = array("q", values)
     return [
         Record(r, t, j, c == 1)
         for columns in _annotated(values, len(values))

@@ -1,14 +1,16 @@
 import hashlib
 import importlib
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from gcdperm import generate_prefix, record_values
-from gcdperm.cli import WRITE_CHUNK_LINES, main
+from gcdperm.cli import WRITE_CHUNK_LINES, _figure_rows, _write_rows, main
 from gcdperm.primes import is_prime
 
 
@@ -90,6 +92,75 @@ def test_records_out_file_matches_stdout(tmp_path, capsys):
     assert code == 0
     assert target.read_bytes() == out.encode("ascii")
     assert out.splitlines()[3] == "3,11,8,3,0"
+
+
+def _csv_three_ways(tmp_path, capsys, argv):
+    """The bytes argv writes to --out, and the text it writes to stdout under
+    capsys and under redirect_stdout(io.StringIO())."""
+    target = tmp_path / "out.csv"
+    code, out, _ = run(capsys, *argv, "--out", str(target))
+    assert code == 0 and out == ""
+    code, captured, _ = run(capsys, *argv)
+    assert code == 0
+    with redirect_stdout(io.StringIO()) as buf:
+        code = main(list(argv))
+    assert code == 0 and capsys.readouterr().out == ""
+    return target.read_bytes(), captured, buf.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--a", "3", "--n", "40000"),
+    ("generate", "--a", "5", "--n", "20000", "--with-derivative"),
+    ("generate", "--a", "3", "--n", "20000", "--format", "plain"),
+    ("generate", "--a", "7", "--n", "300", "--format", "plain", "--with-derivative"),
+    ("records", "--limit", "200000"),
+    ("scan", "--bound", "40"),
+])
+def test_out_file_capsys_and_redirected_stdout_agree(tmp_path, capsys, argv):
+    # The writer formats bytes: the file takes them as they are, stdout as
+    # ASCII text, whatever object stdout is.
+    data, captured, redirected = _csv_three_ways(tmp_path, capsys, argv)
+    assert data == captured.encode("ascii") == redirected.encode("ascii")
+    assert data.count(b"\n") > 1 and b"\r" not in data
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
+def test_figure_files_agree_with_the_stdout_writer(tmp_path, capsys, name):
+    # export-figures writes only files; the same rows sent to stdout give
+    # the same text, fig3's %r floats included.
+    code, _, _ = run(capsys, "--quiet", "export-figures", name, "--out-dir", str(tmp_path))
+    assert code == 0
+    data = (tmp_path / f"{name}.csv").read_bytes()
+    _write_rows(None, *_figure_rows(name, None))
+    captured = capsys.readouterr().out
+    with redirect_stdout(io.StringIO()) as buf:
+        _write_rows(None, *_figure_rows(name, None))
+    assert data == captured.encode("ascii") == buf.getvalue().encode("ascii")
+    assert data.count(b"\n") > 100
+
+
+def test_records_chunks_of_one_row(tmp_path, capsys):
+    # --limit 5 is one chunk of one row; the record after the first full
+    # chunk leaves one row in the last chunk.
+    data, captured, _ = _csv_three_ways(tmp_path, capsys, ("records", "--limit", "5"))
+    assert data == b"index,record,turning_point,jump,is_composite\n1,5,4,1,0\n"
+    limit = record_values(10**6)[WRITE_CHUNK_LINES]
+    data, captured, redirected = _csv_three_ways(tmp_path, capsys,
+                                                 ("records", "--limit", str(limit)))
+    want = _records_csv_by_rows(limit)
+    assert want.count("\n") == WRITE_CHUNK_LINES + 2
+    assert data.decode("ascii") == captured == redirected == want
+
+
+def test_stdout_in_another_encoding_gets_the_same_text(capsys):
+    stream = io.TextIOWrapper(io.BytesIO(), encoding="utf-16", newline="")
+    with redirect_stdout(stream):
+        code = main(["records", "--limit", "100"])
+    assert code == 0
+    stream.flush()
+    got = stream.buffer.getvalue().decode("utf-16")
+    code, out, _ = run(capsys, "records", "--limit", "100")
+    assert code == 0 and got == out and got.startswith("index,record,")
 
 
 def _records_csv_by_rows(limit):

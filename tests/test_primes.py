@@ -1,7 +1,10 @@
+from math import prod
+
 import pytest
 
-from gcdperm import is_record, next_record
-from gcdperm.primes import is_prime, smallest_prime_not_dividing
+from gcdperm import is_record, next_record, primes
+from gcdperm.primes import (is_prime, next_prime, nth_prime, primes_upto, primorial,
+                            sieve_flags, smallest_prime_not_dividing)
 
 # psi_12 (Sorenson & Webster 2017): the smallest strong pseudoprime to every
 # prime base up to 37.
@@ -73,3 +76,29 @@ def test_psi12_is_a_composite_record():
         walk.append(next_record(walk[-1]))
     assert [r - PSI_12 for r in walk] == [-20, -18, -14, -12, -8, -6, -2, 0]
     assert is_record(PSI_12)
+
+
+def test_primes_upto_reads_the_sieve():
+    assert [primes_upto(n) for n in (-1, 0, 1, 2, 3, 4)] == [[], [], [], [2], [2, 3], [2, 3]]
+    flags = sieve_flags(10_000)
+    assert primes_upto(10_000) == [i for i, f in enumerate(flags) if f]
+    assert primes_upto(9_973)[-1] == 9_973 and len(primes_upto(10_000)) == 1_229
+
+
+def test_nth_prime_table_matches_a_next_prime_chain(monkeypatch):
+    # Start from the one-prime table; the sieve grows it at least twofold each time.
+    monkeypatch.setattr(primes, "_PRIMES", [2])
+    monkeypatch.setattr(primes, "_PRIMORIALS", [2])
+    chain = [2]
+    while len(chain) < 3_500:
+        chain.append(next_prime(chain[-1]))
+    assert [nth_prime(n) for n in range(1, 3_501)] == chain
+    assert [primorial(n) for n in range(1, 60)] == [prod(chain[:n]) for n in range(1, 60)]
+
+
+def test_primorial_3248_is_the_product_of_the_primes_up_to_30029(monkeypatch):
+    monkeypatch.setattr(primes, "_PRIMES", [2])
+    monkeypatch.setattr(primes, "_PRIMORIALS", [2])
+    assert nth_prime(3_248) == 30_029
+    assert primorial(3_248) == prod(primes_upto(30_029))
+    assert len(primes._PRIMORIALS) == 3_248

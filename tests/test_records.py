@@ -17,8 +17,10 @@ from gcdperm import (
     record_values,
 )
 from gcdperm import records
-from gcdperm.records import _RECORDS, _records_around, _step_block, record_count
-from gcdperm.primes import is_prime, primes_upto, primorial
+from gcdperm.records import (_RECORDS, _WHEEL, _annotated, _pack, _records_around,
+                             _start_spnd, _step_block, _unpack, record_count,
+                             records_from_values)
+from gcdperm.primes import is_prime, primes_upto, primorial, smallest_prime_not_dividing
 
 RECORDS_7_TO_211 = [
     7, 11, 13, 17, 19, 23, 25, 29, 31,
@@ -132,6 +134,52 @@ def test_composite_flags_match_miller_rabin():
     recs = record_stream_upto(100_000)
     assert recs[-1].value > 99_000
     assert [r.value for r in recs if r.is_composite != (not is_prime(r.value))] == []
+
+
+def _records_by_rows(values):
+    """(value, turning point, jump, is_composite) one record at a time."""
+    rows, t = [], 4
+    for r in values:
+        rows.append((r, t, r - t, not is_prime(r)))
+        t = r + 1
+    return rows
+
+
+def test_records_from_values_on_a_list_matches_a_row_by_row_oracle():
+    values = record_values(200_000)
+    assert isinstance(values, list)
+    assert [tuple(r) for r in records_from_values(values)] == _records_by_rows(values)
+    assert [tuple(r) for r in records_from_values([5])] == [(5, 4, 1, False)]
+    assert records_from_values([]) == []
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 1000])
+def test_annotated_chunks_match_a_row_by_row_oracle(chunk):
+    # Chunk size 1 takes the one-row case of the compositeness gather.
+    values = records.cached_records(30_100)
+    got = [row for columns in _annotated(values, chunk) for row in zip(*columns)]
+    want = [(r, t, j, int(c)) for r, t, j, c in _records_by_rows(values)]
+    assert got == want
+    sizes = [len(columns[0]) for columns in _annotated(values, chunk)]
+    assert sum(sizes) == len(values) and set(sizes[:-1]) <= {chunk}
+
+
+def test_packed_lanes_round_trip_without_carry():
+    lanes = array("q", [0, 1, 2**63 - 2, 5, 2**62])
+    ones = _pack(array("q", [1]) * len(lanes))
+    assert _unpack(_pack(lanes), len(lanes)) == lanes
+    assert list(_unpack(_pack(lanes) + ones, len(lanes))) == [x + 1 for x in lanes]
+    assert list(_unpack(_pack(lanes) + ones - ones, len(lanes))) == list(lanes)
+
+
+def test_block_start_spnd_matches_the_search():
+    js = list(range(1, 2_001))
+    js += [17 * k for k in range(1, 400)] + [17 * 19 * k for k in range(1, 200)]
+    js += [17 * 19 * 23 * k for k in range(1, 100)]
+    js += [17 * 19 * 23 * 29 * 31 * 37, 10**30 * 17 * 19 * 23]
+    bad = [j for j in js if _start_spnd(j) != smallest_prime_not_dividing(_WHEEL * j)]
+    assert bad == []
+    assert [_start_spnd(j) for j in (1, 17, 17 * 19, 17 * 19 * 23)] == [17, 19, 23, 29]
 
 
 def test_record_jumps_match_inverse(f3_million):
