@@ -1,19 +1,21 @@
 """Command-line surface: generation, verification, b-file diffing, exports.
 
 Exit codes: 0 success, 1 verification failure/mismatch, 2 usage error,
-3 I/O or input-format error.  A reader that closes stdout early ends the
-run quietly with 0.  All CSV output uses a comma separator, a
-header row, LF line endings, and no quoting; identical flags produce
-byte-identical files.
+3 I/O or input-format error, a failed formatting process included.  A
+reader that closes stdout early ends the run quietly with 0.  All CSV
+output uses a comma separator, a header row, LF line endings, and no
+quoting; identical flags produce byte-identical files.  Output of more
+than one chunk of rows may be formatted in forked processes, one per
+usable CPU; the bytes are the same.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import operator
 import os
 import sys
+import threading
 from contextlib import nullcontext
 
 from . import __version__
@@ -21,7 +23,7 @@ from .classify import BudgetExhaustedError, prefix_terms, scan_identity_seeds
 from .cycles import twin_cycle_gaps
 from .primorial import prime_ratio_series, primes_within_records_series
 from .records import FIRST_RECORD, _annotated, cached_records, record_values
-from .sequence import MAX_TERMS_ENV, LimitExceededError
+from .sequence import MAX_TERMS_ENV, LimitExceededError, max_terms_cap
 from .suites import SUITES, TABLE
 
 EXIT_OK = 0
@@ -38,36 +40,126 @@ def _write_stdout(data: bytes) -> None:
     sys.stdout.write(data.decode("ascii"))
 
 
-def _write_rows(path: str | None, header: str | None, row_format: str, chunks) -> None:
-    """Write an optional header line, then one line per row, to path or to stdout.
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; the writer formats one share of rows on each."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
 
-    chunks yields tuples of equally long columns, at most WRITE_CHUNK_LINES
-    rows each.  row_format formats one row, one %-field per column, and ends
-    in LF; a %s column holds bytes.  Each chunk is interleaved into one list
-    by slice assignment and formatted as bytes by a single ``%``.  The bytes
-    go to the file, opened binary, as they are, and to stdout as ASCII text
-    through ``sys.stdout.write``, whatever stdout is at the time.
-    """
+
+def _shares(spans: list) -> list[list]:
+    """The list spans cut into contiguous shares, one per usable CPU and at
+    most one per chunk.  One share, so no fork, for output of one chunk,
+    without ``os.fork``, or while other threads run: forking a process
+    with threads is unsafe."""
+    if len(spans) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        count = 1
+    else:
+        count = min(_usable_cpus(), len(spans))
+    return [spans[len(spans) * i // count : len(spans) * (i + 1) // count]
+            for i in range(count)]
+
+
+def _formatted(row_format: str, spans, columns):
+    """The bytes of each chunk of rows: columns(s, e) gives the equally long
+    columns of the rows s..e - 1, which are interleaved into one list by
+    slice assignment and formatted by a single ``%``."""
     width = row_format.count("%")
     row = row_format.encode("ascii")
-    with nullcontext() if path is None else open(path, "wb") as fh:
-        write = _write_stdout if fh is None else fh.write
-        if header is not None:
-            write(header.encode("ascii") + b"\n")
-        values = []
-        for columns in chunks:
-            rows = len(columns[0])
-            if len(values) != rows * width:
-                values = [0] * (rows * width)
-            for j, column in enumerate(columns):
-                values[j::width] = column
-            write(row * rows % tuple(values))
+    values = []
+    for s, e in spans:
+        chunk = columns(s, e)
+        rows = len(chunk[0])
+        if len(values) != rows * width:
+            values = [0] * (rows * width)
+        for j, column in enumerate(chunk):
+            values[j::width] = column
+        yield row * rows % tuple(values)
+
+
+def _fork_share(children: list, row_format: str, share: list, columns):
+    """Fork a child that formats share and writes its bytes to a new pipe.
+
+    Returns (pid, read end of the pipe).  The child formats its whole share
+    before it writes, so it never waits on the parent while it works; it
+    prints nothing, touches neither stdout nor the output file, and leaves
+    by ``os._exit``: 0 once every byte is in the pipe, 1 on any error.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, os.fdopen(r, "rb")
+    code = 1
+    try:
+        os.close(r)
+        for _, pipe in children:
+            pipe.close()
+        for data in list(_formatted(row_format, share, columns)):
+            view = memoryview(data)
+            while view:
+                view = view[os.write(w, view):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _write_rows(path: str | None, header: str | None, row_format: str, spans, columns) -> None:
+    """Write an optional header line, then one line per row, to path or to stdout.
+
+    spans holds the (start, stop) of each chunk of at most WRITE_CHUNK_LINES
+    rows, and columns(start, stop) the chunk's columns.  row_format formats
+    one row, one %-field per column, and ends in LF; a %s column holds
+    bytes.  The chunks are cut into contiguous shares (``_shares``): a
+    forked child formats each share after the first and sends its bytes
+    through a pipe, while this process formats and writes the first share
+    and then copies the pipes in order.  The bytes go to the file, opened
+    binary, as they are, and to stdout as ASCII text through
+    ``sys.stdout.write``, whatever stdout is at the time.  Every child is
+    reaped before this returns, and killed first if the writing failed; a
+    child that did not exit 0 raises OSError.
+    """
+    shares = _shares(spans)
+    children = []
+    try:
+        for share in shares[1:]:
+            children.append(_fork_share(children, row_format, share, columns))
+        with nullcontext() if path is None else open(path, "wb") as fh:
+            write = _write_stdout if fh is None else fh.write
+            if header is not None:
+                write(header.encode("ascii") + b"\n")
+            for data in _formatted(row_format, shares[0], columns):
+                write(data)
+            for _, pipe in children:
+                while data := pipe.read(1 << 20):
+                    write(data)
+    except BaseException:
+        import signal
+
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for _, pipe in children:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for status in statuses:
+        if status:
+            code = os.waitstatus_to_exitcode(status)
+            raise OSError("a process formatting the rows "
+                          + (f"died from signal {-code}" if code < 0 else f"exited with {code}"))
 
 
 def _spans(n: int):
     """(start, stop) of the chunks of the indices 1..n, WRITE_CHUNK_LINES each."""
-    for s in range(1, n + 1, WRITE_CHUNK_LINES):
-        yield s, min(s + WRITE_CHUNK_LINES, n + 1)
+    return [(s, min(s + WRITE_CHUNK_LINES, n + 1)) for s in range(1, n + 1, WRITE_CHUNK_LINES)]
 
 
 def _differences(terms, s: int, e: int) -> list[int]:
@@ -76,10 +168,9 @@ def _differences(terms, s: int, e: int) -> list[int]:
 
 
 def _row_chunks(rows):
-    """Column chunks of an iterable of rows, for the commands that build rows."""
-    it = iter(rows)
-    while chunk := list(itertools.islice(it, WRITE_CHUNK_LINES)):
-        yield tuple(zip(*chunk))
+    """The spans and the column function of a list of rows, for the commands
+    that build rows: the chunk (s, e) holds rows[s - 1 : e - 1]."""
+    return _spans(len(rows)), lambda s, e: tuple(zip(*rows[s - 1 : e - 1]))
 
 
 def cmd_generate(args) -> int:
@@ -92,23 +183,27 @@ def cmd_generate(args) -> int:
         header, row_format = "n,f_n,g_n", "%d,%d,%d\n"
     else:
         header, row_format = "n,f_n", "%d,%d\n"
-    chunks = (
-        (range(s, e), terms[s:e], _differences(terms, s, e)) if derivative
-        else (range(s, e), terms[s:e])
-        for s, e in _spans(n)
-    )
-    _write_rows(args.out, header, row_format, chunks)
+
+    def columns(s, e):
+        if derivative:
+            return range(s, e), terms[s:e], _differences(terms, s, e)
+        return range(s, e), terms[s:e]
+
+    _write_rows(args.out, header, row_format, _spans(n), columns)
     return EXIT_OK
 
 
 def cmd_records(args) -> int:
-    chunks = (
-        (range(s, s + len(columns[0])), *columns)
-        for s, columns in zip(itertools.count(1, WRITE_CHUNK_LINES),
-                              _annotated(cached_records(args.limit), WRITE_CHUNK_LINES))
-    )
+    cap = max_terms_cap()
+    if args.limit > cap:
+        raise LimitExceededError(
+            f"requested the records up to {args.limit}; cap is {cap} "
+            f"(set {MAX_TERMS_ENV} to raise it)"
+        )
+    values = cached_records(args.limit)
+    annotate = _annotated(values)
     _write_rows(args.out, "index,record,turning_point,jump,is_composite", "%d,%d,%d,%d,%d\n",
-                chunks)
+                _spans(len(values)), lambda s, e: (range(s, e), *annotate(s - 1, e - 1)))
     return EXIT_OK
 
 
@@ -183,15 +278,15 @@ def cmd_diff_bfile(args) -> int:
 
 
 def _figure_rows(which: str, limit: int | None):
-    """(header, row format, column chunks) of one figure's CSV."""
+    """(header, row format, spans, column function) of one figure's CSV."""
     if which == "fig1":
         return ("j,m_j,M_j,gap_a,gap_b", "%d,%d,%d,%d,%d\n",
-                _row_chunks(twin_cycle_gaps(limit or 10_000)))
+                *_row_chunks(twin_cycle_gaps(limit or 10_000)))
     if which == "fig2":
         span = limit or 12_000
         terms = prefix_terms(3, span + 1)
-        return "t,g_t", "%d,%d\n", ((range(s, e), _differences(terms, s, e))
-                                      for s, e in _spans(span))
+        return ("t,g_t", "%d,%d\n", _spans(span),
+                lambda s, e: (range(s, e), _differences(terms, s, e)))
     if which in ("fig3", "fig4"):
         count = limit or 1_000
         recs = record_values(10 * count + 100)
@@ -199,9 +294,9 @@ def _figure_rows(which: str, limit: int | None):
             recs = record_values(2 * recs[-1])
         nth_value = recs[count - 1]
         if which == "fig3":
-            return "n,ratio_ln", "%d,%r\n", _row_chunks(prime_ratio_series(nth_value))
+            return "n,ratio_ln", "%d,%r\n", *_row_chunks(prime_ratio_series(nth_value))
         return ("n,primes_among_records", "%d,%d\n",
-                _row_chunks(primes_within_records_series(nth_value)))
+                *_row_chunks(primes_within_records_series(nth_value)))
     raise ValueError(f"unknown figure {which!r}")
 
 
@@ -220,8 +315,8 @@ def cmd_scan(args) -> int:
     rows = scan_identity_seeds(args.bound)
     _write_rows(args.out, "a,verdict,witness,record_test,primorial_test,agree",
                 "%d,%s,%d,%d,%d,%d\n",
-                _row_chunks((r.a, r.verdict.encode("ascii"), r.witness, r.record_test,
-                             r.primorial_test, r.agree) for r in rows))
+                *_row_chunks([(r.a, r.verdict.encode("ascii"), r.witness, r.record_test,
+                               r.primorial_test, r.agree) for r in rows]))
     disagreements = [r.a for r in rows if not r.agree]
     if disagreements:
         print(f"disagreement at seeds: {disagreements}", file=sys.stderr)

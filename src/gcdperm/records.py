@@ -36,11 +36,13 @@ The block walker and the annotation work on packed lanes: ``_pack`` reads
 the 8-byte lanes of an ``array('q')`` as one int, so one int addition or
 subtraction acts on every lane at once, and ``_unpack`` turns the int
 back.  Every value lies below 2^63 and stays non-negative, so no lane
-overflows into or borrows from its neighbour.  Annotation yields the
-columns of the records in chunks: the turning points are the previous
-records plus a 1 in each lane, the jumps the records less the turning
-points, and ``is_composite`` one gather from one sieve up to the largest
-record, not a primality test per record.
+overflows into or borrows from its neighbour.  Annotation, ``_annotated``,
+returns a chunk function: the columns of any slice of the records, so
+that a writer may format its chunks in any order or process.  The
+turning points are the previous records plus a 1 in each lane, the jumps
+the records less the turning points, and ``is_composite`` one gather
+from one sieve up to the largest record, built once before any chunk,
+not a primality test per record.
 
 The records pin f_3 down completely: ``reconstruct_f3`` answers one index,
 and ``f3_terms`` builds the whole prefix f_3(1..n) as an ``array('q')``
@@ -58,7 +60,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from math import prod
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .primes import (_WHEEL, _WHEEL_SPND, nth_prime, primes_upto, sieve_flags,
                      smallest_prime_not_dividing)
@@ -304,10 +306,10 @@ def record_values(limit: int) -> list[int]:
 _NOT = bytes([1, 0]) + bytes(254)
 
 
-def _annotated(values: array, chunk: int) -> Iterator[tuple[Sequence[int], ...]]:
-    """Columns (value, turning_point, jump, is_composite) of the full
-    ascending ``array('q')`` of records from 5, in chunks of at most chunk
-    records.
+def _annotated(values: array) -> Callable[[int, int], tuple[Sequence[int], ...]]:
+    """The chunk function of the full ascending, nonempty ``array('q')`` of
+    records from 5: chunk(s, e) gives the columns (value, turning_point, jump,
+    is_composite) of values[s:e], for 0 <= s < e <= len(values).
 
     The index of the first record is 4; each later record r follows the
     previous record q at index q + 1, so its jump is r - q - 1 >= 1.  A
@@ -316,31 +318,30 @@ def _annotated(values: array, chunk: int) -> Iterator[tuple[Sequence[int], ...]]
     packed(records) less the turning points.  Every value lies below 2^63
     and every jump is at least 1, so no lane overflows or borrows.  The
     array is read in slices, not copied.  Compositeness (1 or 0) is one
-    gather from one sieve up to the last value; a chunk of one row takes
-    its one flag by index.
+    gather from one sieve up to the last value, built here, once, before
+    any chunk; a chunk of one row takes its one flag by index.
     """
-    if not values:
-        return
     if values[0] != FIRST_RECORD:
         raise ValueError(f"annotation needs the full list from {FIRST_RECORD}, got {values[0]}")
     composite = sieve_flags(values[-1]).translate(_NOT)
-    for s in range(0, len(values), chunk):
-        rs = values[s : s + chunk]
+
+    def chunk(s: int, e: int) -> tuple[Sequence[int], ...]:
+        rs = values[s:e]
         n = len(rs)
-        before = values[s - 1 : s - 1 + n] if s else array("q", [FIRST_ETP - 1]) + rs[:-1]
+        before = values[s - 1 : e - 1] if s else array("q", [FIRST_ETP - 1]) + rs[:-1]
         ts = _pack(before) + _pack(_ONE * n)
         flags = itemgetter(*rs)(composite) if n > 1 else (composite[rs[0]],)
-        yield rs, _unpack(ts, n), _unpack(_pack(rs) - ts, n), flags
+        return rs, _unpack(ts, n), _unpack(_pack(rs) - ts, n), flags
+
+    return chunk
 
 
 def records_from_values(values: Sequence[int]) -> list[Record]:
     """Annotate a full ascending record-value list (starting at 5)."""
     values = array("q", values)
-    return [
-        Record(r, t, j, c == 1)
-        for columns in _annotated(values, len(values))
-        for r, t, j, c in zip(*columns)
-    ]
+    if not values:
+        return []
+    return [Record(r, t, j, c == 1) for r, t, j, c in zip(*_annotated(values)(0, len(values)))]
 
 
 def record_stream_upto(limit: int) -> list[Record]:

@@ -1,15 +1,17 @@
+import functools
 import hashlib
 import importlib
 import io
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from gcdperm import generate_prefix, record_values
+from gcdperm import cli, generate_prefix, record_values
 from gcdperm.cli import WRITE_CHUNK_LINES, _figure_rows, _write_rows, main
 from gcdperm.primes import is_prime
 
@@ -845,3 +847,144 @@ def test_closed_stdout_ends_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+# --- the forked writer -------------------------------------------------------
+#
+# Output of more than one chunk is cut into one contiguous share per usable
+# CPU; forked children format the shares after the first.  The tests force
+# the share count through ``cli._usable_cpus``, so they fork on a host of
+# any size.
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _count_forks(monkeypatch):
+    """Wrap os.fork; the list it returns gains the pid of each child forked."""
+    forks, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _records_limit(rows):
+    return record_values(10**6)[rows - 1]
+
+
+def _scan_bound(rows):
+    # scan's seeds are 2, 4, 6, 12, ...: 2 + bound // 6 of them for bound >= 6.
+    return 6 * (rows - 2)
+
+
+CHUNK_EDGES = {"0 rows": 0, "1 chunk": WRITE_CHUNK_LINES, "1 chunk + 1": WRITE_CHUNK_LINES + 1,
+               "2 chunks": 2 * WRITE_CHUNK_LINES, "3 chunks": 3 * WRITE_CHUNK_LINES}
+FORKED_ARGV = [
+    *[(f"{name} {edge}", ("generate", "--a", "3", "--n", str(rows), *flags))
+      for name, flags in (("csv", ()), ("plain", ("--format", "plain")),
+                          ("derivative", ("--with-derivative",)))
+      for edge, rows in CHUNK_EDGES.items() if rows],
+    *[(f"records {edge}", ("records", "--limit", str(_records_limit(rows))))
+      for edge, rows in CHUNK_EDGES.items() if rows],
+    ("scan 0 rows", ("scan", "--bound", "1")),
+    *[(f"scan {edge}", ("scan", "--bound", str(_scan_bound(rows))))
+      for edge, rows in CHUNK_EDGES.items() if rows],
+]
+FORKED_SHA256 = {
+    ("generate", "--a", "3", "--n", "40000"): GENERATE_SHA256[3, ()],
+    ("generate", "--a", "3", "--n", "40000", "--with-derivative"):
+        GENERATE_SHA256[3, ("--with-derivative",)],
+    ("scan", "--bound", "3000"): SCAN_3000_SHA256,
+}
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in FORKED_ARGV] + list(FORKED_SHA256),
+                         ids=[name for name, _ in FORKED_ARGV] + ["pinned"] * len(FORKED_SHA256))
+def test_forked_writer_writes_the_bytes_of_one_process(tmp_path, capsys, monkeypatch, argv):
+    target = tmp_path / "out.csv"
+    outputs = {}
+    # The writer is under test, not the scan: the four runs share one.
+    monkeypatch.setattr(cli, "scan_identity_seeds", functools.cache(cli.scan_identity_seeds))
+    for shares in ("default", 1, 3):
+        if shares != "default":
+            monkeypatch.setattr(cli, "_usable_cpus", lambda shares=shares: shares)
+        forks = _count_forks(monkeypatch)
+        code, out, _ = run(capsys, *argv, "--out", str(target))
+        assert code == 0 and out == ""
+        outputs[shares] = target.read_bytes()
+        rows = outputs[shares].count(b"\n") - (argv[-2:] != ("--format", "plain"))
+        chunks = -(-rows // WRITE_CHUNK_LINES)
+        if shares != "default":
+            assert len(forks) == (min(shares, chunks) - 1 if chunks > 1 else 0)
+        _assert_no_child_left()
+    code, out, _ = run(capsys, *argv)  # three shares, to stdout
+    assert code == 0
+    assert outputs[1] == outputs["default"] == outputs[3] == out.encode("ascii")
+    if argv in FORKED_SHA256:
+        assert hashlib.sha256(outputs[3]).hexdigest() == FORKED_SHA256[argv]
+    _assert_no_child_left()
+
+
+def _fail_in_children(monkeypatch, failure):
+    """Make the chunk formatting call failure() first in every process but this one."""
+    parent, formatted = os.getpid(), cli._formatted
+
+    def patched(*args):
+        if os.getpid() != parent:
+            failure()
+        return formatted(*args)
+
+    monkeypatch.setattr(cli, "_formatted", patched)
+
+
+def test_a_failed_formatting_process_exits_3(tmp_path, capsys, monkeypatch):
+    def fail():
+        raise RuntimeError("formatting failed")
+
+    _fail_in_children(monkeypatch, fail)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    for argv in (("generate", "--n", "40000"), ("records", "--limit", "200000")):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out.csv"))
+        assert code == 3 and out == "", argv
+        assert err.startswith("error: ") and "formatting" in err, err
+        _assert_no_child_left()
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and err.startswith("error: "), argv
+        _assert_no_child_left()
+
+
+def test_a_closed_stdout_kills_the_formatting_processes(tmp_path, monkeypatch):
+    # The children sleep; only the kill on the error path ends them before
+    # the writer reaps them.
+    _fail_in_children(monkeypatch, lambda: time.sleep(60))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    calls = []
+
+    def closed(data):
+        calls.append(data)
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "_write_stdout", closed)
+    t0 = time.monotonic()
+    with open(tmp_path / "stdout.txt", "w") as stdout, redirect_stdout(stdout):
+        code = main(["generate", "--n", "40000"])
+    assert code == 0 and len(calls) == 1
+    assert time.monotonic() - t0 < 30
+    _assert_no_child_left()
+
+
+def test_records_limit_obeys_the_term_cap(capsys, monkeypatch):
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "1000")
+    code, out, err = run(capsys, "records", "--limit", "1000")
+    assert code == 0 and err == "" and out.splitlines()[-1].split(",")[1] == "997"
+    code, out, err = run(capsys, "records", "--limit", "1001")
+    assert code == 2 and out == ""
+    assert err == ("error: requested the records up to 1001; cap is 1000 "
+                   "(set GCDPERM_MAX_TERMS to raise it)\n")

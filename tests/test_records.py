@@ -157,10 +157,12 @@ def test_records_from_values_on_a_list_matches_a_row_by_row_oracle():
 def test_annotated_chunks_match_a_row_by_row_oracle(chunk):
     # Chunk size 1 takes the one-row case of the compositeness gather.
     values = records.cached_records(30_100)
-    got = [row for columns in _annotated(values, chunk) for row in zip(*columns)]
+    annotate = _annotated(values)
+    chunks = [annotate(s, min(s + chunk, len(values))) for s in range(0, len(values), chunk)]
+    got = [row for columns in chunks for row in zip(*columns)]
     want = [(r, t, j, int(c)) for r, t, j, c in _records_by_rows(values)]
     assert got == want
-    sizes = [len(columns[0]) for columns in _annotated(values, chunk)]
+    sizes = [len(columns[0]) for columns in chunks]
     assert sum(sizes) == len(values) and set(sizes[:-1]) <= {chunk}
 
 
