@@ -431,9 +431,18 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except BrokenPipeError:
-        # The reader of stdout stopped early.  Point stdout at devnull so that
-        # the interpreter's final flush of what is left does not raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # The reader of stdout stopped early.  Point the descriptor of stdout,
+        # when it has one, at devnull so that the interpreter's final flush of
+        # what is left does not raise again.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):  # None, or no descriptor
+            return EXIT_OK
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, fd)
+        finally:
+            os.close(devnull)
         return EXIT_OK
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

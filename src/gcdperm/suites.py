@@ -9,17 +9,19 @@ them from the function's ``__kwdefaults__``); an explicit value below a
 parameter's range raises ValueError.  ``SUITES`` maps each name to its
 check, and is the one place the CLI runs a suite from.
 
-thm1 (for f_3), cor1, prop1 and prop2 check identities against the
-definition, so each simulates its own prefix of f_3 with the engine, not
-from the records, and drops it when it returns; cor1 reads its records off
-that prefix.  thm2 checks the first ETP ``classify`` takes for each odd seed
-a <= 199 against a simulated f_a(1..a+2).  The term cap (GCDPERM_MAX_TERMS)
-bounds each prefix.
+thm1 checks the ETP recursion on prefixes of f_3 and f_7 that the engine
+simulates, and thm2 the first ETP ``classify`` takes for each odd seed
+a <= 199 against a simulated f_a(1..a+2).  cor1, prop1 and prop2 check
+identities against the definition on f_3(1..n) and its records from
+``records._certified_f3``, which proves the records against the greedy
+rule before it builds the terms from them; cor1 takes its turning points
+as 4 and q + 1 for each record q.  Each suite drops what it built when it
+returns, and the term cap (GCDPERM_MAX_TERMS) bounds each prefix.
 """
 
 from __future__ import annotations
 
-from operator import eq
+from array import array
 from typing import Callable, NamedTuple, Sequence
 
 from .classify import (
@@ -40,7 +42,7 @@ from .primorial import (
     verify_primorial_records,
     verify_translation,
 )
-from .records import _turning_points, find_turning_points, is_record
+from .records import FIRST_ETP, _certified_f3, _turning_points, find_turning_points, is_record
 from .sequence import generate_prefix
 
 
@@ -77,8 +79,8 @@ def _index_identity(suite: str, terms, m: int, k_lo: int, k_max: int) -> CheckRe
     A prefix that stops before index m*k_max + 1 fails the check.
     """
     top = m * k_max + 1
-    got = map(terms.__getitem__, range(m * k_lo + 1, top + 1, m))
-    ok = len(terms) > top and all(map(eq, got, range(m * k_lo, top, m)))
+    got = array("q", terms[m * k_lo + 1 : top + 1 : m])
+    ok = len(terms) > top and got == array("q", range(m * k_lo, top, m))
     detail = f"k <= {k_max}" if k_lo == 1 else f"{k_lo} <= k <= {k_max}"
     return CheckResult(suite, f"f_3({m}k+1) = {m}k", ok, detail, max(k_max - k_lo + 1, 0))
 
@@ -104,36 +106,35 @@ def thm1(*, limit=10_000) -> list[CheckResult]:
 
 def cor1(*, limit=100_000) -> list[CheckResult]:
     _at_least(3, limit=limit)
-    buf = generate_prefix(3, limit)
-    # Every record r <= limit sits at a turning point t < r.
-    recs: set[int] = set()
-    tps = 0
-    parity_ok = True
-    for tp in _turning_points(buf, limit):
-        tps += 1
-        parity_ok = parity_ok and tp.t % 2 == 0 and tp.record_value % 2 == 1
-        if tp.record_value <= limit:
-            recs.add(tp.record_value)
+    terms, records = _certified_f3(limit)
+    recs = records[:-1] if records and records[-1] > limit else records
+    # The turning points up to the limit are 4 and q + 1 for each record
+    # q < limit, each holding the record after it: records[:below + 1].
+    below = len(recs) - (limit in recs[-1:])
+    at_tps = records[: below + 1]
+    covered = limit < FIRST_ETP or len(records) > below
     primes = [p for p in primes_upto(limit) if p >= 5]
-    missing = [p for p in primes if p not in recs]
-    form_ok = all(r % 6 in (1, 5) for r in recs)
+    missing = len(set(primes).difference(recs))
     return [
-        _index_identity("cor1", buf.terms, 2, 1, (limit - 1) // 2),
+        _index_identity("cor1", terms, 2, 1, (limit - 1) // 2),
         CheckResult("cor1", "every prime in [5, limit] is a record", not missing,
-                    f"{len(missing)} missing" if missing else f"limit {limit}", len(primes)),
-        CheckResult("cor1", "turning points even, records odd", parity_ok, items=tps),
-        CheckResult("cor1", "records are 6k +- 1", form_ok, items=len(recs)),
+                    f"{missing} missing" if missing else f"limit {limit}", len(primes)),
+        # Each turning point q + 1 is even when q is odd.
+        CheckResult("cor1", "turning points even, records odd",
+                    covered and all(map((2).__rmod__, at_tps)), items=len(at_tps)),
+        CheckResult("cor1", "records are 6k +- 1", set(map((6).__rmod__, recs)) <= {1, 5},
+                    items=len(recs)),
     ]
 
 
 def prop1(*, limit=100_000) -> list[CheckResult]:
     _at_least(1, limit=limit)
-    return [_index_identity("prop1", generate_prefix(3, 2 * limit + 1).terms, 2, 1, limit)]
+    return [_index_identity("prop1", _certified_f3(2 * limit + 1)[0], 2, 1, limit)]
 
 
 def prop2(*, limit=100_000) -> list[CheckResult]:
     _at_least(1, limit=limit)
-    return [_index_identity("prop2", generate_prefix(3, 3 * limit + 1).terms, 3, 2, limit)]
+    return [_index_identity("prop2", _certified_f3(3 * limit + 1)[0], 3, 2, limit)]
 
 
 def prop3(*, n=4, kmax=8) -> list[CheckResult]:

@@ -980,6 +980,36 @@ def test_a_closed_stdout_kills_the_formatting_processes(tmp_path, monkeypatch):
     _assert_no_child_left()
 
 
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors in /proc")
+@pytest.mark.parametrize("target", ["text buffer", "file"])
+def test_a_closed_stdout_leaves_no_descriptor_open(tmp_path, monkeypatch, target):
+    # A stdout with no descriptor has none to point at devnull; a file's
+    # descriptor is pointed at devnull, and devnull's own is closed again.
+    def closed(data):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "_write_stdout", closed)
+    with (io.StringIO() if target == "text buffer" else open(tmp_path / "out", "w")) as stdout:
+        before = len(os.listdir("/proc/self/fd"))
+        with redirect_stdout(stdout):
+            code = main(["generate", "--n", "5"])
+        assert code == 0
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
+@pytest.mark.parametrize("a", [2**63 - 1, 2**63, 2**64 + 1])
+def test_generate_seeds_past_64_bits(capsys, naive_prefix, a):
+    f = naive_prefix(a, 6)
+    rows = [(n, f[n], f[n + 1] - f[n]) for n in range(1, 6)]
+    expected = {
+        (): "n,f_n\n" + "".join(f"{n},{v}\n" for n, v, _ in rows),
+        ("--format", "plain"): "".join(f"{n} {v}\n" for n, v, _ in rows),
+        ("--with-derivative",): "n,f_n,g_n\n" + "".join(f"{n},{v},{g}\n" for n, v, g in rows),
+    }
+    for flags, text in expected.items():
+        assert run(capsys, "generate", "--a", str(a), "--n", "5", *flags) == (0, text, ""), flags
+
 def test_records_limit_obeys_the_term_cap(capsys, monkeypatch):
     monkeypatch.setenv("GCDPERM_MAX_TERMS", "1000")
     code, out, err = run(capsys, "records", "--limit", "1000")

@@ -1,10 +1,13 @@
 import gc
+from operator import eq
 from pathlib import Path
 
 import pytest
 
-from gcdperm import derivative_bound_check, generate_prefix, reconstruct_f3, suites
+from gcdperm import derivative_bound_check, generate_prefix, reconstruct_f3, records, suites
 from gcdperm.cli import main
+from gcdperm.primes import primes_upto
+from gcdperm.records import _certified_f3, _turning_points
 from gcdperm.sequence import SequenceBuffer
 from gcdperm.suites import SUITES, TABLE
 
@@ -204,3 +207,161 @@ def test_thm10_identity_count_matches_the_band_count(bound, identities):
     result = SUITES["thm10"](bound=bound)[-1]
     assert result.name == "identity count vs band count"
     assert result.ok and result.detail.startswith(f"identity {identities}, bands ")
+
+
+# cor1, prop1 and prop2 as they were when each simulated its own prefix of
+# f_3 with the engine: the oracle of the suites that read the proven records.
+def _engine_index_identity(suite, terms, m, k_lo, k_max):
+    top = m * k_max + 1
+    got = map(terms.__getitem__, range(m * k_lo + 1, top + 1, m))
+    ok = len(terms) > top and all(map(eq, got, range(m * k_lo, top, m)))
+    detail = f"k <= {k_max}" if k_lo == 1 else f"{k_lo} <= k <= {k_max}"
+    return suites.CheckResult(suite, f"f_3({m}k+1) = {m}k", ok, detail,
+                              max(k_max - k_lo + 1, 0))
+
+
+def _engine_cor1(*, limit):
+    suites._at_least(3, limit=limit)
+    buf = generate_prefix(3, limit)
+    recs = set()
+    tps = 0
+    parity_ok = True
+    for tp in _turning_points(buf, limit):
+        tps += 1
+        parity_ok = parity_ok and tp.t % 2 == 0 and tp.record_value % 2 == 1
+        if tp.record_value <= limit:
+            recs.add(tp.record_value)
+    primes = [p for p in primes_upto(limit) if p >= 5]
+    missing = [p for p in primes if p not in recs]
+    form_ok = all(r % 6 in (1, 5) for r in recs)
+    return [
+        _engine_index_identity("cor1", buf.terms, 2, 1, (limit - 1) // 2),
+        suites.CheckResult("cor1", "every prime in [5, limit] is a record", not missing,
+                           f"{len(missing)} missing" if missing else f"limit {limit}",
+                           len(primes)),
+        suites.CheckResult("cor1", "turning points even, records odd", parity_ok, items=tps),
+        suites.CheckResult("cor1", "records are 6k +- 1", form_ok, items=len(recs)),
+    ]
+
+
+def _engine_prop1(*, limit):
+    suites._at_least(1, limit=limit)
+    return [_engine_index_identity("prop1", generate_prefix(3, 2 * limit + 1).terms, 2, 1, limit)]
+
+
+def _engine_prop2(*, limit):
+    suites._at_least(1, limit=limit)
+    return [_engine_index_identity("prop2", generate_prefix(3, 3 * limit + 1).terms, 3, 2, limit)]
+
+
+ENGINE_SUITES = {"cor1": _engine_cor1, "prop1": _engine_prop1, "prop2": _engine_prop2}
+# Around the first block ends of 30030 and its half, for each suite's reach.
+ORACLE_LIMITS = [*range(1, 41), 15014, 15015, 15016, 30029, 30030, 30031, 30032, 60061]
+
+
+@pytest.mark.parametrize("name", list(ENGINE_SUITES))
+def test_definition_suites_match_the_engine(name):
+    for limit in ORACLE_LIMITS:
+        try:
+            want = ENGINE_SUITES[name](limit=limit)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                SUITES[name](limit=limit)
+            continue
+        assert SUITES[name](limit=limit) == want, limit
+
+
+# The limits the benchmark's verify_suites workload runs each suite at.
+@pytest.mark.parametrize("name,limit", [("cor1", 500_000), ("prop1", 300_000),
+                                        ("prop2", 200_000)])
+def test_definition_suites_match_the_engine_at_the_benchmark_limits(name, limit):
+    assert SUITES[name](limit=limit) == ENGINE_SUITES[name](limit=limit)
+
+
+def test_cor1_at_limit_3_checks_only_the_index_identity(capsys):
+    code, out, _ = _verify(capsys, "cor1", "--limit", "3")
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()[:-1]] == ["PASS"] + ["VACUOUS"] * 3
+
+
+def _shift(by):
+    def corrupt(recs):
+        recs[50] += by
+    return corrupt
+
+
+def _insert_after(gap, offset):
+    """Insert records[i] + offset after the first record i >= 50 whose step
+    to the next record exceeds gap."""
+    def corrupt(recs):
+        i = next(i for i in range(50, len(recs)) if recs[i + 1] - recs[i] > gap)
+        recs.insert(i + 1, recs[i] + offset)
+    return corrupt
+
+
+CORRUPTIONS = {
+    "shifted by +2": _shift(2),
+    "shifted by +6": _shift(6),
+    "dropped": lambda recs: recs.pop(50),
+    "inserted non-record": _insert_after(2, 2),
+    "step d = 2": _insert_after(1, 1),  # q + 1 after q: d = (q + 1) - (q - 1)
+    "repeated": _insert_after(1, 0),  # q after q: d = 1, which only d >= 3 rejects
+    "wrong head": lambda recs: recs.pop(0),
+}
+
+
+def _corrupt_the_record_source(monkeypatch, corrupt):
+    """Make records.cached_records apply corrupt to its array; return the true one."""
+    source = records.cached_records
+
+    def corrupted(limit):
+        recs = source(limit)
+        corrupt(recs)
+        return recs
+
+    monkeypatch.setattr(records, "cached_records", corrupted)
+    return source
+
+
+@pytest.mark.parametrize("case", list(CORRUPTIONS))
+def test_a_failed_certificate_cuts_at_the_last_proven_record(monkeypatch, case):
+    true = _corrupt_the_record_source(monkeypatch, CORRUPTIONS[case])(1100)
+    terms, recs = _certified_f3(1000)
+    last = recs[-1]
+    assert list(recs) == [r for r in true if r <= last]
+    assert last < 1000 and (case != "wrong head" or last == 5)
+    assert list(terms) == generate_prefix(3, last).terms
+
+
+@pytest.mark.parametrize("case", list(CORRUPTIONS))
+@pytest.mark.parametrize("argv", [["cor1", "--limit", "1000"], ["prop1", "--limit", "500"],
+                                  ["prop2", "--limit", "333"]])
+def test_a_failed_certificate_fails_the_suite(capsys, monkeypatch, case, argv):
+    _corrupt_the_record_source(monkeypatch, CORRUPTIONS[case])
+    code, out, _ = _verify(capsys, *argv)
+    assert code == 1
+    assert any(line.startswith("FAIL") for line in out.splitlines())
+
+
+def test_cor1_fails_when_the_record_at_its_last_turning_point_is_unproven(capsys, monkeypatch):
+    # Shifting records[50] proves f_3 only through q = records[49].  At the
+    # limit q + 1 the index identity, the primes and the 6k +- 1 form hold
+    # on what is proven; the record at the turning point q + 1 is unproven.
+    q = _corrupt_the_record_source(monkeypatch, CORRUPTIONS["shifted by +2"])(1000)[49]
+    code, out, _ = _verify(capsys, "cor1", "--limit", str(q + 1))
+    assert code == 1
+    assert [line.split()[0] for line in out.splitlines()[:-1]] == ["PASS", "PASS", "FAIL", "PASS"]
+
+
+@pytest.mark.parametrize("index,value,last", [
+    (records._CHUNK + 1, None, records._CHUNK),  # shifted by +2 in the second chunk
+    (records._CHUNK, 7, records._CHUNK - 1),  # below its predecessor atop the first chunk
+])
+def test_a_failed_certificate_past_the_first_chunk(monkeypatch, index, value, last):
+    def corrupt(recs):
+        recs[index] = recs[index] + 2 if value is None else value
+
+    true = _corrupt_the_record_source(monkeypatch, corrupt)(60_000)
+    terms, recs = _certified_f3(60_000)
+    assert list(recs) == list(true[: last + 1])
+    assert list(terms) == generate_prefix(3, true[last]).terms
