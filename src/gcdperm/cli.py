@@ -193,13 +193,19 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def cmd_records(args) -> int:
+def _check_cap(what: str, limit: int) -> None:
+    """Refuse to enumerate what (the records, or the primes) up to a limit
+    past the term cap, which bounds them as it bounds the terms of f_3 up
+    to that limit."""
     cap = max_terms_cap()
-    if args.limit > cap:
+    if limit > cap:
         raise LimitExceededError(
-            f"requested the records up to {args.limit}; cap is {cap} "
-            f"(set {MAX_TERMS_ENV} to raise it)"
+            f"requested {what} up to {limit}; cap is {cap} (set {MAX_TERMS_ENV} to raise it)"
         )
+
+
+def cmd_records(args) -> int:
+    _check_cap("the records", args.limit)
     values = cached_records(args.limit)
     annotate = _annotated(values)
     _write_rows(args.out, "index,record,turning_point,jump,is_composite", "%d,%d,%d,%d,%d\n",
@@ -277,22 +283,40 @@ def cmd_diff_bfile(args) -> int:
     return EXIT_OK
 
 
+# Each figure's --limit when none is given.
+_FIGURE_LIMITS = {"fig1": 10_000, "fig2": 12_000, "fig3": 1_000, "fig4": 1_000}
+
+
+def _check_figure_cap(which: str, limit: int | None) -> None:
+    """Refuse a figure that would pass the term cap: fig1 sieves up to its
+    limit, fig2 reads f_3 up to the index limit + 1, and fig3 and fig4 read
+    the records up to 10 limit + 100."""
+    limit = limit or _FIGURE_LIMITS[which]
+    if which == "fig1":
+        _check_cap("the primes", limit)
+    elif which == "fig2":
+        cap = max_terms_cap()
+        if limit + 1 > cap:
+            raise LimitExceededError.terms(3, limit + 1, cap)
+    else:
+        _check_cap("the records", 10 * limit + 100)
+
+
 def _figure_rows(which: str, limit: int | None):
     """(header, row format, spans, column function) of one figure's CSV."""
+    limit = limit or _FIGURE_LIMITS.get(which)
     if which == "fig1":
         return ("j,m_j,M_j,gap_a,gap_b", "%d,%d,%d,%d,%d\n",
-                *_row_chunks(twin_cycle_gaps(limit or 10_000)))
+                *_row_chunks(twin_cycle_gaps(limit)))
     if which == "fig2":
-        span = limit or 12_000
-        terms = prefix_terms(3, span + 1)
-        return ("t,g_t", "%d,%d\n", _spans(span),
+        terms = prefix_terms(3, limit + 1)
+        return ("t,g_t", "%d,%d\n", _spans(limit),
                 lambda s, e: (range(s, e), _differences(terms, s, e)))
     if which in ("fig3", "fig4"):
-        count = limit or 1_000
-        recs = record_values(10 * count + 100)
-        while len(recs) < count:
+        recs = record_values(10 * limit + 100)
+        while len(recs) < limit:
             recs = record_values(2 * recs[-1])
-        nth_value = recs[count - 1]
+        nth_value = recs[limit - 1]
         if which == "fig3":
             return "n,ratio_ln", "%d,%r\n", *_row_chunks(prime_ratio_series(nth_value))
         return ("n,primes_among_records", "%d,%d\n",
@@ -301,7 +325,9 @@ def _figure_rows(which: str, limit: int | None):
 
 
 def cmd_export_figures(args) -> int:
-    names = ("fig1", "fig2", "fig3", "fig4") if args.which == "all" else (args.which,)
+    names = tuple(_FIGURE_LIMITS) if args.which == "all" else (args.which,)
+    for name in names:  # every figure, before any file is written
+        _check_figure_cap(name, args.limit)
     os.makedirs(args.out_dir, exist_ok=True)
     for name in names:
         path = os.path.join(args.out_dir, f"{name}.csv")

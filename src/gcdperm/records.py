@@ -53,21 +53,21 @@ The same memo holds them next to the records, and one block walker,
 ``_step_block``, appends either kind, a block per int addition.
 
 The suites that check f_3 against its definition do not trust that walk:
-``_certified_f3`` proves the records against the greedy rule, by
+``_certified_records`` proves the records against the greedy rule, by
 induction on H(q): "f_3(1..q) is a permutation of 1..q and f_3(q) = q - 1".
-The engine simulates f_3(1..5) = 1, 3, 2, 5, 4, which is H(5).  For
-consecutive records q < r from ``cached_records``, with m = q - 1 and
+The engine simulates f_3(1..5) = 1, 3, 2, 5, 4, which is H(3) and H(5).
+For consecutive records q < r from ``cached_records``, with m = q - 1 and
 d = r - m, H(q) gives H(r) when d >= 3, every prime below d divides m,
 and gcd(d, m) = 1.  Each value q + 1..r - 1 is m + k with 2 <= k < d, so
 it shares a prime below d with m, while r is coprime to m: f(q + 1) = r.
 Then gcd(q + 1, r) = gcd(m + 2, d - 2) = 1, since d is odd (2 divides m)
 and each prime factor of d - 2 is odd and below d, so divides m and not
 m + 2: f(q + 2) = q + 1, and f(q + j) = q + j - 1 on up to the index r.
-Each condition is one C-level map over a chunk of the packed lanes m and
-d, with no Python loop per term.  The terms come from the proven records
-alone, i - 1 at every index i and r at each index q + 1, as packed lanes:
-an int of i - 1 per chunk of lanes plus the joined excess d - 1, 0, ...,
-0 of each step.  A step that fails cuts both at the last proven record.
+Each condition is one C-level map over the packed lanes m and d of every
+step at once, with no Python loop per step.  A step that fails cuts the
+list at the last proven record.  The proven records through r fix f_3 on
+1..r: past index 2, f_3(i) = i - 1, except that f_3(q + 1) is the record
+after q.  So the suites read f_3 from the list and build no term.
 """
 
 from __future__ import annotations
@@ -391,9 +391,6 @@ def f3_terms(n: int) -> array:
     return terms
 
 
-# The records are proven this many steps at a time, and the terms built
-# this many lanes at a time.
-_CHUNK = 1 << 14
 # The primes up to 53 multiply past 2^63, so no lane m has every prime
 # below a step d > 53 as a divisor.
 _MAX_STEP = 53
@@ -407,57 +404,41 @@ def _steps_hold(ms: Sequence[int], ds: Sequence[int], below: list[int]) -> bool:
             and not any(map(mod, ms, map(below.__getitem__, ds))))
 
 
-def _certified_f3(n: int) -> tuple[array, array]:
-    """f_3(1..n) laid out like ``f3_terms``, and the records through the
-    first one past n, both as ``array('q')`` and both proven against the
-    greedy rule; a step that fails cuts both at the last proven record.
+def _certified_records(n: int) -> array:
+    """The f_3 records from 3 = f_3(2) through the first one past n, as an
+    ``array('q')``, proven against the greedy rule; a step that fails cuts
+    the list at the last proven record.
 
-    The engine simulates the base f_3(1..min(n, 5)); the records come from
-    ``cached_records`` and pass the step of the module docstring a chunk at
-    a time; the terms are built from the proven records alone.  With n < 5
-    the records are those the base shows: 5 = f_3(4) when n = 4.  Obeys
-    the engine's term cap (GCDPERM_MAX_TERMS).
+    The engine simulates the base f_3(1..min(n, 5)), whose records 3 and
+    5 = f_3(4) start the list.  The later records come from
+    ``cached_records`` and pass the step of the module docstring, all in
+    one ``_steps_hold``; only when that fails are the steps tried one by
+    one.  On the indices 3..min(n, last record), f_3(i) = i - 1 except
+    that f_3(q + 1) is the record after q.  Obeys the engine's term cap
+    (GCDPERM_MAX_TERMS).
     """
     cap = max_terms_cap()
     if n > cap:
         raise LimitExceededError.terms(3, n, cap)
-    terms = array("q", generate_prefix(3, min(n, FIRST_RECORD)).terms)
-    proven = array("q", terms[FIRST_ETP : FIRST_ETP + 1])
+    proven = array("q", generate_prefix(3, min(n, FIRST_RECORD)).terms[2::2])
     if n < FIRST_RECORD:
-        return terms, proven
+        return proven
     # The record after q <= n is q - 1 + spnd(q - 1) < n + _MAX_STEP.
     records = cached_records(n + _MAX_STEP)
-    if records[:1] != proven:  # a source that does not start at 5 proves nothing
-        records = proven
+    if records[:1] != proven[1:]:  # a source that does not start at 5 proves nothing
+        records = proven[1:]
     small = primes_upto(_MAX_STEP)
     below = [prod(p for p in small if p < d) for d in range(_MAX_STEP + 1)]
-    # Between records q < r = m + d the terms less their index less 1 are
-    # d - 1, then d - 2 zeros.
-    excess = {d: (d - 1).to_bytes(8, sys.byteorder) + bytes(8 * (d - 2))
-              for d in range(3, _MAX_STEP + 1)}
-    corrections = bytearray()  # the lanes f_3(i) - (i - 1) for i = 6, 7, ...
-    k, stop = 0, len(records) - 1  # records[k] is the last proven record
-    while k < stop and records[k] <= n:
-        e = min(k + _CHUNK, stop)
-        try:
-            ms = _unpack(_pack(records[k:e]) - _pack(_ONE * (e - k)), e - k)
-            ds = _unpack(_pack(records[k + 1 : e + 1]) - _pack(ms), e - k)
-            held = _steps_hold(ms, ds, below)
-        except OverflowError:  # the top lane borrowed: a record below the one before
-            held = False
-        if not held:  # stop before the first step that fails
-            stop = next(i for i in range(k, e) if not _steps_hold(
-                (records[i] - 1,), (records[i + 1] - records[i] + 1,), below))
-            continue
-        corrections += b"".join(map(excess.__getitem__, ds))
-        k = e
-    proven += records[1 : k + 1]
-    top = min(n, proven[-1])
-    iota, ones = _pack(array("q", range(_CHUNK))), _pack(_ONE * _CHUNK)
-    for s in range(0, top - FIRST_RECORD, _CHUNK):
-        lanes = iota + (FIRST_RECORD + s) * ones
-        lanes += int.from_bytes(corrections[8 * s : 8 * (s + _CHUNK)], sys.byteorder)
-        terms.extend(_unpack(lanes, _CHUNK))
-    del terms[top + 1 :]
+    steps = len(records) - 1
+    try:
+        ms = _unpack(_pack(records[:-1]) - _pack(_ONE * steps), steps)
+        ds = _unpack(_pack(records[1:]) - _pack(ms), steps)
+        held = not steps or _steps_hold(ms, ds, below)
+    except OverflowError:  # the top lane borrowed: a record below the one before
+        held = False
+    if not held:  # stop before the first step that fails
+        steps = next(i for i in range(steps) if not _steps_hold(
+            (records[i] - 1,), (records[i + 1] - records[i] + 1,), below))
+    proven += records[1 : steps + 1]
     del proven[bisect_right(proven, n) + 1 :]
-    return terms, proven
+    return proven

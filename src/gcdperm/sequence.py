@@ -21,7 +21,8 @@ Buffers take no locks and the module starts no threads or processes.
 This engine is the oracle and the head simulation: ``classify.prefix_terms``
 builds bulk output from a short simulated head and a tail from the records
 (``records.f3_terms``) or the identity, and the tests hold the two equal.
-``records._certified_f3`` starts its proof of the records from f_3(1..5).
+``records._certified_records`` starts its proof of the records from
+f_3(1..5).
 """
 
 from __future__ import annotations

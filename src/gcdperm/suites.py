@@ -12,16 +12,20 @@ check, and is the one place the CLI runs a suite from.
 thm1 checks the ETP recursion on prefixes of f_3 and f_7 that the engine
 simulates, and thm2 the first ETP ``classify`` takes for each odd seed
 a <= 199 against a simulated f_a(1..a+2).  cor1, prop1 and prop2 check
-identities against the definition on f_3(1..n) and its records from
-``records._certified_f3``, which proves the records against the greedy
-rule before it builds the terms from them; cor1 takes its turning points
-as 4 and q + 1 for each record q.  Each suite drops what it built when it
-returns, and the term cap (GCDPERM_MAX_TERMS) bounds each prefix.
+identities against the definition on the records from
+``records._certified_records``, which proves them against the greedy rule
+and so fixes f_3 up to the last one; cor1 takes its turning points as
+q + 1 for each record q from 3 = f_3(2).  Each suite drops what it built
+when it returns, and the term cap (GCDPERM_MAX_TERMS) bounds the index
+each one reads.  ``_shown`` writes the ints of a check's name and detail,
+so that an int too long for ``str`` still prints.
 """
 
 from __future__ import annotations
 
-from array import array
+import sys
+from itertools import dropwhile, takewhile
+from math import log10
 from typing import Callable, NamedTuple, Sequence
 
 from .classify import (
@@ -42,7 +46,7 @@ from .primorial import (
     verify_primorial_records,
     verify_translation,
 )
-from .records import FIRST_ETP, _certified_f3, _turning_points, find_turning_points, is_record
+from .records import _certified_records, _turning_points, find_turning_points, is_record
 from .sequence import generate_prefix
 
 
@@ -68,19 +72,41 @@ def _at_least(lo: int, **params) -> None:
             raise ValueError(f"{name} must be >= {lo}, got {value}")
 
 
+def _shown(value) -> str:
+    """str(value) for an int >= 0, or a list or tuple of them.  An int with
+    more digits than the interpreter converts (``sys.get_int_max_str_digits``)
+    shows as its first and last five digits and its digit count, and is
+    never converted whole."""
+    if not isinstance(value, int):
+        inner = ", ".join(map(_shown, value))
+        if isinstance(value, list):
+            return f"[{inner}]"
+        return f"({inner},)" if len(value) == 1 else f"({inner})"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if not limit or value.bit_length() <= 3 * limit or value < 10**limit:
+        return str(value)
+    digits = int((value.bit_length() - 1) * log10(2))  # at most the digit count
+    while 10**digits <= value:
+        digits += 1
+    return f"{value // 10 ** (digits - 5)}...{value % 10**5:05d} ({digits} digits)"
+
+
 def _listed(bad: Sequence[int], detail: str, label: str = "failed") -> str:
     """detail when nothing is bad, else the first few bad items."""
-    return f"{label}: {bad[:5]}" if bad else detail
+    return f"{label}: {_shown(bad[:5])}" if bad else detail
 
 
-def _index_identity(suite: str, terms, m: int, k_lo: int, k_max: int) -> CheckResult:
-    """f_3(m*k + 1) = m*k for k_lo <= k <= k_max, read from a prefix of f_3.
+def _index_identity(suite: str, records, m: int, k_lo: int, k_max: int) -> CheckResult:
+    """f_3(m*k + 1) = m*k for k_lo <= k <= k_max, read from the proven
+    records of ``_certified_records``.
 
-    A prefix that stops before index m*k_max + 1 fails the check.
+    Past index 2, f_3(i) = i - 1 except at i = q + 1 for a record q, where
+    it is the record after q, so the identity fails exactly at a record
+    m*k.  Records that stop below index m*k_max + 1 fail the check.
     """
-    top = m * k_max + 1
-    got = array("q", terms[m * k_lo + 1 : top + 1 : m])
-    ok = len(terms) > top and got == array("q", range(m * k_lo, top, m))
+    lo, hi = m * k_lo, m * k_max
+    inside = takewhile(hi.__ge__, dropwhile(lo.__gt__, records))
+    ok = len(records) > 0 and records[-1] > hi and 0 not in map(m.__rmod__, inside)
     detail = f"k <= {k_max}" if k_lo == 1 else f"{k_lo} <= k <= {k_max}"
     return CheckResult(suite, f"f_3({m}k+1) = {m}k", ok, detail, max(k_max - k_lo + 1, 0))
 
@@ -106,17 +132,18 @@ def thm1(*, limit=10_000) -> list[CheckResult]:
 
 def cor1(*, limit=100_000) -> list[CheckResult]:
     _at_least(3, limit=limit)
-    terms, records = _certified_f3(limit)
-    recs = records[:-1] if records and records[-1] > limit else records
-    # The turning points up to the limit are 4 and q + 1 for each record
-    # q < limit, each holding the record after it: records[:below + 1].
-    below = len(recs) - (limit in recs[-1:])
-    at_tps = records[: below + 1]
-    covered = limit < FIRST_ETP or len(records) > below
+    records = _certified_records(limit)
+    upto = records[:-1] if records[-1] > limit else records
+    # The turning points up to the limit are q + 1 for each record q < limit
+    # (4 = 3 + 1 first), each holding the record after q.
+    below = len(upto) - (upto[-1] == limit)
+    at_tps = records[1 : below + 1]
+    covered = len(records) > below
+    recs = upto[1:]  # the records from 5 up to the limit
     primes = [p for p in primes_upto(limit) if p >= 5]
     missing = len(set(primes).difference(recs))
     return [
-        _index_identity("cor1", terms, 2, 1, (limit - 1) // 2),
+        _index_identity("cor1", records, 2, 1, (limit - 1) // 2),
         CheckResult("cor1", "every prime in [5, limit] is a record", not missing,
                     f"{missing} missing" if missing else f"limit {limit}", len(primes)),
         # Each turning point q + 1 is even when q is odd.
@@ -129,12 +156,12 @@ def cor1(*, limit=100_000) -> list[CheckResult]:
 
 def prop1(*, limit=100_000) -> list[CheckResult]:
     _at_least(1, limit=limit)
-    return [_index_identity("prop1", _certified_f3(2 * limit + 1)[0], 2, 1, limit)]
+    return [_index_identity("prop1", _certified_records(2 * limit + 1), 2, 1, limit)]
 
 
 def prop2(*, limit=100_000) -> list[CheckResult]:
     _at_least(1, limit=limit)
-    return [_index_identity("prop2", _certified_f3(3 * limit + 1)[0], 3, 2, limit)]
+    return [_index_identity("prop2", _certified_records(3 * limit + 1), 3, 2, limit)]
 
 
 def prop3(*, n=4, kmax=8) -> list[CheckResult]:
@@ -242,7 +269,7 @@ def thm5(*, n=4) -> list[CheckResult]:
         targets = [pn - 1, pn + 1, 2 * pn - 1, 2 * pn + 1]
         missing = [v for v in targets if not is_record(v)]
         out.append(CheckResult("thm5", f"P_{m} +- 1 and 2 P_{m} +- 1 are records", not missing,
-                               str(targets)))
+                               _shown(targets)))
     return out
 
 
@@ -252,9 +279,9 @@ def thm6(*, n=3) -> list[CheckResult]:
     p_next = nth_prime(n + 1)
     short_hi = 2 * primorial(n)
     fails_short = [k for k in report.failures if k <= short_hi]
-    detail = f"maximal range k in [{report.maximal[0]}, {report.maximal[1]}]"
+    detail = f"maximal range k in [{_shown(report.maximal[0])}, {_shown(report.maximal[1])}]"
     return [
-        CheckResult("thm6", f"f(P_{n}+k) = f(k)+P_{n} on [{p_next}, {short_hi}]",
+        CheckResult("thm6", f"f(P_{n}+k) = f(k)+P_{n} on [{p_next}, {_shown(short_hi)}]",
                     not fails_short, detail)
     ]
 
@@ -267,9 +294,9 @@ def thm7(*, n=3) -> list[CheckResult]:
         CheckResult("thm7", f"r P_{n} +- 1 records for r in [1, {rec_report.r_range[1]}]",
                     rec_report.passed,
                     _listed(rec_report.missing, f"{len(rec_report.checked)} values", "missing")),
-        CheckResult("thm7", f"translation on stated range {tr_report.stated}",
+        CheckResult("thm7", f"translation on stated range {_shown(tr_report.stated)}",
                     tr_report.holds_on_stated,
-                    f"maximal {tr_report.maximal}"),
+                    f"maximal {_shown(tr_report.maximal)}"),
     ]
 
 
@@ -283,7 +310,7 @@ def thm8_recurrence(*, n=5) -> list[CheckResult]:
     coarse = kappa_coarse_bounds()
     return [
         CheckResult("thm8-recurrence", "w_{n+1} = w_n p_{n+1} - s_{n+1}",
-                    ledger.recurrence_holds(), f"w = {ledger.w}"),
+                    ledger.recurrence_holds(), f"w = {_shown(ledger.w)}"),
         CheckResult("thm8-recurrence", "w_n / P_n non-increasing", ledger.ratios_non_increasing()),
         CheckResult("thm8-recurrence", "empirical density inside the coarse bounds",
                     coarse.lower <= Fraction(ledger.kappa_empirical) <= coarse.upper,

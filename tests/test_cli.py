@@ -1018,3 +1018,35 @@ def test_records_limit_obeys_the_term_cap(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err == ("error: requested the records up to 1001; cap is 1000 "
                    "(set GCDPERM_MAX_TERMS to raise it)\n")
+
+
+def test_export_figures_obeys_the_term_cap(tmp_path, capsys, monkeypatch):
+    # fig3 reads the records up to 10 count + 100, bounded as records --limit is.
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "1000")
+    out_dir = tmp_path / "figs"
+    code, _, err = run(capsys, "--quiet", "export-figures", "fig3", "--out-dir", str(out_dir),
+                       "--limit", "90")
+    assert code == 0 and err == "" and (out_dir / "fig3.csv").exists()
+    out_dir = tmp_path / "over"
+    code, out, err = run(capsys, "export-figures", "fig3", "--out-dir", str(out_dir),
+                         "--limit", "91")
+    assert code == 2 and out == ""
+    assert err == ("error: requested the records up to 1010; cap is 1000 "
+                   "(set GCDPERM_MAX_TERMS to raise it)\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("which,limit,message", [
+    ("fig1", "1001", "requested the primes up to 1001; cap is 1000"),
+    ("fig2", "1000", "requested 1001 terms of f_3; cap is 1000"),
+    ("fig4", "91", "requested the records up to 1010; cap is 1000"),
+    ("all", "91", "requested the records up to 1010; cap is 1000"),
+])
+def test_export_figures_checks_every_figure_before_writing(tmp_path, capsys, monkeypatch,
+                                                          which, limit, message):
+    # Under all, fig1 and fig2 fit at 91, fig3 does not: nothing is written.
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "1000")
+    code, out, err = run(capsys, "export-figures", which, "--out-dir", str(tmp_path / "figs"),
+                         "--limit", limit)
+    assert (code, out) == (2, "") and message in err
+    assert not (tmp_path / "figs").exists()

@@ -1,4 +1,6 @@
 import gc
+import sys
+from array import array
 from operator import eq
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import pytest
 from gcdperm import derivative_bound_check, generate_prefix, reconstruct_f3, records, suites
 from gcdperm.cli import main
 from gcdperm.primes import primes_upto
-from gcdperm.records import _certified_f3, _turning_points
+from gcdperm.records import _certified_records, _turning_points
 from gcdperm.sequence import SequenceBuffer
 from gcdperm.suites import SUITES, TABLE
 
@@ -192,12 +194,19 @@ def test_no_buffer_outlives_a_suite_call(name, limit):
 
 
 def test_truncated_prefix_fails_the_index_identity():
-    terms = generate_prefix(3, 2 * 60 + 1).terms
-    assert suites._index_identity("prop1", terms, 2, 1, 60).ok
-    for short in (terms[:-1], terms[:-2], terms[:50]):
+    # Records through q fix f_3 through the index q: the check reads f_3(121).
+    recs = _certified_records(2 * 60 + 1)
+    assert recs[-3:].tolist() == [119, 121, 127]
+    for enough in (recs, recs[:-1]):
+        assert suites._index_identity("prop1", enough, 2, 1, 60).ok
+    for short in (recs[:-2], recs[:-3], recs[:5], recs[:0]):
         assert not suites._index_identity("prop1", short, 2, 1, 60).ok
-    # A prefix that holds more than the check reads passes as one that holds enough.
-    assert suites._index_identity("prop1", generate_prefix(3, 500).terms, 2, 1, 60).ok
+    # Records that reach further than the check reads pass as ones that reach far enough.
+    assert suites._index_identity("prop1", _certified_records(500), 2, 1, 60).ok
+    # A multiple of m listed as a record breaks the identity at it: f_3(4) = 5, not 3.
+    assert not suites._index_identity("prop2", recs, 3, 1, 40).ok
+    assert suites._index_identity("prop2", recs, 3, 2, 40).ok
+    assert not suites._index_identity("prop1", array("q", sorted([*recs, 60])), 2, 1, 60).ok
 
 
 @pytest.mark.parametrize("bound,identities", [
@@ -284,6 +293,16 @@ def test_cor1_at_limit_3_checks_only_the_index_identity(capsys):
     assert [line.split()[0] for line in out.splitlines()[:-1]] == ["PASS"] + ["VACUOUS"] * 3
 
 
+def _f3_from_records(recs):
+    """f_3(1..recs[-1]) from records that start at 3 = f_3(2), laid out like
+    ``SequenceBuffer.terms``: past index 2, f_3(i) = i - 1, except that
+    f_3(q + 1) is the record after q."""
+    terms = [0, 1, 3, *range(2, recs[-1])]
+    for q, r in zip(recs, recs[1:]):
+        terms[q + 1] = r
+    return terms
+
+
 def _shift(by):
     def corrupt(recs):
         recs[50] += by
@@ -326,11 +345,11 @@ def _corrupt_the_record_source(monkeypatch, corrupt):
 @pytest.mark.parametrize("case", list(CORRUPTIONS))
 def test_a_failed_certificate_cuts_at_the_last_proven_record(monkeypatch, case):
     true = _corrupt_the_record_source(monkeypatch, CORRUPTIONS[case])(1100)
-    terms, recs = _certified_f3(1000)
+    recs = _certified_records(1000)
     last = recs[-1]
-    assert list(recs) == [r for r in true if r <= last]
+    assert list(recs) == [3] + [r for r in true if r <= last]
     assert last < 1000 and (case != "wrong head" or last == 5)
-    assert list(terms) == generate_prefix(3, last).terms
+    assert _f3_from_records(recs) == generate_prefix(3, last).terms
 
 
 @pytest.mark.parametrize("case", list(CORRUPTIONS))
@@ -354,14 +373,71 @@ def test_cor1_fails_when_the_record_at_its_last_turning_point_is_unproven(capsys
 
 
 @pytest.mark.parametrize("index,value,last", [
-    (records._CHUNK + 1, None, records._CHUNK),  # shifted by +2 in the second chunk
-    (records._CHUNK, 7, records._CHUNK - 1),  # below its predecessor atop the first chunk
+    (16385, None, 16384),  # shifted by +2
+    (16384, 7, 16383),  # below its predecessor: a lane inside the step lanes borrows
 ])
 def test_a_failed_certificate_past_the_first_chunk(monkeypatch, index, value, last):
     def corrupt(recs):
         recs[index] = recs[index] + 2 if value is None else value
 
     true = _corrupt_the_record_source(monkeypatch, corrupt)(60_000)
-    terms, recs = _certified_f3(60_000)
-    assert list(recs) == list(true[: last + 1])
-    assert list(terms) == generate_prefix(3, true[last]).terms
+    recs = _certified_records(60_000)
+    assert list(recs) == [3, *true[: last + 1]]
+    assert _f3_from_records(recs) == generate_prefix(3, true[last]).terms
+
+
+def test_a_failed_certificate_at_a_borrowing_top_lane(monkeypatch):
+    # The source ends in 7 after records[16383]: the last step lane borrows
+    # past the top of the packed int.
+    def corrupt(recs):
+        recs[16384:] = array("q", [7])
+
+    true = _corrupt_the_record_source(monkeypatch, corrupt)(60_000)
+    assert records.cached_records(60_053)[-2:].tolist() == [true[16383], 7]
+    assert list(_certified_records(60_000)) == [3, *true[:16384]]
+
+
+@pytest.mark.parametrize("limit", [30_030, 60_061])
+def test_definition_suites_build_no_term_array(monkeypatch, limit):
+    # They read f_3 from the proven records: no term builder runs, and the
+    # engine simulates only the base f_3(1..5).
+    def refuse(n):
+        raise AssertionError(f"f3_terms({n})")
+
+    engine = records.generate_prefix
+
+    def short_engine(a, n):
+        assert n <= 5, n
+        return engine(a, n)
+
+    monkeypatch.setattr(records, "f3_terms", refuse)
+    monkeypatch.setattr(records, "generate_prefix", short_engine)
+    for name in ENGINE_SUITES:
+        assert all(r.ok and not r.vacuous for r in SUITES[name](limit=limit)), name
+
+
+@pytest.mark.parametrize("value", [0, 7, [], [3, 5], (1,), (2, 9, 62)])
+def test_shown_matches_str_within_the_int_limit(value):
+    assert suites._shown(value) == str(value)
+
+
+def test_shown_shortens_an_int_past_the_int_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter converts ints of any length")
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        assert suites._shown(10**4300 - 1) == "9" * 4300
+        assert suites._shown(10**4300 + 1) == "10000...00001 (4301 digits)"
+        assert suites._shown([2 * 10**5000 - 7, 5]) == "[19999...99993 (5001 digits), 5]"
+        sys.set_int_max_str_digits(0)  # no limit
+        assert suites._shown(10**4300 + 1) == "1" + "0" * 4299 + "1"
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("name", ["thm5", "thm8-recurrence"])
+def test_suites_past_the_int_limit_pass(name):
+    # P_1400 has 4,988 digits, past the interpreter's 4,300 for str().
+    results = SUITES[name](n=1400)
+    assert results and all(r.ok for r in results), name
