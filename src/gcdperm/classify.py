@@ -37,7 +37,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .primes import nth_prime, primorial
 from .records import _records_around, _turning_points, f3_terms, is_record, next_record
-from .sequence import LimitExceededError, SequenceBuffer, generate_prefix, max_terms_cap
+from .sequence import (MAX_TERMS_ENV, LimitExceededError, SequenceBuffer, generate_prefix,
+                       max_terms_cap)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -224,6 +225,30 @@ def _excluded_count(limit: int) -> int:
         count += sum(max(0, (limit - 6 * t) // pk) for t in bands)
         k += 1
     return count
+
+
+def _excluded_flags(limit: int) -> bytearray:
+    """flags[i] == 1 iff the primorial test excludes the seed 6i <= limit.
+
+    Marks the definition of ``eventually_identity_by_primorial``: every
+    a = m P_k + 6t with m >= 1 and 1 <= t <= T_k, one slice of stride
+    P_k / 6 per (k, t).  The bands of t overlap across k, so the count of
+    these flags checks, and does not share, the disjointness that
+    ``_excluded_count`` assumes.  One byte per seed: more seeds than the
+    term cap (GCDPERM_MAX_TERMS) raise LimitExceededError.
+    """
+    seeds, cap = limit // 6, max_terms_cap()
+    if seeds > cap:
+        raise LimitExceededError(f"requested the {seeds} seeds 6i up to {limit}; cap is {cap} "
+                                 f"(set {MAX_TERMS_ENV} to raise it)")
+    flags = bytearray(seeds + 1)
+    k = 4
+    while (pk := primorial(k)) + 6 <= limit:
+        q = pk // 6
+        for t in range(1, _band_top(k) + 1):
+            flags[q + t :: q] = b"\x01" * len(range(q + t, seeds + 1, q))
+        k += 1
+    return flags
 
 
 class ScanRow(NamedTuple):

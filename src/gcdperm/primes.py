@@ -120,19 +120,41 @@ def _wheel_table() -> bytearray:
 _WHEEL_SPND = _wheel_table()
 
 
+# The primes from p_7 = 17 on in batches of _BATCH, each with its product,
+# grown on demand by smallest_prime_not_dividing.
+_BATCH = 32
+_BATCHES: list[tuple[int, list[int]]] = []
+
+
 def smallest_prime_not_dividing(m: int) -> int:
-    """Least prime that is not a factor of m (m >= 1)."""
+    """Least prime that is not a factor of m (m >= 1).
+
+    One lookup in the wheel table unless every prime up to 13 divides m.
+    Past the wheel the primes come in batches of 32: m is reduced once by
+    a batch's product, and only that small remainder is tried against
+    each prime of the batch (a remainder of 0: every one divides m).  The
+    answer stays small, since any m < P_k has a non-divisor among the
+    first k primes.
+    """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     p = _WHEEL_SPND[m % _WHEEL]
     if p:
         return p
-    # Every prime up to 13 = p_6 divides m; the answer stays small, since
-    # any m < P_k has a non-divisor among the first k primes.
-    k = 7
-    while m % (p := nth_prime(k)) == 0:
-        k += 1
-    return p
+    j = 0
+    while True:
+        if j == len(_BATCHES):
+            first = 7 + _BATCH * j  # the index of the batch's first prime
+            nth_prime(first + _BATCH - 1)
+            batch = _PRIMES[first - 1 : first - 1 + _BATCH]
+            _BATCHES.append((math.prod(batch), batch))
+        product, batch = _BATCHES[j]
+        rest = m % product
+        if rest:
+            for p in batch:
+                if rest % p:
+                    return p
+        j += 1
 
 
 def twin_prime_pairs(limit: int) -> list[tuple[int, int]]:

@@ -226,8 +226,9 @@ def record_count(x: int) -> int:
     t, k = base // _WHEEL - 1, 7  # p_7 = 17
     while t > 0:
         p = nth_prime(k)
-        count += (t - t // p) * (len(walk) - bisect_left(walk, p - 1))
-        t //= p
+        q = t // p
+        count += (t - q) * (len(walk) - bisect_left(walk, p - 1))
+        t = q
         k += 1
     return count
 
@@ -312,6 +313,11 @@ def cached_records(limit: int) -> array:
         r = _step_block(out, r, _RECORDS)
     del out[bisect_right(out, limit):]
     return out
+
+
+def _between(values: Sequence[int], lo: int, hi: int) -> Sequence[int]:
+    """The slice of the ascending values v with lo <= v <= hi."""
+    return values[bisect_left(values, lo) : bisect_right(values, hi)]
 
 
 def record_values(limit: int) -> list[int]:

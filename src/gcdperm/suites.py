@@ -15,16 +15,20 @@ a <= 199 against a simulated f_a(1..a+2).  cor1, prop1 and prop2 check
 identities against the definition on the records from
 ``records._certified_records``, which proves them against the greedy rule
 and so fixes f_3 up to the last one; cor1 takes its turning points as
-q + 1 for each record q from 3 = f_3(2).  Each suite drops what it built
-when it returns, and the term cap (GCDPERM_MAX_TERMS) bounds the index
-each one reads.  ``_shown`` writes the ints of a check's name and detail,
-so that an int too long for ``str`` still prints.
+q + 1 for each record q from 3 = f_3(2).  They read the records in whole
+slices and passes, with no Python step per record: an index identity is
+one slice between its bounds, and cor1's primes one count of sieve flags.
+cor2 counts the seeds the primorial test excludes with one sieve over the
+bands of its definition, one byte per seed.  Each suite drops what it
+built when it returns, and the term cap (GCDPERM_MAX_TERMS) bounds the
+index each one reads and the seeds cor2 counts.  ``_shown`` writes the
+ints of a check's name and detail, so that an int too long for ``str``
+still prints.
 """
 
 from __future__ import annotations
 
 import sys
-from itertools import dropwhile, takewhile
 from math import log10
 from typing import Callable, NamedTuple, Sequence
 
@@ -33,12 +37,12 @@ from .classify import (
     IDENTITY,
     BudgetExhaustedError,
     _excluded_count,
+    _excluded_flags,
     classify,
-    eventually_identity_by_primorial,
     exceptional_seed_density,
     scan_identity_seeds,
 )
-from .primes import nth_prime, primes_upto, primorial
+from .primes import nth_prime, primorial, sieve_flags
 from .primorial import (
     build_density_ledger,
     derivative_bound_check,
@@ -46,7 +50,8 @@ from .primorial import (
     verify_primorial_records,
     verify_translation,
 )
-from .records import _certified_records, _turning_points, find_turning_points, is_record
+from .records import (_between, _certified_records, _turning_points, find_turning_points,
+                      is_record)
 from .sequence import generate_prefix
 
 
@@ -105,10 +110,21 @@ def _index_identity(suite: str, records, m: int, k_lo: int, k_max: int) -> Check
     m*k.  Records that stop below index m*k_max + 1 fail the check.
     """
     lo, hi = m * k_lo, m * k_max
-    inside = takewhile(hi.__ge__, dropwhile(lo.__gt__, records))
+    inside = _between(records, lo, hi)
     ok = len(records) > 0 and records[-1] > hi and 0 not in map(m.__rmod__, inside)
     detail = f"k <= {k_max}" if k_lo == 1 else f"{k_lo} <= k <= {k_max}"
     return CheckResult(suite, f"f_3({m}k+1) = {m}k", ok, detail, max(k_max - k_lo + 1, 0))
+
+
+def _primes_are_records(recs, limit: int) -> CheckResult:
+    """Every prime in [5, limit] is among recs, the strictly increasing
+    records from 5 up to the limit: the primes there number as many as
+    the prime records, whose sieve flags are summed in one pass."""
+    flags = sieve_flags(limit)
+    primes = flags.count(1) - 2  # 2 and 3
+    missing = primes - sum(map(flags.__getitem__, recs))
+    return CheckResult("cor1", "every prime in [5, limit] is a record", not missing,
+                       f"{missing} missing" if missing else f"limit {limit}", primes)
 
 
 def thm1(*, limit=10_000) -> list[CheckResult]:
@@ -140,12 +156,9 @@ def cor1(*, limit=100_000) -> list[CheckResult]:
     at_tps = records[1 : below + 1]
     covered = len(records) > below
     recs = upto[1:]  # the records from 5 up to the limit
-    primes = [p for p in primes_upto(limit) if p >= 5]
-    missing = len(set(primes).difference(recs))
     return [
         _index_identity("cor1", records, 2, 1, (limit - 1) // 2),
-        CheckResult("cor1", "every prime in [5, limit] is a record", not missing,
-                    f"{missing} missing" if missing else f"limit {limit}", len(primes)),
+        _primes_are_records(recs, limit),
         # Each turning point q + 1 is even when q is odd.
         CheckResult("cor1", "turning points even, records odd",
                     covered and all(map((2).__rmod__, at_tps)), items=len(at_tps)),
@@ -319,14 +332,17 @@ def thm8_recurrence(*, n=5) -> list[CheckResult]:
 
 
 def cor2(*, limit=1_000_000) -> list[CheckResult]:
+    """The multiples of 6 up to limit that the primorial test excludes,
+    marked by the sieve ``_excluded_flags`` over the overlapping bands of
+    the definition, against ``_excluded_count``, which sums the disjoint
+    bands.  More than GCDPERM_MAX_TERMS seeds raise LimitExceededError."""
     _at_least(1, limit=limit)
-    seeds = range(6, limit + 1, 6)
-    count = sum(1 for a in seeds if not eventually_identity_by_primorial(a))
+    count = _excluded_flags(limit).count(1)
     exact = _excluded_count(limit)
     density = float(exceptional_seed_density(12))
     return [
         CheckResult("cor2", "exact band count vs brute-force count", count == exact,
-                    f"count {count}, exact {exact}, density {density:.9f}", len(seeds)),
+                    f"count {count}, exact {exact}, density {density:.9f}", limit // 6),
     ]
 
 

@@ -20,7 +20,7 @@ from gcdperm import (
     record_values,
     scan_identity_seeds,
 )
-from gcdperm.classify import _even_seed_buffer
+from gcdperm.classify import _even_seed_buffer, _excluded_flags
 from gcdperm.primes import nth_prime, primorial
 
 
@@ -334,6 +334,14 @@ def test_primorial_membership_test_matches_its_definition():
     seeds = list(range(300_001)) + list(range(10**12, 10**12 + 3_000))
     assert [a for a in seeds
             if eventually_identity_by_primorial(a) != _primorial_membership_by_definition(a)] == []
+
+
+def test_excluded_flags_match_the_membership_test():
+    # The sieve marks the seeds 6i that the per-seed test excludes, and no other.
+    flags = _excluded_flags(1_000_000)
+    assert len(flags) == 166_667 and flags[0] == 0
+    assert [i for i in range(1, len(flags))
+            if flags[i] != (not eventually_identity_by_primorial(6 * i))] == []
 
 
 def test_density_partial_sums():

@@ -1,3 +1,4 @@
+import random
 from math import prod
 
 import pytest
@@ -42,6 +43,32 @@ def test_spnd_matches_naive_scan_over_two_wheel_periods():
 )
 def test_spnd_fallback_at_multiples_of_30030(m, want):
     assert smallest_prime_not_dividing(m) == want == naive_spnd(m)
+
+
+def _trial_spnd(m, primes):
+    """Least prime not dividing m, by trial division over an ascending prime list."""
+    return next(p for p in primes if m % p)
+
+
+def test_spnd_batches_match_trial_division():
+    ps = primes_upto(13_000)  # p_1501 = 12,569
+    assert [m for m in range(1, 100_001) if smallest_prime_not_dividing(m) != _trial_spnd(m, ps)] == []
+    rng = random.Random(2023)
+    assert [m for m in (rng.randrange(1, 2**64) for _ in range(1_000))
+            if smallest_prime_not_dividing(m) != _trial_spnd(m, ps)] == []
+    below = [1]  # below[i] is the product of the first i primes, P_i
+    for p in ps[:1_501]:
+        below.append(below[-1] * p)
+    for n in range(1, 1_501):
+        for c in (1, 2, ps[n] - 1):
+            m = c * below[n]
+            p = smallest_prime_not_dividing(m)
+            i = ps.index(p)
+            # Trial division stops at ps[i] exactly when ps[i] does not divide
+            # m and every smaller prime does, so their product P_i divides m.
+            assert m % p and m % below[i] == 0, (n, c)
+            if n <= 300:
+                assert p == _trial_spnd(m, ps), (n, c)
 
 
 def test_spnd_rejects_nonpositive():

@@ -17,7 +17,7 @@ from gcdperm import (
     record_values,
 )
 from gcdperm import records
-from gcdperm.records import (_RECORDS, _WHEEL, _annotated, _pack, _records_around,
+from gcdperm.records import (_RECORDS, _WHEEL, _annotated, _between, _pack, _records_around,
                              _start_spnd, _step_block, _unpack, record_count,
                              records_from_values)
 from gcdperm.primes import is_prime, primes_upto, primorial, smallest_prime_not_dividing
@@ -295,6 +295,15 @@ def test_records_around_brackets_v_with_consecutive_records():
         assert _records_around(v) == (recs[i - 1], recs[i]), v
     with pytest.raises(ValueError):
         _records_around(4)
+
+
+def test_between_keeps_both_ends():
+    values = array("q", [5, 7, 11, 13, 17, 19])
+    assert _between(values, 7, 17).tolist() == [7, 11, 13, 17]  # values at each end
+    assert _between(values, 8, 16).tolist() == [11, 13]  # one past each end
+    assert _between(values, 6, 18).tolist() == [7, 11, 13, 17]  # one before each end
+    assert _between(values, 5, 19) == values
+    assert _between(values, 20, 30).tolist() == _between(values, 8, 10).tolist() == []
 
 
 def test_block_zero_walk_holds_every_prime_from_17():

@@ -100,6 +100,28 @@ def test_cor2_exact_count_matches_the_brute_force_count(limit, count):
     assert result.items == limit // 6
 
 
+def test_cor2_fails_on_a_wrong_band_count(capsys, monkeypatch):
+    exact = suites._excluded_count
+    monkeypatch.setattr(suites, "_excluded_count", lambda limit: exact(limit) + 1)
+    code, out, _ = _verify(capsys, "cor2", "--limit", "1000000")
+    assert code == 1
+    assert out.startswith("FAIL  [cor2] exact band count vs brute-force count  "
+                          "count 4794, exact 4795, ")
+
+
+def test_cor2_obeys_the_term_cap(capsys, monkeypatch):
+    # One byte per seed 6i <= limit: the default cap allows a limit of 3e7.
+    monkeypatch.delenv("GCDPERM_MAX_TERMS", raising=False)
+    [result] = SUITES["cor2"](limit=30_000_000)
+    assert result.ok and result.items == 5_000_000
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "1000")
+    assert _verify(capsys, "cor2", "--limit", "6005")[0] == 0
+    code, out, err = _verify(capsys, "cor2", "--limit", "6006")
+    assert (code, out) == (2, "")
+    assert err == ("error: requested the 1001 seeds 6i up to 6006; cap is 1000 "
+                   "(set GCDPERM_MAX_TERMS to raise it)\n")
+
+
 def test_suites_take_only_their_own_parameters():
     with pytest.raises(TypeError):
         SUITES["prop3"](bound=7)
@@ -207,6 +229,31 @@ def test_truncated_prefix_fails_the_index_identity():
     assert not suites._index_identity("prop2", recs, 3, 1, 40).ok
     assert suites._index_identity("prop2", recs, 3, 2, 40).ok
     assert not suites._index_identity("prop1", array("q", sorted([*recs, 60])), 2, 1, 60).ok
+
+
+@pytest.mark.parametrize("m,k_lo,k_max", [(2, 1, 60), (3, 2, 40)])
+def test_index_identity_reads_both_ends(m, k_lo, k_max):
+    # A multiple of m listed as a record breaks the identity at it.
+    recs = _certified_records(m * k_max + 1)
+    assert suites._index_identity("prop", recs, m, k_lo, k_max).ok
+    for k, ok in ((k_lo - 1, True), (k_lo, False), (k_max, False), (k_max + 1, True)):
+        listed = array("q", sorted({*recs, m * k}))
+        assert suites._index_identity("prop", listed, m, k_lo, k_max).ok == ok, k
+
+
+def test_cor1_counts_the_primes_missing_from_the_records():
+    recs = array("q", (r for r in _certified_records(1000) if 5 <= r <= 1000))
+    assert 101 in recs and 25 in recs  # a prime and a composite record
+    check = suites._primes_are_records(recs, 1000)
+    assert (check.ok, check.detail, check.items) == (True, "limit 1000", 166)
+    without_101 = array("q", (r for r in recs if r != 101))
+    check = suites._primes_are_records(without_101, 1000)
+    assert (check.ok, check.detail, check.items) == (False, "1 missing", 166)
+    assert suites._primes_are_records(array("q", (r for r in recs if r != 25)), 1000).ok
+    # No record and one record read the sieve as a longer list does.
+    assert suites._primes_are_records(array("q"), 4)[2:] == (True, "limit 4", 0)
+    assert suites._primes_are_records(array("q", [5]), 5)[2:] == (True, "limit 5", 1)
+    assert suites._primes_are_records(array("q"), 5)[2:] == (False, "1 missing", 1)
 
 
 @pytest.mark.parametrize("bound,identities", [
