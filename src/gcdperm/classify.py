@@ -18,7 +18,8 @@ machine-checkable certificate:
 
 No identity certificate follows an ETP: from one ETP to the next f counts
 upward below the index.  The term cap (GCDPERM_MAX_TERMS) is the one limit;
-it bounds the terms simulated past an even seed.
+it bounds the terms simulated past an even seed, and an even seed with no
+certificate within the cap of its buffer raises BudgetExhaustedError.
 
 ``prefix_terms`` builds f_a from the certificate: a simulated head, then
 ``f3_terms`` or the identity.
@@ -27,18 +28,20 @@ Two closed-form membership tests for the eventually-identity seeds are
 provided alongside, one in terms of records adjacent to a, one in terms of
 primorial-offset representations of a, plus the density of the multiples
 of 6 that both tests exclude, an exact ``Fraction`` (``fractions`` is
-imported when it is asked for).
+imported when it is asked for).  The primorial test, the exact count of
+the excluded seeds (``_excluded_count``) and their sieve
+(``_excluded_flags``) read one band table: ``_bands(limit)`` yields its
+rows (P_k, T_{k-1}, T_k) with P_k + 6 <= limit from a memo that it grows.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .primes import nth_prime, primorial
 from .records import _records_around, _turning_points, f3_terms, is_record, next_record
-from .sequence import (MAX_TERMS_ENV, LimitExceededError, SequenceBuffer, generate_prefix,
-                       max_terms_cap)
+from .sequence import SequenceBuffer, check_cap, generate_prefix
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -76,7 +79,7 @@ def _even_seed_buffer(a: int) -> SequenceBuffer:
     return SequenceBuffer.resume(a, a, a - 2, low, above)
 
 
-def _attempt(a: int) -> ClassLabel | None:
+def _attempt(a: int) -> ClassLabel:
     if a == 2:
         return ClassLabel(IDENTITY, 1)
     if a % 2:
@@ -90,7 +93,7 @@ def _attempt(a: int) -> ClassLabel | None:
             if tp.record_value == tp.t and tp.complete_below:
                 return ClassLabel(IDENTITY, tp.t)
         else:
-            return None  # no certificate within the term cap
+            raise BudgetExhaustedError(a, buffer.cap)
     # Thm 1: the next ETP is one past the record at this one.
     etps = [t]
     while not (t == 4 or is_record(t - 1)):
@@ -119,10 +122,7 @@ def classify(a: int) -> ClassLabel:
     """
     if a < 2:
         raise ValueError(f"seed must be >= 2, got {a}")
-    label = _attempt(a)
-    if label is None:
-        raise BudgetExhaustedError(a, max_terms_cap())
-    return label
+    return _attempt(a)
 
 
 def prefix_terms(a: int, n: int) -> array | list[int]:
@@ -134,9 +134,7 @@ def prefix_terms(a: int, n: int) -> array | list[int]:
     only a seed a >= 2^63 gives, does not fit in the array: then the
     engine's list of ints is returned instead.
     """
-    cap = max_terms_cap()
-    if n > cap:
-        raise LimitExceededError.terms(a, n, cap)
+    check_cap(n, f"{n} terms of f_{a}")
     if n <= a:  # every witness of a seed a >= 3 lies past a
         head = generate_prefix(a, n).terms
         try:
@@ -165,10 +163,24 @@ def _band_top(k: int) -> int:
     return (nth_prime(k + 1) - 2) // 6
 
 
-# (P_k, 6 T_k) for k = 4, 5, ...: each primorial of at least four primes with
-# the top of its band of offsets.  Grown on demand until the last primorial
-# exceeds every seed asked about.
-_BANDS: list[tuple[int, int]] = []
+# The band table: (P_k, T_{k-1}, T_k) for k = 4, 5, ..., each primorial of at
+# least four primes with the tops of the bands of offsets of P_{k-1} and P_k.
+# Grown on demand by ``_bands`` until the last primorial exceeds every limit
+# asked about.
+_BANDS: list[tuple[int, int, int]] = []
+
+
+def _bands(limit: int) -> Iterator[tuple[int, int, int]]:
+    """The rows (P_k, T_{k-1}, T_k) of the band table with P_k + 6 <= limit, in order of k."""
+    last = limit - 6
+    bands = _BANDS
+    while not bands or bands[-1][0] <= last:
+        k = len(bands) + 4
+        bands.append((primorial(k), _band_top(k - 1), _band_top(k)))
+    for row in bands:
+        if row[0] > last:
+            return
+        yield row
 
 
 def eventually_identity_by_primorial(a: int) -> bool:
@@ -182,16 +194,11 @@ def eventually_identity_by_primorial(a: int) -> bool:
         return True
     if a < 2 or a % 6:
         return False
-    bands = _BANDS
-    while not bands or bands[-1][0] + 6 <= a:
-        k = len(bands) + 4
-        bands.append((primorial(k), 6 * _band_top(k)))
-    for pk, top in bands:
-        if pk + 6 > a:
-            break
-        # 6 T_k < P_k, so only the largest m with a - m P_k >= 6 can fit;
-        # P_k + 6 <= a makes that m at least 1.
-        if (a - 6) % pk + 6 <= top:
+    for pk, _, top in _bands(a):
+        # 6 T_k < P_k, so only the largest m with a - m P_k = 6t >= 6 can
+        # fit; P_k + 6 <= a makes that m at least 1.  Then 6t - 6 is
+        # (a - 6) % P_k, and t <= T_k is 6t - 6 < 6 T_k.
+        if (a - 6) % pk < 6 * top:
             return False
     return True
 
@@ -218,13 +225,8 @@ def _excluded_count(limit: int) -> int:
     They are the disjoint progressions m P_k + 6t with m >= 1 and
     T_{k-1} < t <= T_k, so each t contributes max(0, (limit - 6t) // P_k).
     """
-    count = 0
-    k = 4
-    while (pk := primorial(k)) + 6 <= limit:
-        bands = range(_band_top(k - 1) + 1, _band_top(k) + 1)
-        count += sum(max(0, (limit - 6 * t) // pk) for t in bands)
-        k += 1
-    return count
+    return sum(max(0, (limit - 6 * t) // pk)
+               for pk, below, top in _bands(limit) for t in range(below + 1, top + 1))
 
 
 def _excluded_flags(limit: int) -> bytearray:
@@ -237,17 +239,13 @@ def _excluded_flags(limit: int) -> bytearray:
     ``_excluded_count`` assumes.  One byte per seed: more seeds than the
     term cap (GCDPERM_MAX_TERMS) raise LimitExceededError.
     """
-    seeds, cap = limit // 6, max_terms_cap()
-    if seeds > cap:
-        raise LimitExceededError(f"requested the {seeds} seeds 6i up to {limit}; cap is {cap} "
-                                 f"(set {MAX_TERMS_ENV} to raise it)")
+    seeds = limit // 6
+    check_cap(seeds, f"the {seeds} seeds 6i up to {limit}")
     flags = bytearray(seeds + 1)
-    k = 4
-    while (pk := primorial(k)) + 6 <= limit:
+    for pk, _, top in _bands(limit):
         q = pk // 6
-        for t in range(1, _band_top(k) + 1):
+        for t in range(1, top + 1):
             flags[q + t :: q] = b"\x01" * len(range(q + t, seeds + 1, q))
-        k += 1
     return flags
 
 

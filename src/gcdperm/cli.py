@@ -23,7 +23,7 @@ from .classify import BudgetExhaustedError, prefix_terms, scan_identity_seeds
 from .cycles import twin_cycle_gaps
 from .primorial import prime_ratio_series, primes_within_records_series
 from .records import FIRST_RECORD, _annotated, cached_records, record_values
-from .sequence import MAX_TERMS_ENV, LimitExceededError, max_terms_cap
+from .sequence import MAX_TERMS_ENV, LimitExceededError, check_cap
 from .suites import SUITES, TABLE
 
 EXIT_OK = 0
@@ -193,19 +193,9 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _check_cap(what: str, limit: int) -> None:
-    """Refuse to enumerate what (the records, or the primes) up to a limit
-    past the term cap, which bounds them as it bounds the terms of f_3 up
-    to that limit."""
-    cap = max_terms_cap()
-    if limit > cap:
-        raise LimitExceededError(
-            f"requested {what} up to {limit}; cap is {cap} (set {MAX_TERMS_ENV} to raise it)"
-        )
-
-
 def cmd_records(args) -> int:
-    _check_cap("the records", args.limit)
+    # The records up to a limit are terms of f_3 up to it.
+    check_cap(args.limit, f"the records up to {args.limit}")
     values = cached_records(args.limit)
     annotate = _annotated(values)
     _write_rows(args.out, "index,record,turning_point,jump,is_composite", "%d,%d,%d,%d,%d\n",
@@ -293,13 +283,12 @@ def _check_figure_cap(which: str, limit: int | None) -> None:
     the records up to 10 limit + 100."""
     limit = limit or _FIGURE_LIMITS[which]
     if which == "fig1":
-        _check_cap("the primes", limit)
+        check_cap(limit, f"the primes up to {limit}")
     elif which == "fig2":
-        cap = max_terms_cap()
-        if limit + 1 > cap:
-            raise LimitExceededError.terms(3, limit + 1, cap)
+        check_cap(limit + 1, f"{limit + 1} terms of f_3")
     else:
-        _check_cap("the records", 10 * limit + 100)
+        top = 10 * limit + 100
+        check_cap(top, f"the records up to {top}")
 
 
 def _figure_rows(which: str, limit: int | None):

@@ -81,7 +81,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .primes import (_WHEEL, _WHEEL_SPND, nth_prime, primes_upto, sieve_flags,
                      smallest_prime_not_dividing)
-from .sequence import LimitExceededError, SequenceBuffer, generate_prefix, max_terms_cap
+from .sequence import SequenceBuffer, check_cap, generate_prefix
 
 FIRST_ETP = 4
 FIRST_RECORD = 5
@@ -386,9 +386,7 @@ def f3_terms(n: int) -> array:
     """
     if n < 2:
         raise ValueError(f"need n >= 2 (f(1)=1 and f(2)=a are fixed), got {n}")
-    cap = max_terms_cap()
-    if n > cap:
-        raise LimitExceededError.terms(3, n, cap)
+    check_cap(n, f"{n} terms of f_3")
     terms = array("q", (0, 1, 3, 2, 5, 4))
     r = FIRST_RECORD  # the record at the last index, len(terms) - 1
     while r < n:
@@ -423,9 +421,7 @@ def _certified_records(n: int) -> array:
     that f_3(q + 1) is the record after q.  Obeys the engine's term cap
     (GCDPERM_MAX_TERMS).
     """
-    cap = max_terms_cap()
-    if n > cap:
-        raise LimitExceededError.terms(3, n, cap)
+    check_cap(n, f"{n} terms of f_3")
     proven = array("q", generate_prefix(3, min(n, FIRST_RECORD)).terms[2::2])
     if n < FIRST_RECORD:
         return proven

@@ -23,6 +23,10 @@ builds bulk output from a short simulated head and a tail from the records
 (``records.f3_terms``) or the identity, and the tests hold the two equal.
 ``records._certified_records`` starts its proof of the records from
 f_3(1..5).
+
+``check_cap(count, what)`` is the one check of the term cap
+(GCDPERM_MAX_TERMS) for every request of the package; a buffer compares
+inline against the cap it read, and every refusal has one message.
 """
 
 from __future__ import annotations
@@ -37,12 +41,10 @@ MAX_TERMS_ENV = "GCDPERM_MAX_TERMS"
 class LimitExceededError(RuntimeError):
     """A generation or enumeration request exceeded the configured cap."""
 
-    @classmethod
-    def terms(cls, a: int, n: int, cap: int) -> "LimitExceededError":
-        """The error for a request of n terms of f_a above the term cap."""
-        return cls(
-            f"requested {n} terms of f_{a}; cap is {cap} (set {MAX_TERMS_ENV} to raise it)"
-        )
+
+def _over_cap(what: str, cap: int) -> LimitExceededError:
+    """The one message of every refusal past the term cap."""
+    return LimitExceededError(f"requested {what}; cap is {cap} (set {MAX_TERMS_ENV} to raise it)")
 
 
 def max_terms_cap() -> int:
@@ -60,6 +62,14 @@ def max_terms_cap() -> int:
     if cap < 1:
         raise LimitExceededError(f"{MAX_TERMS_ENV} must be a positive integer, got {raw!r}")
     return cap
+
+
+def check_cap(count: int, what: str) -> None:
+    """Refuse a request of count items past the term cap: raise
+    LimitExceededError, whose message names what was requested."""
+    cap = max_terms_cap()
+    if count > cap:
+        raise _over_cap(what, cap)
 
 
 class SequenceBuffer:
@@ -150,7 +160,7 @@ class SequenceBuffer:
         if n <= last_index:
             return
         if n - self.base > self.cap:
-            raise LimitExceededError.terms(self.a, n - self.base, self.cap)
+            raise _over_cap(f"{n - self.base} terms of f_{self.a}", self.cap)
         terms = self._terms
         above = self._above
         low = self._low

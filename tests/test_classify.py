@@ -1,3 +1,4 @@
+import importlib
 import math
 from bisect import bisect_right
 from fractions import Fraction
@@ -20,8 +21,11 @@ from gcdperm import (
     record_values,
     scan_identity_seeds,
 )
-from gcdperm.classify import _even_seed_buffer, _excluded_flags
+from gcdperm.classify import _bands, _even_seed_buffer, _excluded_flags
 from gcdperm.primes import nth_prime, primorial
+
+# The module itself: the package binds the name classify to the function.
+classify_module = importlib.import_module("gcdperm.classify")
 
 
 def test_identity_verdicts():
@@ -336,6 +340,32 @@ def test_primorial_membership_test_matches_its_definition():
             if eventually_identity_by_primorial(a) != _primorial_membership_by_definition(a)] == []
 
 
+def _band_rows(k_top):
+    """The band table's rows (P_k, T_{k-1}, T_k) for k = 4..k_top, from the definition."""
+    return [(primorial(k), (nth_prime(k) - 2) // 6, (nth_prime(k + 1) - 2) // 6)
+            for k in range(4, k_top + 1)]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_bands_yield_the_rows_up_to_the_limit(warm, monkeypatch):
+    monkeypatch.setattr(classify_module, "_BANDS", [])
+    if warm:  # a far seed grows the memo through P_12 > 10^12
+        eventually_identity_by_primorial(10**12 + 2)
+        assert len(classify_module._BANDS) == 9
+    for k in range(4, 8):
+        pk = primorial(k)
+        assert list(_bands(pk + 5)) == _band_rows(k - 1), k
+        assert list(_bands(pk + 6)) == _band_rows(k), k
+
+
+def test_membership_after_a_far_seed(monkeypatch):
+    # A memo grown past every small seed still stops at each seed's own rows.
+    monkeypatch.setattr(classify_module, "_BANDS", [])
+    seeds = [10**12 + 2, *range(217)]
+    assert ([eventually_identity_by_primorial(a) for a in seeds]
+            == [_primorial_membership_by_definition(a) for a in seeds])
+
+
 def test_excluded_flags_match_the_membership_test():
     # The sieve marks the seeds 6i that the per-seed test excludes, and no other.
     flags = _excluded_flags(1_000_000)
@@ -350,6 +380,7 @@ def test_density_partial_sums():
     sums = [exceptional_seed_density(k) for k in range(4, 13)]
     assert all(b >= a for a, b in zip(sums, sums[1:]))
     assert all(s < 1 for s in sums)
+    assert exceptional_seed_density(12) == Fraction(17792378719, 3710369067405)
 
 
 def test_density_against_brute_force_count():

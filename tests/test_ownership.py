@@ -9,7 +9,12 @@ belongs to ``primes.py``: no other module assigns ``_PRIMES`` or
 generation engine: ``primorial.py`` neither imports ``sequence`` nor names
 ``generate_prefix`` or ``SequenceBuffer``.  The CLI has one term source,
 ``classify.prefix_terms``: ``cli.py`` names neither the engine
-(``generate_prefix``, ``SequenceBuffer``) nor ``f3_terms``.
+(``generate_prefix``, ``SequenceBuffer``) nor ``f3_terms``.  The term cap
+belongs to ``sequence.py``: no other module names ``max_terms_cap`` or
+builds a ``LimitExceededError``; they call ``check_cap``.  The primorial
+band table belongs to ``classify._bands``: no other function names its
+memo ``_BANDS``, and only ``exceptional_seed_density``, which sums by k and
+not by a limit, names ``primorial`` besides it.
 """
 
 import ast
@@ -87,3 +92,28 @@ def test_cli_has_one_term_source():
     names = set(_names(_tree(path)))
     assert "prefix_terms" in names
     assert {"generate_prefix", "SequenceBuffer", "f3_terms"} & names == set()
+
+
+def _calls(tree, name):
+    """The calls in tree of a function or class named name."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_only_sequence_owns_the_term_cap():
+    offenders = [
+        p.name for p in SOURCES if p.name != "sequence.py"
+        and ("max_terms_cap" in set(_names(_tree(p))) or _calls(_tree(p), "LimitExceededError"))
+    ]
+    assert offenders == []
+
+
+def test_only_bands_walks_the_band_table():
+    path = next(p for p in SOURCES if p.name == "classify.py")
+    walkers = {
+        node.name: {"_BANDS", "primorial"} & set(_names(node))
+        for node in ast.walk(_tree(path)) if isinstance(node, ast.FunctionDef)
+    }
+    assert {name for name, found in walkers.items() if found} == {
+        "_bands", "exceptional_seed_density"}
+    assert walkers["exceptional_seed_density"] == {"primorial"}

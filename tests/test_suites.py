@@ -196,6 +196,11 @@ def test_definition_suites_obey_the_term_cap(capsys, monkeypatch):
         assert code == 2 and out == "", argv
         assert f"requested {n} terms of f_3; cap is 100" in err, argv
     assert _verify(capsys, "cor1", "--limit", "100")[0] == 0
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "1000")
+    assert _verify(capsys, "prop2", "--limit", "334") == (
+        2, "", "error: requested 1003 terms of f_3; cap is 1000 "
+               "(set GCDPERM_MAX_TERMS to raise it)\n")
+    assert _verify(capsys, "prop2", "--limit", "333")[0] == 0
     monkeypatch.setenv("GCDPERM_MAX_TERMS", "5000")
     for argv in (["prop1", "--limit", "2000"], ["cor1", "--limit", "4500"]):
         code, out, _ = _verify(capsys, *argv)
