@@ -1,12 +1,12 @@
 """Command-line surface: generation, verification, b-file diffing, exports.
 
 Exit codes: 0 success, 1 verification failure/mismatch, 2 usage error,
-3 I/O or input-format error, a failed formatting process included.  A
-reader that closes stdout early ends the run quietly with 0.  All CSV
-output uses a comma separator, a header row, LF line endings, and no
-quoting; identical flags produce byte-identical files.  Output of more
-than one chunk of rows may be formatted in forked processes, one per
-usable CPU; the bytes are the same.
+a request too large for memory included, 3 I/O or input-format error, a
+failed formatting process included.  A reader that closes stdout early
+ends the run quietly with 0.  All CSV output uses a comma separator, a
+header row, LF line endings, and no quoting; identical flags produce
+byte-identical files.  Output of more than one chunk of rows may be
+formatted in forked processes, one per usable CPU; the bytes are the same.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import __version__
 from .classify import BudgetExhaustedError, prefix_terms, scan_identity_seeds
 from .cycles import twin_cycle_gaps
 from .primorial import prime_ratio_series, primes_within_records_series
-from .records import FIRST_RECORD, _annotated, cached_records, record_values
+from .records import FIRST_RECORD, _annotated, cached_records
 from .sequence import MAX_TERMS_ENV, LimitExceededError, check_cap
 from .suites import SUITES, TABLE
 
@@ -302,9 +302,9 @@ def _figure_rows(which: str, limit: int | None):
         return ("t,g_t", "%d,%d\n", _spans(limit),
                 lambda s, e: (range(s, e), _differences(terms, s, e)))
     if which in ("fig3", "fig4"):
-        recs = record_values(10 * limit + 100)
+        recs = cached_records(10 * limit + 100)
         while len(recs) < limit:
-            recs = record_values(2 * recs[-1])
+            recs = cached_records(2 * recs[-1])
         nth_value = recs[limit - 1]
         if which == "fig3":
             return "n,ratio_ln", "%d,%r\n", *_row_chunks(prime_ratio_series(nth_value))
@@ -441,6 +441,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except BudgetExhaustedError as exc:
         print(f"error: {exc}; set {MAX_TERMS_ENV} to raise the term cap", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: the request needs more memory than this process can have", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,11 +20,12 @@ the module does not.  The reports are frozen ``NamedTuple``s.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from itertools import accumulate
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .primes import is_prime, nth_prime, primorial, sieve_flags, smallest_prime_not_dividing
-from .records import (FIRST_RECORD, _records_around, is_record, reconstruct_f3, record_count,
-                      record_values)
+from .records import (FIRST_RECORD, _records_around, cached_records, is_record, reconstruct_f3,
+                      record_count)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -201,16 +202,11 @@ def kappa_empirical(n: int) -> float:
     return record_count(n) / n
 
 
-def _prime_record_counts(limit: int) -> list[tuple[int, int, int]]:
-    """(r, k, prime records among the first k) for every record r <= limit,
-    r being the k-th record."""
-    flags = sieve_flags(limit)
-    out = []
-    prime_count = 0
-    for k, r in enumerate(record_values(limit), start=1):
-        prime_count += flags[r]
-        out.append((r, k, prime_count))
-    return out
+def _prime_record_counts(limit: int) -> Iterator[tuple[int, int]]:
+    """(r, prime records up to and including r) for every record r <= limit,
+    from one gather of sieve flags over the records."""
+    recs = cached_records(limit)
+    return zip(recs, accumulate(map(sieve_flags(limit).__getitem__, recs)))
 
 
 def prime_ratio_series(limit: int) -> list[tuple[int, float]]:
@@ -220,12 +216,13 @@ def prime_ratio_series(limit: int) -> list[tuple[int, float]]:
     to and including r.  The series drifts toward the reciprocal of the
     record density.
     """
-    return [(r, primes / k * math.log(r)) for r, k, primes in _prime_record_counts(limit)]
+    return [(r, primes / k * math.log(r))
+            for k, (r, primes) in enumerate(_prime_record_counts(limit), start=1)]
 
 
 def primes_within_records_series(limit: int) -> list[tuple[int, int]]:
     """Cumulative count of prime records at every record <= limit."""
-    return [(r, primes) for r, _, primes in _prime_record_counts(limit)]
+    return list(_prime_record_counts(limit))
 
 
 class DerivativeCheck(NamedTuple):

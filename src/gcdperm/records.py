@@ -6,8 +6,8 @@ a record.  An essential turning point (ETP) additionally has f(t-1) = t-2
 with the values 1..t-1 fully used, which pins the whole future of the
 recursion: the next ETP is f(t) + 1, and between the two the sequence just
 counts upward.  One scanner, ``_turning_points``, holds these predicates;
-``find_turning_points``, ``classify`` and thm2 read it, from the first index
-past the state a buffer starts from.
+``classify``, thm1 and thm2 read it, from the first index past the state a
+buffer starts from, and ``find_turning_points`` lists what it yields.
 
 For f_3 this gives a closed enumeration of records with no sequence
 generation at all: after a record r, the next record is (r-1) + p where p
@@ -371,7 +371,7 @@ def record_stream_upto(limit: int) -> list[Record]:
     """All f_3 records <= limit with indices, jumps, and compositeness."""
     if limit < FIRST_RECORD:
         raise ValueError(f"limit must be >= {FIRST_RECORD}, got {limit}")
-    return records_from_values(record_values(limit))
+    return records_from_values(cached_records(limit))
 
 
 def f3_terms(n: int) -> array:

@@ -11,8 +11,9 @@ check, and is the one place the CLI runs a suite from.
 
 thm1 checks the ETP recursion on prefixes of f_3 and f_7 that the engine
 simulates, and thm2 the first ETP ``classify`` takes for each odd seed
-a <= 199 against a simulated f_a(1..a+2).  cor1, prop1 and prop2 check
-identities against the definition on the records from
+a <= 199 against a simulated f_a(1..a+2); both read the turning points
+from the one scanner, ``records._turning_points``.  cor1, prop1 and
+prop2 check identities against the definition on the records from
 ``records._certified_records``, which proves them against the greedy rule
 and so fixes f_3 up to the last one; cor1 takes its turning points as
 q + 1 for each record q from 3 = f_3(2).  They read the records in whole
@@ -29,6 +30,7 @@ still prints.
 from __future__ import annotations
 
 import sys
+from itertools import islice
 from math import log10
 from typing import Callable, NamedTuple, Sequence
 
@@ -50,8 +52,7 @@ from .primorial import (
     verify_primorial_records,
     verify_translation,
 )
-from .records import (_between, _certified_records, _turning_points, find_turning_points,
-                      is_record)
+from .records import _between, _certified_records, _turning_points, is_record
 from .sequence import generate_prefix
 
 
@@ -131,7 +132,7 @@ def thm1(*, limit=10_000) -> list[CheckResult]:
     _at_least(3, limit=limit)
     out = []
     for a in (3, 7):
-        tps = find_turning_points(generate_prefix(a, limit))
+        tps = list(_turning_points(generate_prefix(a, limit), limit))
         etps = [tp for tp in tps if tp.is_etp]
         pairs = max(len(etps) - 1, 0)
         chain_ok = all(nxt.t == cur.record_value + 1 for cur, nxt in zip(etps, etps[1:]))
@@ -149,19 +150,19 @@ def thm1(*, limit=10_000) -> list[CheckResult]:
 def cor1(*, limit=100_000) -> list[CheckResult]:
     _at_least(3, limit=limit)
     records = _certified_records(limit)
-    upto = records[:-1] if records[-1] > limit else records
+    recs = _between(records, 5, limit)
     # The turning points up to the limit are q + 1 for each record q < limit
-    # (4 = 3 + 1 first), each holding the record after q.
-    below = len(upto) - (upto[-1] == limit)
-    at_tps = records[1 : below + 1]
+    # (4 = 3 + 1 first), each holding the record after q: records[1 : below + 1].
+    # records[len(recs)] is the last record <= limit, 3 when recs is empty.
+    below = len(recs) + (records[len(recs)] < limit)
     covered = len(records) > below
-    recs = upto[1:]  # the records from 5 up to the limit
     return [
         _index_identity("cor1", records, 2, 1, (limit - 1) // 2),
         _primes_are_records(recs, limit),
         # Each turning point q + 1 is even when q is odd.
         CheckResult("cor1", "turning points even, records odd",
-                    covered and all(map((2).__rmod__, at_tps)), items=len(at_tps)),
+                    covered and all(map((2).__rmod__, islice(records, 1, below + 1))),
+                    items=min(below, len(records) - 1)),
         CheckResult("cor1", "records are 6k +- 1", set(map((6).__rmod__, recs)) <= {1, 5},
                     items=len(recs)),
     ]

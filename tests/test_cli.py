@@ -516,6 +516,25 @@ def test_default_budget_exhaustion_names_the_term_cap(capsys, monkeypatch):
         assert "--budget" not in err
 
 
+@pytest.mark.parametrize("argv", [["scan"], ["verify", "thm4"], ["verify", "thm10"]])
+def test_seed_sweep_past_memory_is_usage_error(argv):
+    # The seeds 6k up to 10^14 do not fit in 1 GiB of address space, set
+    # in the child only: the run ends with exit 2 and one error line.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    script = ("import resource, sys\n"
+              "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+              "cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(hard, 1 << 30)\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+              "from gcdperm.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, *argv, "--bound", str(10**14)],
+                          env=env, cwd=root, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def _simulated_generate(n, fmt="csv", with_derivative=False, a=3):
     # Expected `generate --a A` output, built from the simulation engine.
     terms = generate_prefix(a, n + 1).terms

@@ -14,7 +14,12 @@ belongs to ``sequence.py``: no other module names ``max_terms_cap`` or
 builds a ``LimitExceededError``; they call ``check_cap``.  The primorial
 band table belongs to ``classify._bands``: no other function names its
 memo ``_BANDS``, and only ``exceptional_seed_density``, which sums by k and
-not by a limit, names ``primorial`` besides it.
+not by a limit, names ``primorial`` besides it.  The library reads the
+records as the array of ``records.cached_records`` and the turning points
+from ``records._turning_points``: no module calls the list wrappers
+``record_values``, ``find_turning_points``, ``record_stream_upto`` or
+``kappa_bounds``, and only ``record_stream_upto`` calls
+``records_from_values``.
 """
 
 import ast
@@ -117,3 +122,17 @@ def test_only_bands_walks_the_band_table():
     assert {name for name, found in walkers.items() if found} == {
         "_bands", "exceptional_seed_density"}
     assert walkers["exceptional_seed_density"] == {"primorial"}
+
+
+def test_library_reads_the_record_array_and_the_one_scanner():
+    # The list wrappers stay for the public API; the library reads
+    # records.cached_records and records._turning_points.  Only
+    # record_stream_upto annotates through records_from_values.
+    wrappers = ("record_values", "find_turning_points", "record_stream_upto", "kappa_bounds")
+    offenders = [(p.name, name) for p in SOURCES for name in wrappers if _calls(_tree(p), name)]
+    assert offenders == []
+    annotators = {
+        (p.name, node.name) for p in SOURCES for node in ast.walk(_tree(p))
+        if isinstance(node, ast.FunctionDef) and _calls(node, "records_from_values")
+    }
+    assert annotators == {("records.py", "record_stream_upto")}

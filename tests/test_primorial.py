@@ -9,6 +9,7 @@ from gcdperm import (
     kappa_bounds,
     kappa_coarse_bounds,
     kappa_empirical,
+    next_record,
     nth_prime,
     prime_ratio_series,
     primes_within_records_series,
@@ -207,6 +208,28 @@ def test_prime_ratio_series():
 def test_primes_within_records_series():
     rows = primes_within_records_series(31)
     assert rows[-1] == (31, 9)  # 9 primes among the 10 records through 31
+
+
+def _series_by_rows(limit):
+    # One row per record, walked by next_record, with a running count of
+    # the prime records by Miller-Rabin.
+    ratio, within = [], []
+    primes_seen, k, r = 0, 0, 5
+    while r <= limit:
+        k += 1
+        primes_seen += primes.is_prime(r)
+        ratio.append((r, primes_seen / k * math.log(r)))
+        within.append((r, primes_seen))
+        r = next_record(r)
+    return ratio, within
+
+
+@pytest.mark.parametrize("limit", [5, 6, 24, 25, 30029, 30031, 100_000])
+def test_series_match_a_row_by_row_oracle(limit):
+    # Exact equality, floats included: the same expression on the same ints.
+    ratio, within = _series_by_rows(limit)
+    assert prime_ratio_series(limit) == ratio
+    assert primes_within_records_series(limit) == within
 
 
 def test_prime_ratio_trend(records_million):
