@@ -1,12 +1,13 @@
 """Command-line surface: generation, verification, b-file diffing, exports.
 
 Exit codes: 0 success, 1 verification failure/mismatch, 2 usage error,
-a request too large for memory included, 3 I/O or input-format error, a
-failed formatting process included.  A reader that closes stdout early
-ends the run quietly with 0.  All CSV output uses a comma separator, a
-header row, LF line endings, and no quoting; identical flags produce
-byte-identical files.  Output of more than one chunk of rows may be
-formatted in forked processes, one per usable CPU; the bytes are the same.
+a request too large for memory, a float or a C size included, 3 I/O or
+input-format error, a failed formatting process included.  A reader that
+closes stdout early ends the run quietly with 0.  All CSV output uses a
+comma separator, a header row, LF line endings, and no quoting; identical
+flags produce byte-identical files.  Output of more than one chunk of rows
+may be formatted in forked processes, one per usable CPU; the bytes are the
+same.
 """
 
 from __future__ import annotations
@@ -242,25 +243,19 @@ def cmd_diff_bfile(args) -> int:
             if len(parts) != 2:
                 raise ValueError(f"{args.path}:{lineno}: expected 'n value', got {line!r}")
             try:
-                entries.append((int(parts[0]), int(parts[1]), lineno))
+                entries.append((int(parts[0]) + args.offset, int(parts[1]), lineno))
             except ValueError:
                 raise ValueError(f"{args.path}:{lineno}: non-integer field in {line!r}") from None
     if not entries:
         print(f"warning: {args.path} holds no terms; agreement over the empty set",
               file=sys.stderr)
         return EXIT_OK
-    indices = [n + args.offset for n, _, _ in entries]
-    usable = [
-        (local, value, lineno)
-        for local, (_, value, lineno) in zip(indices, entries)
-        if local >= max(1, args.from_index)
-    ]
+    usable = [entry for entry in entries if entry[0] >= max(1, args.from_index)]
     if not usable:
         print("warning: no terms left after --offset/--from filtering", file=sys.stderr)
         return EXIT_OK
     top = max(local for local, _, _ in usable)
     terms = prefix_terms(args.a, max(top, 2))
-    checked = 0
     for local, value, lineno in usable:
         if terms[local] != value:
             print(
@@ -268,8 +263,7 @@ def cmd_diff_bfile(args) -> int:
                 f"file has {value}, f_{args.a} gives {terms[local]}"
             )
             return EXIT_VERIFY_FAIL
-        checked += 1
-    print(f"agreement: {checked} terms of f_{args.a} match {args.path}")
+    print(f"agreement: {len(usable)} terms of f_{args.a} match {args.path}")
     return EXIT_OK
 
 
@@ -444,6 +438,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except MemoryError:
         print("error: the request needs more memory than this process can have", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError as exc:  # a number past what a float or a C size holds
+        print(f"error: the request is too large: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -62,20 +62,6 @@ def primes_upto(n: int) -> list[int]:
     return list(compress(range(n + 1), sieve_flags(n)))
 
 
-def next_prime(n: int) -> int:
-    """Smallest prime strictly greater than n."""
-    if n < 2:
-        return 2
-    k = n + 1
-    if k == 2:
-        return 2
-    if k % 2 == 0:
-        k += 1
-    while not is_prime(k):
-        k += 2
-    return k
-
-
 # p_1, p_2, ... from a sieve, and the exact primorials P_n = p_1 * ... * p_n
 # up to the largest n asked of ``primorial``.
 _PRIMES = [2]

@@ -159,6 +159,10 @@ def next_record(r: int) -> int:
 # _block.
 _WALK: list[int] = []
 
+# The records are exact below P_3248, the product of the primes below
+# 30030; _block refuses from there on.
+PRIMORIAL_CEILING = 3248
+
 
 def _block(v: int) -> tuple[list[int], int, int, int]:
     """(C, 30030 j, v - 1 - 30030 j, c) for the block j of m = v - 1
@@ -172,8 +176,8 @@ def _block(v: int) -> tuple[list[int], int, int, int]:
         _WALK[:] = walk
     # P_3248 has 42,966 bits; it is formed only for a value that long.
     if v.bit_length() > 42_000 and v >= prod(primes_upto(_WHEEL)):
-        raise ValueError("the f_3 records are exact only below P_3248, the product "
-                         "of the primes up to 30029 (about 6.9e12933)")
+        raise ValueError(f"the f_3 records are exact only below P_{PRIMORIAL_CEILING}, the "
+                         "product of the primes up to 30029 (about 6.9e12933)")
     j, off = divmod(v - 1, _WHEEL)
     return _WALK, v - 1 - off, off, _start_spnd(j) - 1 if j else 4
 

@@ -84,10 +84,9 @@ class SequenceBuffer:
 
     A buffer built from the seed holds f(1..n).  One built by ``resume``
     starts from a given state at index ``base`` and stores no term below
-    it.  ``terms`` exposes the raw store, ``terms[i] == f(base + i)``
-    (slot 0 is padding when base is 0), for hot loops; treat it as
-    read-only.  ``last_index`` is the last index generated, and so is
-    ``len(buffer)`` below 2**63.
+    it.  ``terms`` is the term store, ``terms[i] == f(base + i)`` (slot 0
+    is padding when base is 0); treat it as read-only.  ``last_index`` is
+    the last index generated, and so is ``len(buffer)`` below 2**63.
     ``head_max`` is the largest value of the given terms f(1..max(base, 2)).
     ``cap`` is the term cap read from GCDPERM_MAX_TERMS when the buffer is
     built; it bounds the indices past ``base``, not the seed.  ``pool_peak``
@@ -95,7 +94,7 @@ class SequenceBuffer:
     far.
     """
 
-    __slots__ = ("a", "base", "head_max", "cap", "pool_peak", "_terms", "_low", "_above")
+    __slots__ = ("a", "base", "head_max", "cap", "pool_peak", "terms", "_low", "_above")
 
     def __init__(self, a: int):
         if a < 2:  # a = 1 would repeat f(1) = 1
@@ -115,7 +114,7 @@ class SequenceBuffer:
     def _start(self, base: int, terms: list[int], low: int, above: set[int]) -> None:
         """Set the state at index base: the term store, low and the used values above it."""
         self.base = base
-        self._terms = terms
+        self.terms = terms
         self._low = low
         self._above = above
         self.head_max = max(above, default=low - 1)
@@ -124,35 +123,15 @@ class SequenceBuffer:
     @property
     def last_index(self) -> int:
         """The last index generated; ``len()`` raises OverflowError from 2**63 on."""
-        return self.base + len(self._terms) - 1
+        return self.base + len(self.terms) - 1
 
     def __len__(self) -> int:
         return self.last_index
 
-    def __getitem__(self, n: int) -> int:
-        first = max(self.base, 1)
-        if not first <= n <= self.last_index:
-            raise IndexError(f"index {n} outside generated range {first}..{self.last_index}")
-        return self._terms[n - self.base]
-
-    def __iter__(self):
-        it = iter(self._terms)
-        if not self.base:
-            next(it)
-        return it
-
-    def __repr__(self) -> str:
-        return f"SequenceBuffer(a={self.a}, terms={self.last_index})"
-
-    @property
-    def terms(self) -> list[int]:
-        """Live term store with terms[i] == f(base + i); slot 0 is padding when base is 0."""
-        return self._terms
-
     def extend(self) -> int:
         """Append and return the next term."""
         self.extend_to(len(self) + 1)
-        return self._terms[-1]
+        return self.terms[-1]
 
     def extend_to(self, n: int) -> None:
         """Grow the buffer through index n."""
@@ -161,7 +140,7 @@ class SequenceBuffer:
             return
         if n - self.base > self.cap:
             raise _over_cap(f"{n - self.base} terms of f_{self.a}", self.cap)
-        terms = self._terms
+        terms = self.terms
         above = self._above
         low = self._low
         peak = self.pool_peak

@@ -52,7 +52,7 @@ from .primorial import (
     verify_primorial_records,
     verify_translation,
 )
-from .records import _between, _certified_records, _turning_points, is_record
+from .records import PRIMORIAL_CEILING, _between, _certified_records, _turning_points, is_record
 from .sequence import generate_prefix
 
 
@@ -76,6 +76,13 @@ def _at_least(lo: int, **params) -> None:
     for name, value in params.items():
         if value < lo:
             raise ValueError(f"{name} must be >= {lo}, got {value}")
+
+
+def _below_ceiling(n: int) -> None:
+    """Reject a primorial index n at which the record queries stop."""
+    if n >= PRIMORIAL_CEILING:
+        raise ValueError(f"n must be < {PRIMORIAL_CEILING}: the f_3 records are exact "
+                         f"only below P_{PRIMORIAL_CEILING}")
 
 
 def _shown(value) -> str:
@@ -277,6 +284,7 @@ def thm10(*, bound=300) -> list[CheckResult]:
 
 def thm5(*, n=4) -> list[CheckResult]:
     _at_least(2, n=n)
+    _below_ceiling(n)
     out = []
     for m in range(2, n + 1):
         pn = primorial(m)
@@ -318,6 +326,7 @@ def thm8_recurrence(*, n=5) -> list[CheckResult]:
     from fractions import Fraction
 
     _at_least(2, n=n)
+    _below_ceiling(n)
     ledger = build_density_ledger(n)
     # Finite-range densities approach the limit from above, so test them
     # against the coarse interval; the sharp bounds describe the limit only.

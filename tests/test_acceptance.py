@@ -58,9 +58,9 @@ def test_criterion_01_golden_prefixes():
     best = math.inf
     for _ in range(5):
         t0 = time.perf_counter()
-        got3 = list(generate_prefix(3, 24))
-        got7 = list(generate_prefix(7, 12))
-        got36 = list(generate_prefix(36, 38))
+        got3 = generate_prefix(3, 24).terms[1:]
+        got7 = generate_prefix(7, 12).terms[1:]
+        got36 = generate_prefix(36, 38).terms[1:]
         best = min(best, time.perf_counter() - t0)
     ok = got3 == F3_24 and got7 == F7_12 and got36 == F36_38 and best < 1e-3
     report(1, f"golden prefixes for seeds 3, 7, 36 ({best * 1e6:.0f} us)", ok)

@@ -211,7 +211,7 @@ def test_even_seed_state_matches_simulation():
         head_max = buf.head_max
         buf.extend_to(a + 1)
         terms = generate_prefix(a, a + 1).terms
-        assert (buf[a], buf[a + 1]) == (terms[a], terms[a + 1]), a
+        assert buf.terms[a - buf.base :] == terms[a:], a
         used = set(range(1, buf._low)) | buf._above
         assert used == set(terms[1:]), a
         assert head_max == max(terms[1 : a + 1]), a

@@ -11,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from gcdperm import cli, generate_prefix, record_values
+from gcdperm import cli, generate_prefix, record_values, suites
 from gcdperm.cli import WRITE_CHUNK_LINES, _figure_rows, _write_rows, main
 from gcdperm.primes import is_prime
+from gcdperm.suites import TABLE
 
 
 def run(capsys, *argv):
@@ -535,6 +536,43 @@ def test_seed_sweep_past_memory_is_usage_error(argv):
     assert "Traceback" not in proc.stderr
 
 
+HUGE = str(10**4000)
+# Every numeric flag at 10**4000, the verify flags read from the suite
+# table.  Left out, since they still loop for hours: verify thm2 and thm3
+# --bound, which walk their seeds lazily, and verify prop3 --kmax, which
+# tests one multiplier after another.
+HUGE_FLAG_ARGV = [
+    ["generate", "--n", HUGE],
+    ["generate", "--a", HUGE, "--n", "10"],
+    ["records", "--limit", HUGE],
+    *(["export-figures", which, "--limit", HUGE]
+      for which in ("fig1", "fig2", "fig3", "fig4", "all")),
+    ["scan", "--bound", HUGE],
+    *(["diff-bfile", flag, HUGE] for flag in ("--a", "--offset", "--from")),
+    *(["verify", suite, f"--{flag}", HUGE] for suite, row in TABLE.items() for flag in row.flags
+      if (suite, flag) not in {("thm2", "bound"), ("thm3", "bound"), ("prop3", "kmax")}),
+]
+
+
+@pytest.mark.parametrize("argv", HUGE_FLAG_ARGV,
+                         ids=[" ".join(argv).replace(HUGE, "10**4000") for argv in HUGE_FLAG_ARGV])
+def test_every_numeric_flag_at_10_to_the_4000(tmp_path, capsys, monkeypatch, argv):
+    # An oversized value ends the run with a documented exit code; a usage
+    # or input error prints one error line and no traceback.
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "1000")
+    if argv[0] == "export-figures":
+        argv = [*argv, "--out-dir", str(tmp_path)]
+    elif argv[0] == "diff-bfile":
+        bfile = tmp_path / "b.txt"
+        bfile.write_text("1 1\n2 3\n3 2\n")
+        argv = ["diff-bfile", str(bfile), *argv[1:]]
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2, 3), code
+    if code in (2, 3):
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
 def _simulated_generate(n, fmt="csv", with_derivative=False, a=3):
     # Expected `generate --a A` output, built from the simulation engine.
     terms = generate_prefix(a, n + 1).terms
@@ -743,6 +781,21 @@ def test_verify_value_below_the_suite_range_is_usage_error(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert "must be >=" in err
+
+
+@pytest.mark.parametrize("suite", ["thm5", "thm8-recurrence"])
+def test_verify_index_at_the_record_ceiling_is_refused_before_any_check(capsys, monkeypatch,
+                                                                        suite):
+    # Record queries stop below P_3248, so --n 3248 is refused before any query.
+    def refuse(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(suites, "is_record", refuse)
+    monkeypatch.setattr(suites, "build_density_ledger", refuse)
+    code, out, err = run(capsys, "verify", suite, "--n", "3248")
+    assert code == 2 and out == ""
+    assert err == (f"error: verify {suite}: n must be < 3248: "
+                   "the f_3 records are exact only below P_3248\n")
 
 
 def test_vacuous_checks_print_vacuous(capsys):

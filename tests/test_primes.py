@@ -4,7 +4,7 @@ from math import prod
 import pytest
 
 from gcdperm import is_record, next_record, primes
-from gcdperm.primes import (is_prime, next_prime, nth_prime, primes_upto, primorial,
+from gcdperm.primes import (is_prime, nth_prime, primes_upto, primorial,
                             sieve_flags, smallest_prime_not_dividing)
 
 # psi_12 (Sorenson & Webster 2017): the smallest strong pseudoprime to every
@@ -110,6 +110,14 @@ def test_primes_upto_reads_the_sieve():
     flags = sieve_flags(10_000)
     assert primes_upto(10_000) == [i for i, f in enumerate(flags) if f]
     assert primes_upto(9_973)[-1] == 9_973 and len(primes_upto(10_000)) == 1_229
+
+
+def next_prime(p):
+    """The prime after the prime p, by Miller-Rabin on each odd candidate."""
+    k = 3 if p == 2 else p + 2
+    while not is_prime(k):
+        k += 2
+    return k
 
 
 def test_nth_prime_table_matches_a_next_prime_chain(monkeypatch):
