@@ -1,13 +1,13 @@
 """Command-line surface: generation, verification, b-file diffing, exports.
 
 Exit codes: 0 success, 1 verification failure/mismatch, 2 usage error,
-a request too large for memory, a float or a C size included, 3 I/O or
-input-format error, a failed formatting process included.  A reader that
-closes stdout early ends the run quietly with 0.  All CSV output uses a
-comma separator, a header row, LF line endings, and no quoting; identical
-flags produce byte-identical files.  Output of more than one chunk of rows
-may be formatted in forked processes, one per usable CPU; the bytes are the
-same.
+a request too large for memory, a float or a C size and a verify flag its
+suite refuses (before any check line) included, 3 I/O or input-format
+error, a failed formatting process included.  A reader that closes stdout
+early ends the run quietly with 0.  All CSV output uses a comma separator,
+a header row, LF line endings, and no quoting; identical flags produce
+byte-identical files.  Output of more than one chunk of rows may be
+formatted in forked processes, one per usable CPU; the bytes are the same.
 """
 
 from __future__ import annotations
@@ -287,7 +287,7 @@ def _check_figure_cap(which: str, limit: int | None) -> None:
 
 def _figure_rows(which: str, limit: int | None):
     """(header, row format, spans, column function) of one figure's CSV."""
-    limit = limit or _FIGURE_LIMITS.get(which)
+    limit = limit or _FIGURE_LIMITS[which]
     if which == "fig1":
         return ("j,m_j,M_j,gap_a,gap_b", "%d,%d,%d,%d,%d\n",
                 *_row_chunks(twin_cycle_gaps(limit)))
@@ -295,16 +295,13 @@ def _figure_rows(which: str, limit: int | None):
         terms = prefix_terms(3, limit + 1)
         return ("t,g_t", "%d,%d\n", _spans(limit),
                 lambda s, e: (range(s, e), _differences(terms, s, e)))
-    if which in ("fig3", "fig4"):
-        recs = cached_records(10 * limit + 100)
-        while len(recs) < limit:
-            recs = cached_records(2 * recs[-1])
-        nth_value = recs[limit - 1]
-        if which == "fig3":
-            return "n,ratio_ln", "%d,%r\n", *_row_chunks(prime_ratio_series(nth_value))
-        return ("n,primes_among_records", "%d,%d\n",
-                *_row_chunks(primes_within_records_series(nth_value)))
-    raise ValueError(f"unknown figure {which!r}")
+    # The L-th record is at most 10 L + 100: tested up to the default cap, and past
+    # it below 2^63 spnd(30030 j) <= 53, so each later block of 30030 holds at least 8,841.
+    nth_value = cached_records(10 * limit + 100)[limit - 1]
+    if which == "fig3":
+        return "n,ratio_ln", "%d,%r\n", *_row_chunks(prime_ratio_series(nth_value))
+    return ("n,primes_among_records", "%d,%d\n",
+            *_row_chunks(primes_within_records_series(nth_value)))
 
 
 def cmd_export_figures(args) -> int:

@@ -1,6 +1,6 @@
 """Prime utilities: sieve, Miller-Rabin primality proven exact below
-3,317,044,064,679,887,385,961,981 (about 3.3e24) and refused from there on,
-the table of primes and primorials, non-divisor search."""
+3,317,044,064,679,887,385,961,981 (about 3.3e24) and refused from there on
+by check_proven, the table of primes and primorials, non-divisor search."""
 
 import math
 from itertools import compress
@@ -13,13 +13,15 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin test, proven exact for n < 3.3e24 (see _MR_BASES).
-
-    Raises ValueError at or above that bound rather than give an unproven answer.
-    """
+def check_proven(n: int) -> None:
+    """Raise ValueError when is_prime(n) would have no proven answer: n >= 3.3e24."""
     if n >= _MR_BOUND:
         raise ValueError(f"is_prime is proven exact only below {_MR_BOUND:,}; got {n:,}")
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test (see _MR_BASES); check_proven refuses n >= 3.3e24."""
+    check_proven(n)
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -57,8 +59,6 @@ def sieve_flags(n: int) -> bytearray:
 
 def primes_upto(n: int) -> list[int]:
     """All primes <= n, ascending."""
-    if n < 2:
-        return []
     return list(compress(range(n + 1), sieve_flags(n)))
 
 
@@ -145,7 +145,5 @@ def smallest_prime_not_dividing(m: int) -> int:
 
 def twin_prime_pairs(limit: int) -> list[tuple[int, int]]:
     """All pairs (p, p+2) of primes with p + 2 <= limit, ascending."""
-    if limit < 5:
-        return []
     flags = sieve_flags(limit)
     return [(p, p + 2) for p in range(3, limit - 1, 2) if flags[p] and flags[p + 2]]

@@ -185,14 +185,7 @@ def kappa_coarse_bounds() -> KappaBounds:
     """
     from fractions import Fraction
 
-    series_lo = Fraction(704, 1000)
-    series_hi = Fraction(706, 1000)
-    head2 = Fraction(1, 2) + Fraction(1, 6)
-    head3 = head2 + Fraction(1, 30)
-    return KappaBounds(
-        lower=Fraction(3, 10) - (series_hi - head2),
-        upper=Fraction(3, 10) - (series_lo - head3),
-    )
+    return KappaBounds(Fraction(782, 3000), Fraction(296, 1000))
 
 
 def kappa_empirical(n: int) -> float:

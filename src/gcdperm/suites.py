@@ -44,7 +44,7 @@ from .classify import (
     exceptional_seed_density,
     scan_identity_seeds,
 )
-from .primes import nth_prime, primorial, sieve_flags
+from .primes import _MR_BOUND, check_proven, nth_prime, primorial, sieve_flags
 from .primorial import (
     build_density_ledger,
     derivative_bound_check,
@@ -187,6 +187,11 @@ def prop2(*, limit=100_000) -> list[CheckResult]:
 
 def prop3(*, n=4, kmax=8) -> list[CheckResult]:
     _at_least(1, n=n, kmax=kmax)
+    # Refuse the first unproven probe k P_m + 1, k = ceil((_MR_BOUND - 1) / P_m),
+    # before any check; P_19 alone passes the bound, so m stops by 19.
+    for m in range(1, n + 1):
+        pm = primorial(m)
+        check_proven(min(kmax, -(-(_MR_BOUND - 1) // pm)) * pm + 1)
     out = []
     for m in range(1, n + 1):
         rows = derivative_bound_check(m, kmax)
@@ -203,7 +208,7 @@ def prop3(*, n=4, kmax=8) -> list[CheckResult]:
 
 def thm2(*, bound=999) -> list[CheckResult]:
     _at_least(1, bound=bound)
-    seeds = range(3, bound + 1, 2)
+    seeds = list(range(3, bound + 1, 2))  # listed first: a bound past memory exits at once
     top = min(bound, 199)  # the simulated seeds take about 10k terms
     simulated = range(3, top + 1, 2)
     bad_verdict = []
@@ -218,7 +223,7 @@ def thm2(*, bound=999) -> list[CheckResult]:
         if a <= top:
             first = next((tp.t for tp in _turning_points(generate_prefix(a, a + 2), a + 2)
                           if tp.is_etp), None)
-            if first != label.etps[0]:
+            if label.etps[:1] != (first,):
                 bad_first.append(a)
     return [
         CheckResult("thm2", "odd seeds merge into f_3", not bad_verdict,
@@ -231,7 +236,7 @@ def thm2(*, bound=999) -> list[CheckResult]:
 
 def thm3(*, bound=300) -> list[CheckResult]:
     _at_least(1, bound=bound)
-    seeds = range(6, bound + 1, 6)
+    seeds = list(range(6, bound + 1, 6))  # listed first, as in thm2
     undecided = []
     bad_parity = []
     for a in seeds:

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import importlib
 import io
+import operator
 import os
 import subprocess
 import sys
@@ -13,7 +14,9 @@ import pytest
 
 from gcdperm import cli, generate_prefix, record_values, suites
 from gcdperm.cli import WRITE_CHUNK_LINES, _figure_rows, _write_rows, main
-from gcdperm.primes import is_prime
+from gcdperm.primes import is_prime, primorial
+from gcdperm.records import cached_records
+from gcdperm.sequence import DEFAULT_MAX_TERMS
 from gcdperm.suites import TABLE
 
 
@@ -140,6 +143,17 @@ def test_figure_files_agree_with_the_stdout_writer(tmp_path, capsys, name):
         _write_rows(None, *_figure_rows(name, None))
     assert data == captured.encode("ascii") == buf.getvalue().encode("ascii")
     assert data.count(b"\n") > 100
+
+
+def test_the_figure_record_bound_holds_up_to_the_default_cap():
+    # fig3 and fig4 take their last record from the records up to
+    # 10 limit + 100, so the L-th record r_L must be at most 10 L + 100 for
+    # every L the default term cap lets them ask for.  The worst
+    # (r_L - 100) / L there is about 3.39.
+    top = (DEFAULT_MAX_TERMS - 100) // 10
+    recs = cached_records(10 * top + 100)
+    assert len(recs) >= top
+    assert all(map(operator.le, recs[:top], range(110, 10 * top + 101, 10)))
 
 
 def test_records_chunks_of_one_row(tmp_path, capsys):
@@ -320,6 +334,22 @@ def test_verify_past_the_primality_bound_is_usage_error(capsys, argv):
     assert "proven exact only below 3,317,044,064,679,887,385,961,981" in err
 
 
+@pytest.mark.parametrize("argv,probe", [
+    (["--n", "18", "--kmax", "30"], 29 * primorial(18) + 1),
+    (["--n", "25", "--kmax", "1"], primorial(19) + 1),
+    (["--kmax", str(10**27)], 3_317_044_064_679_887_385_961_981),
+])
+def test_prop3_refuses_the_first_unproven_probe_before_any_check(capsys, monkeypatch,
+                                                                 argv, probe):
+    # The refusal names the first probe k P_m + 1 the checks would reach
+    # past the bound, and no check runs.
+    monkeypatch.setattr(suites, "derivative_bound_check", None)
+    code, out, err = run(capsys, "verify", "prop3", *argv)
+    assert code == 2 and out == ""
+    assert err == ("error: verify prop3: is_prime is proven exact only below "
+                   f"3,317,044,064,679,887,385,961,981; got {probe:,}\n")
+
+
 @pytest.mark.parametrize("suite", ["thm5", "thm6", "thm7", "thm8-recurrence"])
 def test_verify_primorial_suites_pass_at_n30(capsys, suite):
     # P_30 is about 3.2e46; the record queries run no primality test.
@@ -429,6 +459,26 @@ def test_diff_bfile_malformed(tmp_path, capsys):
     assert code == 3
 
 
+def test_diff_bfile_non_integer_field(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1 1\n2 three\n")
+    code, out, err = run(capsys, "diff-bfile", str(bad))
+    assert code == 3 and out == ""
+    assert err == f"error: {bad}:2: non-integer field in '2 three'\n"
+
+
+def test_scan_reports_a_disagreement(tmp_path, capsys, monkeypatch):
+    # A membership test that disagrees with simulation at one seed.
+    classify = importlib.import_module("gcdperm.classify")
+    by_record = classify.eventually_identity_by_record
+    monkeypatch.setattr(classify, "eventually_identity_by_record",
+                        lambda a: by_record(a) != (a == 12))
+    code, _, err = run(capsys, "scan", "--bound", "40", "--out", str(tmp_path / "scan.csv"))
+    assert code == 1
+    assert err == "disagreement at seeds: [12]\n"
+    assert "\n12,identity,13,0,1,0\n" in (tmp_path / "scan.csv").read_text()
+
+
 def test_export_figures(tmp_path, capsys):
     out_dir = tmp_path / "figs"
     code, out, _ = run(capsys, "export-figures", "fig2", "--out-dir", str(out_dir),
@@ -517,10 +567,12 @@ def test_default_budget_exhaustion_names_the_term_cap(capsys, monkeypatch):
         assert "--budget" not in err
 
 
-@pytest.mark.parametrize("argv", [["scan"], ["verify", "thm4"], ["verify", "thm10"]])
+@pytest.mark.parametrize("argv", [["scan"], ["verify", "thm4"], ["verify", "thm10"],
+                                  ["verify", "thm2"], ["verify", "thm3"]])
 def test_seed_sweep_past_memory_is_usage_error(argv):
-    # The seeds 6k up to 10^14 do not fit in 1 GiB of address space, set
-    # in the child only: the run ends with exit 2 and one error line.
+    # The seeds up to 10^14, 6k or odd, do not fit in 1 GiB of address
+    # space, set in the child only: the run ends with exit 2 and one error
+    # line.
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     script = ("import resource, sys\n"
@@ -537,10 +589,6 @@ def test_seed_sweep_past_memory_is_usage_error(argv):
 
 
 HUGE = str(10**4000)
-# Every numeric flag at 10**4000, the verify flags read from the suite
-# table.  Left out, since they still loop for hours: verify thm2 and thm3
-# --bound, which walk their seeds lazily, and verify prop3 --kmax, which
-# tests one multiplier after another.
 HUGE_FLAG_ARGV = [
     ["generate", "--n", HUGE],
     ["generate", "--a", HUGE, "--n", "10"],
@@ -549,8 +597,7 @@ HUGE_FLAG_ARGV = [
       for which in ("fig1", "fig2", "fig3", "fig4", "all")),
     ["scan", "--bound", HUGE],
     *(["diff-bfile", flag, HUGE] for flag in ("--a", "--offset", "--from")),
-    *(["verify", suite, f"--{flag}", HUGE] for suite, row in TABLE.items() for flag in row.flags
-      if (suite, flag) not in {("thm2", "bound"), ("thm3", "bound"), ("prop3", "kmax")}),
+    *(["verify", suite, f"--{flag}", HUGE] for suite, row in TABLE.items() for flag in row.flags),
 ]
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from gcdperm import derivative_bound_check, generate_prefix, reconstruct_f3, records, suites
+from gcdperm.classify import IDENTITY, ClassLabel
 from gcdperm.cli import main
 from gcdperm.primes import primes_upto
 from gcdperm.records import _certified_records, _turning_points
@@ -65,6 +66,40 @@ def test_thm2_catches_a_wrong_first_etp_of_an_odd_seed(monkeypatch):
         ("first ETP as simulated", False),
     ]
     assert results[2].detail.startswith("failed: [3, 5, 7, 9, 11]")
+
+
+def _mislabel(monkeypatch, relabel):
+    """Route the suites' classify through relabel(a, label)."""
+    classify = suites.classify
+    monkeypatch.setattr(suites, "classify", lambda a: relabel(a, classify(a)))
+
+
+def test_thm2_fails_on_an_odd_seed_labelled_identity(monkeypatch):
+    _mislabel(monkeypatch, lambda a, label: label._replace(verdict=IDENTITY) if a == 7 else label)
+    results = SUITES["thm2"](bound=99)
+    assert [(r.name, r.ok) for r in results] == [
+        ("odd seeds merge into f_3", False),
+        ("all ETPs even", True),
+        ("first ETP as simulated", True),
+    ]
+    assert results[0].detail == "failed: [7]"
+
+
+def test_thm2_fails_on_a_label_with_no_etps(monkeypatch):
+    # An identity label may carry no ETP; the first-ETP line fails on it.
+    _mislabel(monkeypatch, lambda a, label: ClassLabel(IDENTITY, 1) if a == 7 else label)
+    results = SUITES["thm2"](bound=99)
+    assert [r.ok for r in results] == [False, True, False]
+    assert results[2].detail == "failed: [7]"
+
+
+@pytest.mark.parametrize("suite,bound,seed", [("thm2", 99, 9), ("thm3", 60, 12)])
+def test_an_odd_etp_fails_the_parity_line(monkeypatch, suite, bound, seed):
+    odd = 2 * seed + 1
+    _mislabel(monkeypatch,
+              lambda a, label: label._replace(etps=label.etps + (odd,)) if a == seed else label)
+    results = SUITES[suite](bound=bound)
+    assert [r.name for r in results if not r.ok] == ["all ETPs even"]
 
 
 def test_thm5_passes_past_the_primality_bound():
