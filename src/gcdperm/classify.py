@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .primes import nth_prime, primorial
 from .records import _records_around, _turning_points, f3_terms, is_record, next_record
-from .sequence import SequenceBuffer, check_cap, generate_prefix
+from .sequence import SequenceBuffer, check_cap, generate_prefix, short_int
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -134,7 +134,7 @@ def prefix_terms(a: int, n: int) -> array | list[int]:
     only a seed a >= 2^63 gives, does not fit in the array: then the
     engine's list of ints is returned instead.
     """
-    check_cap(n, f"{n} terms of f_{a}")
+    check_cap(n, f"{short_int(n)} terms of f_{short_int(a)}")
     if n <= a:  # every witness of a seed a >= 3 lies past a
         head = generate_prefix(a, n).terms
         try:
@@ -240,7 +240,7 @@ def _excluded_flags(limit: int) -> bytearray:
     term cap (GCDPERM_MAX_TERMS) raise LimitExceededError.
     """
     seeds = limit // 6
-    check_cap(seeds, f"the {seeds} seeds 6i up to {limit}")
+    check_cap(seeds, f"the {short_int(seeds)} seeds 6i up to {short_int(limit)}")
     flags = bytearray(seeds + 1)
     for pk, _, top in _bands(limit):
         q = pk // 6

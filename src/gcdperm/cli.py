@@ -24,7 +24,7 @@ from .classify import BudgetExhaustedError, prefix_terms, scan_identity_seeds
 from .cycles import twin_cycle_gaps
 from .primorial import prime_ratio_series, primes_within_records_series
 from .records import FIRST_RECORD, _annotated, cached_records
-from .sequence import MAX_TERMS_ENV, LimitExceededError, check_cap
+from .sequence import MAX_TERMS_ENV, LimitExceededError, check_cap, short_int
 from .suites import SUITES, TABLE
 
 EXIT_OK = 0
@@ -196,7 +196,7 @@ def cmd_generate(args) -> int:
 
 def cmd_records(args) -> int:
     # The records up to a limit are terms of f_3 up to it.
-    check_cap(args.limit, f"the records up to {args.limit}")
+    check_cap(args.limit, f"the records up to {short_int(args.limit)}")
     values = cached_records(args.limit)
     annotate = _annotated(values)
     _write_rows(args.out, "index,record,turning_point,jump,is_composite", "%d,%d,%d,%d,%d\n",
@@ -277,12 +277,12 @@ def _check_figure_cap(which: str, limit: int | None) -> None:
     the records up to 10 limit + 100."""
     limit = limit or _FIGURE_LIMITS[which]
     if which == "fig1":
-        check_cap(limit, f"the primes up to {limit}")
+        check_cap(limit, f"the primes up to {short_int(limit)}")
     elif which == "fig2":
-        check_cap(limit + 1, f"{limit + 1} terms of f_3")
+        check_cap(limit + 1, f"{short_int(limit + 1)} terms of f_3")
     else:
         top = 10 * limit + 100
-        check_cap(top, f"the records up to {top}")
+        check_cap(top, f"the records up to {short_int(top)}")
 
 
 def _figure_rows(which: str, limit: int | None):

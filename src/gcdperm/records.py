@@ -28,9 +28,9 @@ classification) and ``record_count`` take one divmod, one spnd and a bisect
 in C, and ``record_count`` one term per prime p for the blocks whose start
 has spnd p; from P_3248 on they raise ValueError.  ``cached_records``, the
 one dense enumerator, returns a new ``array('q')`` of the records up to a
-limit, a block at a time: a memo keyed by the offset of the record that
-enters a block holds a slice of C, and only a record r = 1 (mod 30030)
-needs spnd(r - 1), which is 17 unless 17 divides (r - 1) / 30030.
+limit, a block at a time from one pattern, the records of block 0 from 5
+on: every block j >= 1 enters C at its point spnd(30030 j) - 1, so it
+holds that pattern plus 30030 j from there on.
 
 The block walker and the annotation work on packed lanes: ``_pack`` reads
 the 8-byte lanes of an ``array('q')`` as one int, so one int addition or
@@ -48,9 +48,9 @@ The records pin f_3 down completely: ``reconstruct_f3`` answers one index,
 and ``f3_terms`` builds the whole prefix f_3(1..n) as an ``array('q')``
 (8 bytes per term), with no simulation.  Between consecutive records
 q < r the terms on the indices q + 1..r are r, q + 1, ..., r - 1, so the
-terms of a block also follow from the offset of the record that enters it.
-The same memo holds them next to the records, and one block walker,
-``_step_block``, appends either kind, a block per int addition.
+terms of a block also follow from the point where it enters C.  One
+pattern of block 0 per kind, and one block walker, ``_step_block``,
+append either kind, a block per int addition.
 
 The suites that check f_3 against its definition do not trust that walk:
 ``_certified_records`` proves the records against the greedy rule, by
@@ -81,7 +81,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .primes import (_WHEEL, _WHEEL_SPND, nth_prime, primes_upto, sieve_flags,
                      smallest_prime_not_dividing)
-from .sequence import SequenceBuffer, check_cap, generate_prefix
+from .sequence import SequenceBuffer, check_cap, generate_prefix, short_int
 
 FIRST_ETP = 4
 FIRST_RECORD = 5
@@ -237,12 +237,10 @@ def record_count(x: int) -> int:
     return count
 
 
-# Block memo: for a record r with o = (r - 1) % _WHEEL > 0, _BLOCKS[o] holds
-# what r fixes up to the first record r* past the block of r - 1: at index
-# _RECORDS the records after r through r*, at index _TERMS the terms
-# f_3(r + 1..r*), both less the block base r - 1 - o.  Each pattern is
-# filled the first time it is asked for.
-_BLOCKS: dict[int, list] = {}
+# The pattern of one block per kind, filled the first time it is asked
+# for: at _RECORDS the records 7..30031 after the record 5, at _TERMS the
+# terms f_3(6..30031).
+_PATTERNS: dict[int, tuple[int, int, int]] = {}
 _RECORDS, _TERMS = 0, 1
 _ONE = array("q", [1])
 
@@ -260,53 +258,49 @@ def _unpack(packed: int, count: int) -> array:
     return array("q", packed.to_bytes(8 * count, sys.byteorder))
 
 
-def _block_pattern(o: int, kind: int) -> tuple[int, int, int, int]:
-    """The ``_BLOCKS[o][kind]`` pattern for offset o (0 < o < _WHEEL).
+def _block_pattern(kind: int) -> tuple[int, int, int]:
+    """The ``_PATTERNS[kind]`` pattern of block 0, from the record 5 on.
 
-    The records are c + 1 for the points c of C above o, the last 30031
-    past the base.  The terms lag their index, f_3(i) = i - 1, except
+    The records are c + 1 for the points c of C past 4, the last 30031.
+    The terms f_3(6..30031) lag their index, f_3(i) = i - 1, except
     f_3(q + 1) = q' for consecutive records q < q'.
-    A pattern is (packed, ones, count, last): ``_pack`` of the lanes and
-    of count ones, the lane count, and the offset of r*.  packed + base *
-    ones then holds base + lane in every lane.
+    A pattern is (packed, ones, count): ``_pack`` of the lanes and of
+    count ones, and the lane count.  packed + base * ones then holds
+    base + lane in every lane.
     """
     walk = _block(FIRST_RECORD)[0]
-    records = array("q", [c + 1 for c in walk[bisect_right(walk, o):]])
-    lanes = records
-    if kind == _TERMS:  # lane k holds the term at index r + 1 + k
-        lanes = array("q", range(o + 1, records[-1]))
-        q = o + 1
+    lanes = records = array("q", [c + 1 for c in walk[1:]])
+    if kind == _TERMS:  # lane k holds f_3(6 + k)
+        lanes = array("q", range(FIRST_RECORD, _WHEEL + 1))
+        q = FIRST_RECORD
         for nxt in records:
-            lanes[q - o - 1] = nxt
+            lanes[q - FIRST_RECORD] = nxt
             q = nxt
-    return _pack(lanes), _pack(_ONE * len(lanes)), len(lanes), records[-1]
+    return _pack(lanes), _pack(_ONE * len(lanes)), len(lanes)
 
 
 def _step_block(out: array, r: int, kind: int) -> int:
-    """Append to out what the record r fixes up to the first record r* past
-    the block of r - 1, and return r*.
+    """Append to out what the record r fixes up to the first record past
+    the block of r - 1, 30030 j + 30031, and return that record.
 
-    kind _RECORDS appends the records after r through r*, kind _TERMS the
-    terms f_3(r + 1..r*).  One int addition per block, except at r = 1
-    (mod _WHEEL), where spnd(r - 1) >= 17 depends on r - 1 itself and not
-    only on its offset.
+    kind _RECORDS appends the records after r, kind _TERMS the terms
+    f_3(r + 1..).  One call per block: a record r = 30030 j + 1 enters
+    block j >= 1, and the record after it, 30030 j + spnd(30030 j), is a
+    point of C, from which the block is the pattern plus 30030 j.
     """
-    m = r - 1
-    o = m % _WHEEL
+    walk, base, o, first = _block(r)
     if not o:
-        nxt = m + _start_spnd(m // _WHEEL)
-        out.append(nxt)
+        out.append(base + first + 1)
         if kind == _TERMS:
-            out.extend(range(r + 1, nxt))
-        return nxt
-    entry = _BLOCKS.setdefault(o, [None, None])
-    pattern = entry[kind]
+            out.extend(range(r + 1, base + first + 1))
+        o = first
+    pattern = _PATTERNS.get(kind)
     if pattern is None:
-        pattern = entry[kind] = _block_pattern(o, kind)
-    packed, ones, count, last = pattern
-    base = m - o
-    out.extend(_unpack(packed + base * ones, count))
-    return base + last
+        pattern = _PATTERNS[kind] = _block_pattern(kind)
+    packed, ones, count = pattern
+    lane = o - FIRST_ETP if kind == _TERMS else bisect_left(walk, o)
+    out.extend(_unpack(packed + base * ones, count)[lane:])
+    return base + _WHEEL + 1
 
 
 def cached_records(limit: int) -> array:
@@ -384,13 +378,13 @@ def f3_terms(n: int) -> array:
 
     Past the head 1, 3, 2, 5, 4, the terms between consecutive records
     q < r are r, q + 1, ..., r - 1 on the indices q + 1..r.  They come a
-    block of 30030 values at a time from the ``_BLOCKS`` memo, with no
+    block of 30030 values at a time from one block pattern, with no
     simulation and no record list.  Needs n >= 2 and obeys
     the engine's term cap (GCDPERM_MAX_TERMS).
     """
     if n < 2:
         raise ValueError(f"need n >= 2 (f(1)=1 and f(2)=a are fixed), got {n}")
-    check_cap(n, f"{n} terms of f_3")
+    check_cap(n, f"{short_int(n)} terms of f_3")
     terms = array("q", (0, 1, 3, 2, 5, 4))
     r = FIRST_RECORD  # the record at the last index, len(terms) - 1
     while r < n:
@@ -425,7 +419,7 @@ def _certified_records(n: int) -> array:
     that f_3(q + 1) is the record after q.  Obeys the engine's term cap
     (GCDPERM_MAX_TERMS).
     """
-    check_cap(n, f"{n} terms of f_3")
+    check_cap(n, f"{short_int(n)} terms of f_3")
     proven = array("q", generate_prefix(3, min(n, FIRST_RECORD)).terms[2::2])
     if n < FIRST_RECORD:
         return proven

@@ -26,7 +26,9 @@ f_3(1..5).
 
 ``check_cap(count, what)`` is the one check of the term cap
 (GCDPERM_MAX_TERMS) for every request of the package; a buffer compares
-inline against the cap it read, and every refusal has one message.
+inline against the cap it read, and every refusal has one message, whose
+ints ``short_int`` writes: one past 20 digits shows as its first and last
+five digits and its digit count.
 """
 
 from __future__ import annotations
@@ -42,9 +44,22 @@ class LimitExceededError(RuntimeError):
     """A generation or enumeration request exceeded the configured cap."""
 
 
+def short_int(value: int, most: int = 20) -> str:
+    """str(value) for an int >= 0 of at most ``most`` digits.  A longer one
+    shows as its first and last five digits and its digit count, and is
+    never converted whole."""
+    if value.bit_length() <= 3 * most or value < 10**most:
+        return str(value)
+    digits = int((value.bit_length() - 1) * math.log10(2))  # at most the digit count
+    while 10**digits <= value:
+        digits += 1
+    return f"{value // 10 ** (digits - 5)}...{value % 10**5:05d} ({digits} digits)"
+
+
 def _over_cap(what: str, cap: int) -> LimitExceededError:
     """The one message of every refusal past the term cap."""
-    return LimitExceededError(f"requested {what}; cap is {cap} (set {MAX_TERMS_ENV} to raise it)")
+    return LimitExceededError(f"requested {what}; cap is {short_int(cap)} "
+                              f"(set {MAX_TERMS_ENV} to raise it)")
 
 
 def max_terms_cap() -> int:
@@ -139,7 +154,7 @@ class SequenceBuffer:
         if n <= last_index:
             return
         if n - self.base > self.cap:
-            raise _over_cap(f"{n - self.base} terms of f_{self.a}", self.cap)
+            raise _over_cap(f"{short_int(n - self.base)} terms of f_{short_int(self.a)}", self.cap)
         terms = self.terms
         above = self._above
         low = self._low

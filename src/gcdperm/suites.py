@@ -22,16 +22,15 @@ one slice between its bounds, and cor1's primes one count of sieve flags.
 cor2 counts the seeds the primorial test excludes with one sieve over the
 bands of its definition, one byte per seed.  Each suite drops what it
 built when it returns, and the term cap (GCDPERM_MAX_TERMS) bounds the
-index each one reads and the seeds cor2 counts.  ``_shown`` writes the
-ints of a check's name and detail, so that an int too long for ``str``
-still prints.
+index each one reads, the seeds cor2 counts and the probes prop3 tests.
+``_shown`` writes the ints of a check's name and detail, so that an int
+too long for ``str`` still prints.
 """
 
 from __future__ import annotations
 
 import sys
 from itertools import islice
-from math import log10
 from typing import Callable, NamedTuple, Sequence
 
 from .classify import (
@@ -53,7 +52,7 @@ from .primorial import (
     verify_translation,
 )
 from .records import PRIMORIAL_CEILING, _between, _certified_records, _turning_points, is_record
-from .sequence import generate_prefix
+from .sequence import check_cap, generate_prefix, short_int
 
 
 class CheckResult(NamedTuple):
@@ -96,12 +95,7 @@ def _shown(value) -> str:
             return f"[{inner}]"
         return f"({inner},)" if len(value) == 1 else f"({inner})"
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if not limit or value.bit_length() <= 3 * limit or value < 10**limit:
-        return str(value)
-    digits = int((value.bit_length() - 1) * log10(2))  # at most the digit count
-    while 10**digits <= value:
-        digits += 1
-    return f"{value // 10 ** (digits - 5)}...{value % 10**5:05d} ({digits} digits)"
+    return short_int(value, limit) if limit else str(value)
 
 
 def _listed(bad: Sequence[int], detail: str, label: str = "failed") -> str:
@@ -192,6 +186,8 @@ def prop3(*, n=4, kmax=8) -> list[CheckResult]:
     for m in range(1, n + 1):
         pm = primorial(m)
         check_proven(min(kmax, -(-(_MR_BOUND - 1) // pm)) * pm + 1)
+    check_cap(n * kmax, f"{short_int(n * kmax)} probes k P_m + 1 "
+                        f"(m <= {short_int(n)}, k <= {short_int(kmax)})")
     out = []
     for m in range(1, n + 1):
         rows = derivative_bound_check(m, kmax)

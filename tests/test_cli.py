@@ -350,6 +350,18 @@ def test_prop3_refuses_the_first_unproven_probe_before_any_check(capsys, monkeyp
                    f"3,317,044,064,679,887,385,961,981; got {probe:,}\n")
 
 
+def test_prop3_probes_obey_the_term_cap(capsys, monkeypatch):
+    # n kmax probes k P_m + 1, refused past the cap before any check.
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", "1000")
+    code, out, _ = run(capsys, "verify", "prop3", "--n", "4", "--kmax", "250")
+    assert code == 0 and out.splitlines()[-1] == "prop3: 4/4 checks passed"
+    monkeypatch.setattr(suites, "derivative_bound_check", None)
+    code, out, err = run(capsys, "verify", "prop3", "--n", "4", "--kmax", "251")
+    assert code == 2 and out == ""
+    assert err == ("error: requested 1004 probes k P_m + 1 (m <= 4, k <= 251); cap is 1000 "
+                   "(set GCDPERM_MAX_TERMS to raise it)\n")
+
+
 @pytest.mark.parametrize("suite", ["thm5", "thm6", "thm7", "thm8-recurrence"])
 def test_verify_primorial_suites_pass_at_n30(capsys, suite):
     # P_30 is about 3.2e46; the record queries run no primality test.
@@ -618,6 +630,7 @@ def test_every_numeric_flag_at_10_to_the_4000(tmp_path, capsys, monkeypatch, arg
     if code in (2, 3):
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
+        assert len(err) < 200, err  # a refused request shows no int past 20 digits
 
 
 def _simulated_generate(n, fmt="csv", with_derivative=False, a=3):

@@ -1,8 +1,8 @@
 """Each shared table has one owner module.
 
-The walk through the first block of 30030 and the block memo built from
-it belong to ``records.py``: no other module names ``_WALK`` or
-``_BLOCKS`` or imports ``bisect``, every count of records goes through
+The walk through the first block of 30030 and the block patterns built
+from it belong to ``records.py``: no other module names ``_WALK`` or
+``_PATTERNS`` or imports ``bisect``, every count of records goes through
 ``records.record_count``, and ``records.py`` runs no primality test.  The table of primes and primorials
 belongs to ``primes.py``: no other module assigns ``_PRIMES`` or
 ``_PRIMORIALS``.  The primorial checks read the records and never the
@@ -69,7 +69,7 @@ def test_sources_found():
 def test_only_records_reads_the_record_walk():
     offenders = [
         p.name for p in SOURCES if p.name != "records.py"
-        and {"bisect", "_WALK", "_BLOCKS"} & set(_names(_tree(p)))
+        and {"bisect", "_WALK", "_PATTERNS"} & set(_names(_tree(p)))
     ]
     assert offenders == []
 

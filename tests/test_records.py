@@ -1,6 +1,7 @@
 import random
 from array import array
 from bisect import bisect_right
+from math import prod
 
 import pytest
 
@@ -17,7 +18,7 @@ from gcdperm import (
     record_values,
 )
 from gcdperm import records
-from gcdperm.records import (_RECORDS, _WHEEL, _annotated, _between, _pack, _records_around,
+from gcdperm.records import (_RECORDS, _TERMS, _WHEEL, _annotated, _between, _pack, _records_around,
                              _start_spnd, _step_block, _unpack, record_count,
                              records_from_values)
 from gcdperm.primes import is_prime, primes_upto, primorial, smallest_prime_not_dividing
@@ -216,15 +217,15 @@ def walk_1e7():
 
 
 def test_block_stepper_matches_the_plain_walk(monkeypatch, walk_1e7):
-    # The block memo answers every record except r = 1 (mod 30030), where
-    # smallest_prime_not_dividing takes over; the plain walk is the oracle.
-    monkeypatch.setattr(records, "_BLOCKS", {})
+    # One records pattern answers every block; only a record r = 1 (mod 30030)
+    # needs smallest_prime_not_dividing.  The plain walk is the oracle.
+    monkeypatch.setattr(records, "_PATTERNS", {})
     limit = 10**7
     walk = walk_1e7
     assert record_values(limit) == walk[:-1]
     fallbacks = [r for r in walk if r % WHEEL == 1 and r < limit]
     assert fallbacks == list(range(WHEEL + 1, limit, WHEEL)) and len(fallbacks) == 333
-    assert sorted(records._BLOCKS) == [4, 16, 18, 22]  # the offsets that enter a block
+    assert sorted(records._PATTERNS) == [_RECORDS]  # no terms pattern, one per kind
 
 
 def test_block_stepper_resumes_from_any_record():
@@ -235,6 +236,29 @@ def test_block_stepper_resumes_from_any_record():
         while r <= 4 * WHEEL:
             r = _step_block(out, r, _RECORDS)
         assert out.tolist() == walk[: len(out)] and out[-1] > 4 * WHEEL
+
+
+@pytest.mark.parametrize("p", [p for p in primes_upto(53) if p >= 17])
+def test_block_stepper_enters_far_blocks(p):
+    # Below 2^63 spnd(30030 j) runs from 17 to 53; the least j with
+    # spnd(30030 j) = p is the product of the primes from 17 below p.
+    j = prod(q for q in primes_upto(p - 1) if q >= 17)
+    base = WHEEL * j
+    assert smallest_prime_not_dividing(base) == p and base + WHEEL + 1 < 2**63
+    end = base + WHEEL + 1
+    walk = [base + 1]
+    while walk[-1] < end:
+        walk.append(next_record(walk[-1]))
+    for kind in (_RECORDS, _TERMS):
+        out = array("q")
+        r = base + 1
+        while r < end:
+            r = _step_block(out, r, kind)
+        assert r == end
+        if kind == _RECORDS:
+            assert out.tolist() == walk[1:], p
+        else:
+            assert out.tolist() == [reconstruct_f3(i) for i in range(base + 2, end + 1)], p
 
 
 def test_reconstruct_reads_only_the_shared_record_list():
@@ -437,7 +461,7 @@ def test_block_built_terms_match_a_row_by_row_oracle(monkeypatch):
     # A block of terms ends at the first record past a multiple of 30030;
     # the first records r = 1 (mod 30030) take the smallest_prime_not_dividing
     # path, whose stretch r + 1..r' runs up to the record r' after r.
-    monkeypatch.setattr(records, "_BLOCKS", {})
+    monkeypatch.setattr(records, "_PATTERNS", {})
     edges = [k * WHEEL + d for k in (1, 2, 3, 34) for d in (-1, 0, 1, 2)]
     fallbacks = [r for r in range(WHEEL + 1, 10**7, WHEEL) if is_record(r)][:3]
     assert fallbacks == [WHEEL + 1, 2 * WHEEL + 1, 3 * WHEEL + 1]
@@ -453,19 +477,16 @@ def test_block_built_terms_match_simulation_at_a_million(f3_million):
 
 
 def test_block_built_terms_from_a_cold_and_a_warm_memo(monkeypatch):
-    # Term patterns fill lazily beside the record patterns of one memo; a
-    # memo warmed by either kind gives the same terms as an empty one.
+    # The terms pattern fills lazily beside the records pattern of one
+    # table; a table warmed by either kind gives the same terms as an empty one.
     n = 5 * WHEEL + 7
-    monkeypatch.setattr(records, "_BLOCKS", {})
+    monkeypatch.setattr(records, "_PATTERNS", {})
     cold = f3_terms(n)
-    def kinds():  # (records filled, terms filled) over the memo entries
-        return {tuple(p is not None for p in entry) for entry in records._BLOCKS.values()}
-
-    assert kinds() == {(False, True)}
+    assert sorted(records._PATTERNS) == [_TERMS]
     assert f3_terms(n) == cold
 
-    monkeypatch.setattr(records, "_BLOCKS", {})
+    monkeypatch.setattr(records, "_PATTERNS", {})
     record_values(n)
-    assert kinds() == {(True, False)}
+    assert sorted(records._PATTERNS) == [_RECORDS]
     assert f3_terms(n) == cold
-    assert kinds() == {(True, True)}
+    assert sorted(records._PATTERNS) == [_RECORDS, _TERMS]

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from gcdperm import LimitExceededError, SequenceBuffer, find_turning_points, generate_prefix
+from gcdperm.sequence import short_int
 
 F3_24 = [1, 3, 2, 5, 4, 7, 6, 11, 8, 9, 10, 13, 12, 17, 14, 15, 16, 19, 18, 23, 20, 21, 22, 25]
 F7_12 = [1, 7, 2, 3, 4, 5, 6, 11, 8, 9, 10, 13]
@@ -187,6 +188,21 @@ def test_term_cap(monkeypatch, naive_prefix):
     assert generate_prefix(100, 50).terms[1:] == naive_prefix(100, 50)[1:]
     with pytest.raises(LimitExceededError, match="requested 51 terms of f_100; cap is 50"):
         generate_prefix(100, 51)
+
+
+def test_short_int_shortens_past_20_digits():
+    assert [short_int(v) for v in (0, 7, 10**19, 10**20 - 1)] == ["0", "7", str(10**19), "9" * 20]
+    assert short_int(10**20) == "10000...00000 (21 digits)"
+    assert short_int(123456789 * 10**4000 + 4321) == "12345...04321 (4009 digits)"
+
+
+def test_a_refusal_shortens_its_ints(monkeypatch):
+    monkeypatch.setenv("GCDPERM_MAX_TERMS", str(10**25))
+    with pytest.raises(LimitExceededError) as info:
+        SequenceBuffer(10**21).extend_to(10**26)
+    assert str(info.value) == ("requested 10000...00000 (27 digits) terms of f_10000...00000 "
+                               "(22 digits); cap is 10000...00000 (26 digits) "
+                               "(set GCDPERM_MAX_TERMS to raise it)")
 
 
 def test_term_cap_env_override(monkeypatch):
