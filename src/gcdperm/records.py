@@ -63,11 +63,12 @@ it shares a prime below d with m, while r is coprime to m: f(q + 1) = r.
 Then gcd(q + 1, r) = gcd(m + 2, d - 2) = 1, since d is odd (2 divides m)
 and each prime factor of d - 2 is odd and below d, so divides m and not
 m + 2: f(q + 2) = q + 1, and f(q + j) = q + j - 1 on up to the index r.
-Each condition is one C-level map over the packed lanes m and d of every
-step at once, with no Python loop per step.  A step that fails cuts the
-list at the last proven record.  The proven records through r fix f_3 on
-1..r: past index 2, f_3(i) = i - 1, except that f_3(q + 1) is the record
-after q.  So the suites read f_3 from the list and build no term.
+Each condition is one C-level map over the packed lanes m and d of up
+to 65,536 steps; a chunk that fails is halved and retried from its first
+step, so a step that fails cuts the list at the last proven record.  The
+proven records through r fix f_3 on 1..r: past index 2, f_3(i) = i - 1,
+except that f_3(q + 1) is the record after q.  So the suites read f_3
+from the list and build no term.
 """
 
 from __future__ import annotations
@@ -398,10 +399,17 @@ def f3_terms(n: int) -> array:
 _MAX_STEP = 53
 
 
-def _steps_hold(ms: Sequence[int], ds: Sequence[int], below: list[int]) -> bool:
-    """True iff every step (m, d) of the equally long lanes ms and ds has
-    d >= 3, every prime below d dividing m (below[d] is their product), and
-    gcd(d, m) = 1."""
+def _steps_hold(records: array, below: list[int]) -> bool:
+    """True iff each step q < r of the two or more records has d >= 3, every
+    prime below d dividing m (below[d] is their product), and gcd(d, m) = 1,
+    for m = q - 1 and d = r - m.  A record below the one before it fails: its
+    lane of d borrows, to a negative d or, past the top lane, OverflowError."""
+    steps = len(records) - 1
+    try:
+        ms = _unpack(_pack(records[:-1]) - _pack(_ONE * steps), steps)
+        ds = _unpack(_pack(records[1:]) - _pack(ms), steps)
+    except OverflowError:
+        return False
     return (3 <= min(ds) and max(ds) <= _MAX_STEP and max(map(gcd, ds, ms)) == 1
             and not any(map(mod, ms, map(below.__getitem__, ds))))
 
@@ -413,11 +421,11 @@ def _certified_records(n: int) -> array:
 
     The engine simulates the base f_3(1..min(n, 5)), whose records 3 and
     5 = f_3(4) start the list.  The later records come from
-    ``cached_records`` and pass the step of the module docstring, all in
-    one ``_steps_hold``; only when that fails are the steps tried one by
-    one.  On the indices 3..min(n, last record), f_3(i) = i - 1 except
-    that f_3(q + 1) is the record after q.  Obeys the engine's term cap
-    (GCDPERM_MAX_TERMS).
+    ``cached_records`` and pass the step of the module docstring, one
+    ``_steps_hold`` per chunk of up to 65,536 steps; a chunk that fails is
+    halved and retried from its first step.  On the indices 3..min(n, last
+    record), f_3(i) = i - 1 except that f_3(q + 1) is the record after q.
+    Obeys the engine's term cap (GCDPERM_MAX_TERMS).
     """
     check_cap(n, f"{short_int(n)} terms of f_3")
     proven = array("q", generate_prefix(3, min(n, FIRST_RECORD)).terms[2::2])
@@ -429,16 +437,13 @@ def _certified_records(n: int) -> array:
         records = proven[1:]
     small = primes_upto(_MAX_STEP)
     below = [prod(p for p in small if p < d) for d in range(_MAX_STEP + 1)]
-    steps = len(records) - 1
-    try:
-        ms = _unpack(_pack(records[:-1]) - _pack(_ONE * steps), steps)
-        ds = _unpack(_pack(records[1:]) - _pack(ms), steps)
-        held = not steps or _steps_hold(ms, ds, below)
-    except OverflowError:  # the top lane borrowed: a record below the one before
-        held = False
-    if not held:  # stop before the first step that fails
-        steps = next(i for i in range(steps) if not _steps_hold(
-            (records[i] - 1,), (records[i + 1] - records[i] + 1,), below))
-    proven += records[1 : steps + 1]
+    steps, done, size = len(records) - 1, 0, 1 << 16
+    while done < steps and size:
+        end = min(done + size, steps)
+        if _steps_hold(records[done : end + 1], below):
+            done = end
+        else:
+            size = (end - done) // 2
+    proven += records[1 : done + 1]
     del proven[bisect_right(proven, n) + 1 :]
     return proven

@@ -1,9 +1,11 @@
+import argparse
 import functools
 import hashlib
 import importlib
 import io
 import operator
 import os
+import random
 import subprocess
 import sys
 import time
@@ -579,6 +581,17 @@ def test_default_budget_exhaustion_names_the_term_cap(capsys, monkeypatch):
         assert "--budget" not in err
 
 
+def _capped_main(cap):
+    """A script that runs ``cli.main`` on its argv in at most cap bytes of
+    address space, set in that process only."""
+    return ("import resource, sys\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            f"cap = {cap} if hard == resource.RLIM_INFINITY else min(hard, {cap})\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+            "from gcdperm.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+
+
 @pytest.mark.parametrize("argv", [["scan"], ["verify", "thm4"], ["verify", "thm10"],
                                   ["verify", "thm2"], ["verify", "thm3"]])
 def test_seed_sweep_past_memory_is_usage_error(argv):
@@ -587,13 +600,8 @@ def test_seed_sweep_past_memory_is_usage_error(argv):
     # line.
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    script = ("import resource, sys\n"
-              "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
-              "cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(hard, 1 << 30)\n"
-              "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
-              "from gcdperm.cli import main\n"
-              "sys.exit(main(sys.argv[1:]))\n")
-    proc = subprocess.run([sys.executable, "-c", script, *argv, "--bound", str(10**14)],
+    proc = subprocess.run([sys.executable, "-c", _capped_main(1 << 30), *argv,
+                           "--bound", str(10**14)],
                           env=env, cwd=root, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
@@ -631,6 +639,67 @@ def test_every_numeric_flag_at_10_to_the_4000(tmp_path, capsys, monkeypatch, arg
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
         assert len(err) < 200, err  # a refused request shows no int past 20 digits
+
+
+GRAMMAR_VALUES = [1, 2, 3, 2**31, 2**63 - 1, 2**63 + 1, 10**4000]
+
+
+def _grammar_argv(rng, tmp_path, bfile):
+    """One argv drawn from ``cli.build_parser()``: a subcommand, a choice
+    for each positional, every required flag and each other flag at even
+    odds; past a suite name, a flag that suite does not take at 1 in 8.  A
+    number is one of GRAMMAR_VALUES, a path lies in tmp_path and diff-bfile
+    reads bfile."""
+    def draw(actions):
+        argv, takes = [], None
+        for action in actions:
+            if isinstance(action, (argparse._HelpAction, argparse._VersionAction)):
+                continue
+            if not action.option_strings:  # a positional
+                argv.append(rng.choice(sorted(action.choices)) if action.choices else str(bfile))
+                takes = TABLE[argv[-1]].flags if argv[-1] in TABLE else None
+                continue
+            odds = 0.5 if takes is None or action.dest in takes else 0.125
+            if not action.required and rng.random() >= odds:
+                continue
+            argv.append(action.option_strings[0])
+            if action.nargs == 0:
+                continue
+            if action.choices:
+                argv.append(rng.choice(sorted(action.choices)))
+            elif action.type is None:
+                argv.append(str(tmp_path / f"out{rng.randrange(4)}"))
+            else:
+                argv.append(str(rng.choice(GRAMMAR_VALUES)))
+        return argv
+
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = rng.choice(sorted(sub.choices))
+    return [*draw(a for a in parser._actions if a is not sub), command,
+            *draw(sub.choices[command]._actions)]
+
+
+def test_seeded_argv_from_the_parser_grammar(tmp_path):
+    # Forty argv drawn from the parser, each run in its own process with a
+    # small term cap and 512 MiB of address space: every run ends with a
+    # documented exit code, and a usage or input error names itself on
+    # stderr with no traceback.
+    rng = random.Random(29)
+    bfile = tmp_path / "b.txt"
+    bfile.write_text("1 1\n2 3\n3 2\n")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), GCDPERM_MAX_TERMS="1000")
+    for _ in range(40):
+        argv = _grammar_argv(rng, tmp_path, bfile)
+        proc = subprocess.run([sys.executable, "-c", _capped_main(512 << 20), *argv],
+                              env=env, cwd=tmp_path, capture_output=True, text=True,
+                              timeout=60)
+        shown = " ".join(argv).replace(str(10**4000), "10**4000")
+        assert proc.returncode in (0, 1, 2, 3), (shown, proc.returncode, proc.stderr)
+        assert "Traceback" not in proc.stderr, (shown, proc.stderr)
+        if proc.returncode in (2, 3):
+            assert "error:" in proc.stderr, (shown, proc.stderr)
 
 
 def _simulated_generate(n, fmt="csv", with_derivative=False, a=3):

@@ -176,3 +176,12 @@ def test_seed_above_the_term_cap_decomposes_within_it(monkeypatch):
     assert decompose(7, 1) == []
     with pytest.raises(IncompleteCycleError, match="cycle through 2 in f_7"):
         decompose(7, 2)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: decompose(3, 0), "need n >= 1, got 0"),
+], ids=["decompose"])
+def test_input_guards_name_the_bad_input(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message

@@ -137,3 +137,8 @@ def test_primorial_3248_is_the_product_of_the_primes_up_to_30029(monkeypatch):
     assert nth_prime(3_248) == 30_029
     assert primorial(3_248) == prod(primes_upto(30_029))
     assert len(primes._PRIMORIALS) == 3_248
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_zero_and_one_are_not_prime(n):
+    assert is_prime(n) is False

@@ -261,3 +261,15 @@ def test_prop3_examples():
 def test_prop3_many_multipliers():
     for n in (2, 3):
         assert all(row.ok for row in derivative_bound_check(n, 50))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: verify_translation(1), "need n >= 2, got 1"),
+    (lambda: kappa_empirical(0), "need n >= 1, got 0"),
+    (lambda: derivative_bound_check(0, 1), "need n >= 1, got 0"),
+    (lambda: build_density_ledger(1), "need n_max >= 2, got 1"),
+], ids=["verify_translation", "kappa_empirical", "derivative_bound_check", "build_density_ledger"])
+def test_input_guards_name_the_bad_input(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message

@@ -490,3 +490,15 @@ def test_block_built_terms_from_a_cold_and_a_warm_memo(monkeypatch):
     assert sorted(records._PATTERNS) == [_RECORDS]
     assert f3_terms(n) == cold
     assert sorted(records._PATTERNS) == [_RECORDS, _TERMS]
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: reconstruct_f3(0), "need n >= 1, got 0"),
+    (lambda: find_turning_points(generate_prefix(3, 2)), "need at least 3 terms, have 2"),
+    (lambda: record_stream_upto(4), "limit must be >= 5, got 4"),
+    (lambda: _annotated(array("q", [7])), "annotation needs the full list from 5, got 7"),
+], ids=["reconstruct_f3", "find_turning_points", "record_stream_upto", "_annotated"])
+def test_input_guards_name_the_bad_input(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message

@@ -1,5 +1,6 @@
 import gc
 import sys
+import tracemalloc
 from array import array
 from operator import eq
 from pathlib import Path
@@ -462,26 +463,49 @@ def test_cor1_fails_when_the_record_at_its_last_turning_point_is_unproven(capsys
 @pytest.mark.parametrize("index,value,last", [
     (16385, None, 16384),  # shifted by +2
     (16384, 7, 16383),  # below its predecessor: a lane inside the step lanes borrows
+    # The steps are proven 65,536 at a time, so records[65536] ends the
+    # first chunk and starts the second: the last two steps of the first
+    # chunk fail, the first step of the second, and the top lane of the
+    # first, a record below its predecessor.
+    (65535, None, 65534),
+    (65537, None, 65536),
+    (65536, 7, 65535),
 ])
 def test_a_failed_certificate_past_the_first_chunk(monkeypatch, index, value, last):
     def corrupt(recs):
         recs[index] = recs[index] + 2 if value is None else value
 
-    true = _corrupt_the_record_source(monkeypatch, corrupt)(60_000)
-    recs = _certified_records(60_000)
+    limit = 60_000 if index < 65_535 else 250_000  # the source must reach past index
+    true = _corrupt_the_record_source(monkeypatch, corrupt)(limit)
+    recs = _certified_records(limit)
     assert list(recs) == [3, *true[: last + 1]]
     assert _f3_from_records(recs) == generate_prefix(3, true[last]).terms
 
 
 def test_a_failed_certificate_at_a_borrowing_top_lane(monkeypatch):
-    # The source ends in 7 after records[16383]: the last step lane borrows
-    # past the top of the packed int.
-    def corrupt(recs):
-        recs[16384:] = array("q", [7])
+    # The source ends in 7 after records[index - 1]: the last step lane
+    # borrows past the top of the packed int, in the first chunk of 65,536
+    # steps and at the start of the second.
+    for index, limit in [(16384, 60_000), (65_536, 250_000)]:
+        def corrupt(recs):
+            recs[index:] = array("q", [7])
 
-    true = _corrupt_the_record_source(monkeypatch, corrupt)(60_000)
-    assert records.cached_records(60_053)[-2:].tolist() == [true[16383], 7]
-    assert list(_certified_records(60_000)) == [3, *true[:16384]]
+        with monkeypatch.context() as patch:
+            true = _corrupt_the_record_source(patch, corrupt)(limit)
+            assert records.cached_records(limit + 53)[-2:].tolist() == [true[index - 1], 7]
+            assert list(_certified_records(limit)) == [3, *true[:index]]
+
+
+def test_certified_records_prove_a_chunk_at_a_time():
+    # One chunk of step lanes is alive at a time, so the peak is the record
+    # source, the result and a little more.
+    tracemalloc.start()
+    try:
+        recs = _certified_records(2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * recs.itemsize * len(recs)
 
 
 @pytest.mark.parametrize("limit", [30_030, 60_061])
