@@ -224,8 +224,8 @@ def cmd_verify(args) -> int:
     failed = sum(not r.ok for r in counted)
     for r in results:
         mark = "VACUOUS" if r.vacuous else "PASS" if r.ok else "FAIL"
-        detail = f"  {r.detail}" if r.detail else ""
-        print(f"{mark}  [{r.suite}] {r.name:<{width}}{detail}")
+        name = f"{r.name:<{width}}  {r.detail}" if r.detail else r.name
+        print(f"{mark}  [{r.suite}] {name}")
     vacuous = len(results) - len(counted)
     print(f"{args.suite}: {len(counted) - failed}/{len(counted)} checks passed"
           + (f", {vacuous} vacuous" if vacuous else ""))

@@ -11,8 +11,9 @@ windows gives an exact recurrence
     w_{n+1} = w_n * p_{n+1} - s_{n+1}
 
 with s_n the record count in [p_n, p_{n+1}) and w_n the count in
-[p_{n+1}, P_n + 1], from which the asymptotic record density (about 0.2948)
-is bracketed rigorously.  The brackets are exact ``Fraction``s; the
+[p_{n+1}, P_n + 1].  The asymptotic record density (about 0.2948) is taken
+to be the limit of w_n / P_n, and one count w_n brackets it in an interval
+2 / P_n wide (``kappa_bounds``).  The brackets are exact ``Fraction``s; the
 functions that build them import ``fractions`` when they run, so importing
 the module does not.  The reports are frozen ``NamedTuple``s.
 """
@@ -136,40 +137,31 @@ def verify_translation(n: int) -> TranslationReport:
 
 
 class KappaBounds(NamedTuple):
-    """Rigorous two-sided estimate of the record density."""
+    """Rigorous two-sided estimate of the record density, as exact fractions."""
 
     lower: Fraction
     upper: Fraction
 
 
 def kappa_bounds(k_max: int) -> KappaBounds:
-    """Bracket the record density via primorial partial sums.
+    """Bracket the record density from one window count, N = k_max:
 
-        3/10 - sum_{k>=4} (p_{k+1} - p_k) / (2 P_k)  <=  kappa
-        kappa  <=  3/10 - sum_{k>=4} 1 / P_k
+        (w_N - 2) / P_N  <  kappa  <=  w_N / P_N
 
-    Sums are truncated at k_max; the lower bound subtracts a tail estimate
-    (each tail term is at most 1/(2 P_{k-1}) and successive primorial
-    reciprocals shrink by a factor >= 3, so the tail is below (3/4)/P_k_max),
-    which keeps both sides rigorous.
+    The premise, which the module docstring and ``verify thm8-recurrence``
+    rest on too, is that kappa is the limit of w_N / P_N.  Dividing
+    w_k = w_{k-1} p_k - s_k by P_k and telescoping gives kappa = w_N / P_N
+    - sum_{k>N} s_k / P_k.  Every s_k >= 0 gives the upper side.
+    s_k <= p_{k+1} - p_k < p_k (Bertrand), so s_k / P_k < 1 / P_{k-1};
+    primorial reciprocals shrink by a factor >= 2, so the tail is below
+    2 / P_N.  Needs 4 <= k_max < 3248, as ``record_count`` does.
     """
     if k_max < 4:
         raise ValueError(f"need k_max >= 4, got {k_max}")
     from fractions import Fraction
 
-    lower_sum = Fraction(0)
-    upper_sum = Fraction(0)
-    for k in range(4, k_max + 1):
-        pk = nth_prime(k)
-        pk1 = nth_prime(k + 1)
-        prim = primorial(k)
-        lower_sum += Fraction(pk1 - pk, 2 * prim)
-        upper_sum += Fraction(1, prim)
-    tail = Fraction(3, 4 * primorial(k_max))
-    return KappaBounds(
-        lower=Fraction(3, 10) - lower_sum - tail,
-        upper=Fraction(3, 10) - upper_sum,
-    )
+    w, pn = w_count(k_max), primorial(k_max)
+    return KappaBounds(Fraction(w - 2, pn), Fraction(w, pn))
 
 
 def kappa_coarse_bounds() -> KappaBounds:
@@ -180,8 +172,8 @@ def kappa_coarse_bounds() -> KappaBounds:
         lower = 3/10 - (0.706 - 1/2 - 1/6)        = 782/3000
         upper = 3/10 - (0.704 - 1/2 - 1/6 - 1/30) = 296/1000
 
-    Weaker than kappa_bounds (the lower side drops a factor 1/2) but exact
-    round numbers, handy as a reference interval.
+    Much wider than kappa_bounds, but exact round numbers, handy as a
+    reference interval.
     """
     from fractions import Fraction
 

@@ -180,13 +180,7 @@ def _block(v: int) -> tuple[list[int], int, int, int]:
         raise ValueError(f"the f_3 records are exact only below P_{PRIMORIAL_CEILING}, the "
                          "product of the primes up to 30029 (about 6.9e12933)")
     j, off = divmod(v - 1, _WHEEL)
-    return _WALK, v - 1 - off, off, _start_spnd(j) - 1 if j else 4
-
-
-def _start_spnd(j: int) -> int:
-    """spnd(30030 j) for j >= 1: 2..13 divide 30030 j, and 17 divides it
-    only when it divides j, in one block of 17."""
-    return 17 if j % 17 else smallest_prime_not_dividing(_WHEEL * j)
+    return _WALK, v - 1 - off, off, smallest_prime_not_dividing(_WHEEL * j) - 1 if j else 4
 
 
 def _records_around(v: int) -> tuple[int, int]:
@@ -444,6 +438,8 @@ def _certified_records(n: int) -> array:
             done = end
         else:
             size = (end - done) // 2
-    proven += records[1 : done + 1]
-    del proven[bisect_right(proven, n) + 1 :]
-    return proven
+    # Cut the source in place and prepend 3, so no second record-sized copy is made.
+    del records[done + 1 :]
+    records[:0] = proven[:1]
+    del records[bisect_right(records, n) + 1 :]
+    return records

@@ -315,6 +315,18 @@ def test_verify_suites_pass(capsys, suite, flags):
     assert "checks passed" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [[suite] for suite in TABLE] + [["thm2", "--bound", "1"], ["thm3", "--bound", "5"]],
+    ids=" ".join,
+)
+def test_verify_lines_end_without_whitespace(capsys, argv):
+    # Names are padded to a common width only when a detail follows them.
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0, out
+    assert [line for line in out.splitlines() if line != line.rstrip()] == []
+
+
 @pytest.mark.parametrize("suite", ["thm6", "thm7"])
 def test_verify_translation_n8_runs_under_the_default_term_cap(capsys, monkeypatch, suite):
     # A simulated prefix would need about 2.3e8 terms of f_3; the record

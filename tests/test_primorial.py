@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from gcdperm import (
 from gcdperm import primes
 from gcdperm import primorial as primorial_module
 from gcdperm.primes import primorial
+from gcdperm.records import cached_records
 
 
 def test_primorial_values():
@@ -180,6 +182,29 @@ def test_kappa_bounds_partial_sums():
     assert coarse.lower < b8.lower and b8.upper < coarse.upper
     with pytest.raises(ValueError):
         kappa_bounds(3)
+
+
+def test_kappa_bounds_bracket_from_one_window_count():
+    # Exact against a window count bisected from one record list.
+    recs = cached_records(primorial(8) + 1)
+    for n in range(4, 9):
+        pn = primorial(n)
+        w = bisect_right(recs, pn + 1) - bisect_left(recs, nth_prime(n + 1))
+        assert kappa_bounds(n) == (Fraction(w - 2, pn), Fraction(w, pn)), n
+    # The brackets nest: w_N / P_N never rises, and the lower end rises
+    # because s_{N+1} + 2 <= 2 p_{N+1}.
+    bounds = [kappa_bounds(n) for n in range(4, 61)]
+    assert all(a.lower < b.lower and b.upper <= a.upper for a, b in zip(bounds, bounds[1:]))
+    far = kappa_empirical(10**40)
+    coarse = kappa_coarse_bounds()
+    for n in (20, 30, 100, 1000, 3000):
+        b = kappa_bounds(n)
+        assert abs(float(b.upper) - far) < 1e-15, n
+        assert coarse.lower < b.lower < b.upper < coarse.upper, n
+    # Window counts need record_count, exact below P_3248.
+    for n in (3, 3248):
+        with pytest.raises(ValueError):
+            kappa_bounds(n)
 
 
 def test_kappa_empirical():

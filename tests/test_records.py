@@ -18,8 +18,8 @@ from gcdperm import (
     record_values,
 )
 from gcdperm import records
-from gcdperm.records import (_RECORDS, _TERMS, _WHEEL, _annotated, _between, _pack, _records_around,
-                             _start_spnd, _step_block, _unpack, record_count,
+from gcdperm.records import (_RECORDS, _TERMS, _WHEEL, _annotated, _between, _block, _pack,
+                             _records_around, _step_block, _unpack, record_count,
                              records_from_values)
 from gcdperm.primes import is_prime, primes_upto, primorial, smallest_prime_not_dividing
 
@@ -180,9 +180,13 @@ def test_block_start_spnd_matches_the_search():
     js += [17 * k for k in range(1, 400)] + [17 * 19 * k for k in range(1, 200)]
     js += [17 * 19 * 23 * k for k in range(1, 100)]
     js += [17 * 19 * 23 * 29 * 31 * 37, 10**30 * 17 * 19 * 23]
-    bad = [j for j in js if _start_spnd(j) != smallest_prime_not_dividing(_WHEEL * j)]
+    # Block j >= 1 enters the walk at its point spnd(30030 j) - 1.
+    def start_spnd(j):
+        return _block(_WHEEL * j + 1)[3] + 1
+
+    bad = [j for j in js if start_spnd(j) != smallest_prime_not_dividing(_WHEEL * j)]
     assert bad == []
-    assert [_start_spnd(j) for j in (1, 17, 17 * 19, 17 * 19 * 23)] == [17, 19, 23, 29]
+    assert [start_spnd(j) for j in (1, 17, 17 * 19, 17 * 19 * 23)] == [17, 19, 23, 29]
 
 
 def test_record_jumps_match_inverse(f3_million):

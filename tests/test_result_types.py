@@ -45,17 +45,18 @@ FIELDS = {
     DensityLedger: ("s", "w", "kappa_empirical"),
 }
 
-# kappa_bounds(k) for k = 4..12 as (lower, upper), as the dataclass version gave them.
+# kappa_bounds(k) for k = 4..12 as (lower, upper): the window bracket
+# ((w_k - 2) / P_k, w_k / P_k), in lowest terms.
 KAPPA_BOUNDS = {
-    4: ("241/840", "31/105"),
-    5: ("2677/9240", "227/770"),
-    6: ("34829/120120", "4426/15015"),
-    7: ("2169/7480", "50161/170170"),
-    8: ("11250649/38798760", "1429588/4849845"),
-    9: ("258764981/892371480", "1992759/6760390"),
-    10: ("2501394843/8626257640", "953535181/3234846615"),
-    11: ("1007055067/3472908920", "59119181221/200560490130"),
-    12: ("662099973673/2283304041480", "21445193188/72752334655"),
+    4: ("2/7", "31/105"),
+    5: ("97/330", "227/770"),
+    6: ("295/1001", "4426/15015"),
+    7: ("150481/510510", "50161/170170"),
+    8: ("476529/1616615", "1429588/4849845"),
+    9: ("10960174/37182145", "2529271/8580495"),
+    10: ("1907070331/6469693230", "90812873/308080630"),
+    11: ("1970639344/6685349671", "29559590161/100280245065"),
+    12: ("2187409671911/7420738134810", "2187409671913/7420738134810"),
 }
 
 

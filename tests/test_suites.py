@@ -508,6 +508,18 @@ def test_certified_records_prove_a_chunk_at_a_time():
     assert peak <= 3.5 * recs.itemsize * len(recs)
 
 
+def test_certified_records_cut_the_source_in_place():
+    # The result is the record source itself, cut and with 3 prepended, so
+    # no second record-sized array is alive beside it.
+    tracemalloc.start()
+    try:
+        recs = _certified_records(2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * recs.itemsize * len(recs)
+
+
 @pytest.mark.parametrize("limit", [30_030, 60_061])
 def test_definition_suites_build_no_term_array(monkeypatch, limit):
     # They read f_3 from the proven records: no term builder runs, and the
