@@ -27,7 +27,6 @@ from .classify import (
 )
 from .cycles import (
     Cycle,
-    IncompleteCycleError,
     cycle_index,
     decompose,
     twin_cycle_gaps,
@@ -83,7 +82,6 @@ __all__ = [
     "FIRST_ETP",
     "FIRST_RECORD",
     "IDENTITY",
-    "IncompleteCycleError",
     "KappaBounds",
     "LimitExceededError",
     "PrimorialRecordReport",

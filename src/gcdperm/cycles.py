@@ -6,19 +6,21 @@ to c3, and cm back to c1.  Cycles are listed by ascending smallest element
 and each tuple is rotated to start at its largest element, which for f_3
 reproduces the record-block form (r, r-1, ..., t) running from a record
 down to its turning point.
+
+The cycles follow from the classify certificate.  At its witness w, an
+ETP or the identity onset, 1..w - 1 are all used by index w - 1, so f_a
+maps [1, w - 1] onto itself.  From w on an identity seed has only fixed
+points, and a c3 seed the record blocks (r, r - 1, ..., q + 1) of f_3,
+one for each pair of consecutive records q < r with q >= w - 1.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
+from .classify import C3, classify, prefix_terms
 from .primes import twin_prime_pairs
-from .records import record_count
-from .sequence import LimitExceededError, SequenceBuffer
-
-
-class IncompleteCycleError(RuntimeError):
-    """A cycle walk left the generated prefix and the cap forbids extending."""
+from .records import _certified_records, record_count
 
 
 class Cycle(NamedTuple):
@@ -40,45 +42,38 @@ def decompose(a: int, n: int) -> list[Cycle]:
     """All complete nontrivial cycles of f_a whose smallest element is <= n.
 
     Ordered by ascending smallest element.  Fixed points are left out and
-    never consume an index.
-    The backing prefix starts at max(2n, 64) terms, clamped to the term
-    cap, and is extended as needed to close each cycle, up to the cap.
+    never consume an index.  By the lemma above, with w the classify
+    witness, the cycles through 1..min(n, w - 1) are walked on
+    ``prefix_terms(a, w - 1)``, and a c3 seed adds the record blocks for
+    w - 1 <= q < n from ``_certified_records(n)``.  The term cap
+    (GCDPERM_MAX_TERMS) bounds w - 1 and, for those blocks, n.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    buf = SequenceBuffer(a)
-    buf.extend_to(min(max(2 * n, 64), buf.cap))
-    terms = buf.terms
-
-    def reach(v: int, start: int) -> None:
-        if v > len(buf):
-            try:
-                buf.extend_to(v)
-            except LimitExceededError as exc:
-                raise IncompleteCycleError(
-                    f"cycle through {start} in f_{a} left the term cap: {exc}"
-                ) from exc
-
+    label = classify(a)
+    w = label.witness
+    head = prefix_terms(a, max(w - 1, 2))  # a = 2 has witness 1 and no head
     seen: set[int] = set()
     cycles: list[Cycle] = []
-    next_index = 1
-    for start in range(1, n + 1):
+    for start in range(1, min(n, w - 1) + 1):
         if start in seen:
             continue
         path = [start]
-        seen.add(start)
-        reach(start, start)
-        v = terms[start]
+        v = head[start]
         while v != start:
             path.append(v)
-            seen.add(v)
-            reach(v, start)
-            v = terms[v]
-        if len(path) == 1:
-            continue
-        top = path.index(max(path))
-        cycles.append(Cycle(tuple(path[top:] + path[:top]), next_index))
-        next_index += 1
+            v = head[v]
+        seen.update(path)
+        if len(path) > 1:
+            top = path.index(max(path))
+            cycles.append(Cycle(tuple(path[top:] + path[:top]), len(cycles) + 1))
+    if label.verdict == C3 and w <= n:
+        records = _certified_records(n)
+        i = records.index(w - 1)
+        while records[i] < n:
+            q, r = records[i], records[i + 1]
+            cycles.append(Cycle(tuple(range(r, q, -1)), len(cycles) + 1))
+            i += 1
     return cycles
 
 

@@ -112,7 +112,7 @@ def _index_identity(suite: str, records, m: int, k_lo: int, k_max: int) -> Check
     m*k.  Records that stop below index m*k_max + 1 fail the check.
     """
     lo, hi = m * k_lo, m * k_max
-    inside = _between(records, lo, hi)
+    inside = _between(memoryview(records), lo, hi)
     ok = len(records) > 0 and records[-1] > hi and 0 not in map(m.__rmod__, inside)
     detail = f"k <= {k_max}" if k_lo == 1 else f"{k_lo} <= k <= {k_max}"
     return CheckResult(suite, f"f_3({m}k+1) = {m}k", ok, detail, max(k_max - k_lo + 1, 0))
@@ -151,7 +151,7 @@ def thm1(*, limit=10_000) -> list[CheckResult]:
 def cor1(*, limit=100_000) -> list[CheckResult]:
     _at_least(3, limit=limit)
     records = _certified_records(limit)
-    recs = _between(records, 5, limit)
+    recs = _between(memoryview(records), 5, limit)
     # The turning points up to the limit are q + 1 for each record q < limit
     # (4 = 3 + 1 first), each holding the record after q: records[1 : below + 1].
     # records[len(recs)] is the last record <= limit, 3 when recs is empty.

@@ -1,7 +1,8 @@
 import pytest
 
 from gcdperm import (
-    IncompleteCycleError,
+    LimitExceededError,
+    classify,
     cycle_index,
     decompose,
     generate_prefix,
@@ -10,6 +11,7 @@ from gcdperm import (
 )
 from gcdperm.cli import main
 from gcdperm.primes import primes_upto, twin_prime_pairs
+from gcdperm.sequence import SequenceBuffer, max_terms_cap
 
 F3_CYCLES_TO_25 = [
     (3, 2),
@@ -159,23 +161,65 @@ def test_twin_cycle_gap_range_probe():
     )
 
 
-def test_incomplete_cycle_error(monkeypatch):
-    # The cycle (11, 10) of f_9 needs terms up to index 11.
+def test_head_past_the_term_cap_raises(monkeypatch):
+    # f_9 joins f_3 at the ETP 12, so its head is f_9(1..11), past a cap of 10.
     monkeypatch.setenv("GCDPERM_MAX_TERMS", "10")
-    with pytest.raises(IncompleteCycleError):
+    with pytest.raises(LimitExceededError):
         decompose(9, 10)
     monkeypatch.setenv("GCDPERM_MAX_TERMS", "12")
     cycles = decompose(9, 10)
     assert cycles[-1].elements == (11, 10)
 
 
-def test_seed_above_the_term_cap_decomposes_within_it(monkeypatch):
-    # The cap bounds the terms walked, not the seed: f_7 starts 1, 7, 2, 3,
-    # so the cycle through 1 closes at once and the one through 2 needs f(7).
+def test_term_cap_bounds_the_head_and_n(monkeypatch):
+    # The cap bounds w - 1 as well as n: f_7 joins f_3 at the ETP 8, so its
+    # head f_7(1..7) is past a cap of 5 even when n is 1.
     monkeypatch.setenv("GCDPERM_MAX_TERMS", "5")
-    assert decompose(7, 1) == []
-    with pytest.raises(IncompleteCycleError, match="cycle through 2 in f_7"):
-        decompose(7, 2)
+    with pytest.raises(LimitExceededError):
+        decompose(7, 1)
+
+
+def test_n_past_the_term_cap_raises_before_any_block(monkeypatch):
+    # f_3's head is f_3(1..3); n past the cap is refused before the records
+    # are read, so the engine simulates nothing past the head.
+    monkeypatch.delenv("GCDPERM_MAX_TERMS", raising=False)
+    asked = []
+    extend_to = SequenceBuffer.extend_to
+    monkeypatch.setattr(SequenceBuffer, "extend_to",
+                        lambda self, n: asked.append(n) or extend_to(self, n))
+    with pytest.raises(LimitExceededError):
+        decompose(3, max_terms_cap() + 1)
+    assert max(asked) <= 3
+
+
+def _walked_cycles(terms, n):
+    """The nontrivial cycles through 1..n, walked on terms[1:] as in the definition."""
+    seen, cycles = set(), []
+    for start in range(1, n + 1):
+        if start in seen:
+            continue
+        path, v = [start], terms[start]
+        while v != start:
+            path.append(v)
+            v = terms[v]
+        seen.update(path)
+        if len(path) > 1:
+            top = path.index(max(path))
+            cycles.append(tuple(path[top:] + path[:top]))
+    return cycles
+
+
+def test_decompose_matches_a_walk_on_the_naive_prefix(naive_prefix):
+    # Each cycle through 1..n closes by index n + 53: a head cycle below the
+    # witness w, a record block at the record after some q < n, which is
+    # q - 1 + spnd(q - 1) <= q + 52 here (spnd: the smallest prime not dividing).
+    for a in range(2, 301):
+        w = classify(a).witness
+        terms = naive_prefix(a, w + 260)
+        for n in sorted({1, max(w - 1, 1), w, w + 1, w + 200}):
+            got = decompose(a, n)
+            assert [c.elements for c in got] == _walked_cycles(terms[: n + 61], n), (a, n)
+            assert [c.index for c in got] == list(range(1, len(got) + 1))
 
 
 @pytest.mark.parametrize("call,message", [

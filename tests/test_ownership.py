@@ -7,7 +7,9 @@ from it belong to ``records.py``: no other module names ``_WALK`` or
 belongs to ``primes.py``: no other module assigns ``_PRIMES`` or
 ``_PRIMORIALS``.  The primorial checks read the records and never the
 generation engine: ``primorial.py`` neither imports ``sequence`` nor names
-``generate_prefix`` or ``SequenceBuffer``.  The CLI has one term source,
+``generate_prefix`` or ``SequenceBuffer``.  Nor does ``cycles.py``: the
+cycles come from the classify certificate, the head from
+``classify.prefix_terms`` and the record blocks from the proven records.  The CLI has one term source,
 ``classify.prefix_terms``: ``cli.py`` names neither the engine
 (``generate_prefix``, ``SequenceBuffer``) nor ``f3_terms``.  The term cap
 belongs to ``sequence.py``: no other module names ``max_terms_cap`` or
@@ -89,6 +91,11 @@ def test_only_primes_holds_a_prime_table():
 
 def test_primorial_checks_do_not_simulate():
     path = next(p for p in SOURCES if p.name == "primorial.py")
+    assert {"sequence", "generate_prefix", "SequenceBuffer"} & set(_names(_tree(path))) == set()
+
+
+def test_cycles_read_the_certificate_and_do_not_simulate():
+    path = next(p for p in SOURCES if p.name == "cycles.py")
     assert {"sequence", "generate_prefix", "SequenceBuffer"} & set(_names(_tree(path))) == set()
 
 

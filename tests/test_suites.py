@@ -520,6 +520,22 @@ def test_certified_records_cut_the_source_in_place():
     assert peak <= 2.0 * recs.itemsize * len(recs)
 
 
+def test_cor1_reads_the_proven_records_without_a_copy():
+    # cor1 bisects and slices a memoryview of the records, so beside the
+    # proven records only the sieve and one chunk of step lanes are alive.
+    # Two slice copies of the records would lift the peak to about 3x.
+    recs = _certified_records(10**6)
+    size = recs.itemsize * len(recs)
+    tracemalloc.start()
+    try:
+        checks = suites.cor1(limit=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.ok for c in checks)
+    assert peak <= 2.6 * size
+
+
 @pytest.mark.parametrize("limit", [30_030, 60_061])
 def test_definition_suites_build_no_term_array(monkeypatch, limit):
     # They read f_3 from the proven records: no term builder runs, and the
