@@ -144,6 +144,8 @@ def prefix_terms(a: int, n: int) -> array | list[int]:
     label = classify(a)
     # a = 2 has witness 1, but the engine's shortest prefix is f(1..2).
     head = generate_prefix(a, max(2, min(n, label.witness))).terms
+    if len(head) > n:  # the head reaches f_a(n)
+        return array("q", head)
     terms = f3_terms(n) if label.verdict == C3 else array("q", range(n + 1))
     terms[: len(head)] = array("q", head)
     return terms

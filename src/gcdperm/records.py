@@ -63,12 +63,20 @@ it shares a prime below d with m, while r is coprime to m: f(q + 1) = r.
 Then gcd(q + 1, r) = gcd(m + 2, d - 2) = 1, since d is odd (2 divides m)
 and each prime factor of d - 2 is odd and below d, so divides m and not
 m + 2: f(q + 2) = q + 1, and f(q + j) = q + j - 1 on up to the index r.
-Each condition is one C-level map over the packed lanes m and d of up
-to 65,536 steps; a chunk that fails is halved and retried from its first
-step, so a step that fails cuts the list at the last proven record.  The
-proven records through r fix f_3 on 1..r: past index 2, f_3(i) = i - 1,
-except that f_3(q + 1) is the record after q.  So the suites read f_3
-from the list and build no term.
+A step with d <= 13 names only primes that divide 30030, so it holds at
+m exactly when it holds at m mod 30030.  The records 5..30031 of block 0
+are proven step by step, one C-level map per condition over their packed
+lanes m and d, each step with d <= 13.  A later block j starts at its
+record 30030 j + 1; its first step, d = spnd(30030 j), is proven alone,
+and every lane after it, through the next block's first record, is one
+comparison of packed ints with block 0 plus 30030 j: each of those steps
+is a step of block 0 moved by 30030 j.  Whatever does not match is
+proven step by step, a chunk of up to 65,536 steps at a time, a chunk
+that fails halved and retried from its first step, so a step that fails
+cuts the list at the last proven record.  The proven records through r
+fix f_3 on 1..r: past index 2, f_3(i) = i - 1, except that f_3(q + 1) is
+the record after q.  So the suites read f_3 from the list and build no
+term.
 """
 
 from __future__ import annotations
@@ -389,22 +397,29 @@ def f3_terms(n: int) -> array:
 
 
 # The primes up to 53 multiply past 2^63, so no lane m has every prime
-# below a step d > 53 as a divisor.
+# below a step d > 53 as a divisor.  _BELOW[d] is the product of the
+# primes below d, for d <= 53.
 _MAX_STEP = 53
+_SMALL_PRIMES = primes_upto(_MAX_STEP)
+_BELOW = [prod(p for p in _SMALL_PRIMES if p < d) for d in range(_MAX_STEP + 1)]
+# A step d <= 13 holds at m exactly when it holds at m mod 30030: every
+# prime its conditions name is at most 13, so divides 30030.
+_WHEEL_STEP = 13
 
 
 def _steps_hold(records: array, below: list[int]) -> bool:
-    """True iff each step q < r of the two or more records has d >= 3, every
-    prime below d dividing m (below[d] is their product), and gcd(d, m) = 1,
-    for m = q - 1 and d = r - m.  A record below the one before it fails: its
-    lane of d borrows, to a negative d or, past the top lane, OverflowError."""
+    """True iff each step q < r of the two or more records has
+    3 <= d < len(below), every prime below d dividing m (below[d] is their
+    product), and gcd(d, m) = 1, for m = q - 1 and d = r - m.  A record
+    below the one before it fails: its lane of d borrows, to a negative d
+    or, past the top lane, OverflowError."""
     steps = len(records) - 1
     try:
         ms = _unpack(_pack(records[:-1]) - _pack(_ONE * steps), steps)
         ds = _unpack(_pack(records[1:]) - _pack(ms), steps)
     except OverflowError:
         return False
-    return (3 <= min(ds) and max(ds) <= _MAX_STEP and max(map(gcd, ds, ms)) == 1
+    return (3 <= min(ds) and max(ds) < len(below) and max(map(gcd, ds, ms)) == 1
             and not any(map(mod, ms, map(below.__getitem__, ds))))
 
 
@@ -413,28 +428,42 @@ def _certified_records(n: int) -> array:
     ``array('q')``, proven against the greedy rule; a step that fails cuts
     the list at the last proven record.
 
-    The engine simulates the base f_3(1..min(n, 5)), whose records 3 and
-    5 = f_3(4) start the list.  The later records come from
-    ``cached_records`` and pass the step of the module docstring, one
-    ``_steps_hold`` per chunk of up to 65,536 steps; a chunk that fails is
-    halved and retried from its first step.  On the indices 3..min(n, last
-    record), f_3(i) = i - 1 except that f_3(q + 1) is the record after q.
-    Obeys the engine's term cap (GCDPERM_MAX_TERMS).
+    The engine simulates the base f_3(1..5), whose records 3 and 5 = f_3(4)
+    start the list.  The later records come from ``cached_records`` and
+    pass the step of the module docstring: the records 5..30031 of block 0
+    by one ``_steps_hold`` with d <= 13; each later block j, from its
+    record 30030 j + 1, by one ``_steps_hold`` of its first step and one
+    comparison of ``_pack``ed ints of its other lanes with block 0 plus
+    30030 j; and from the first block that does not match on, by one
+    ``_steps_hold`` per chunk of up to 65,536 steps, a chunk that fails
+    halved and retried from its first step.  On the indices
+    3..min(n, last record), f_3(i) = i - 1 except that f_3(q + 1) is the
+    record after q.  Obeys the engine's term cap (GCDPERM_MAX_TERMS).
     """
     check_cap(n, f"{short_int(n)} terms of f_3")
-    proven = array("q", generate_prefix(3, min(n, FIRST_RECORD)).terms[2::2])
-    if n < FIRST_RECORD:
-        return proven
+    proven = array("q", generate_prefix(3, FIRST_RECORD).terms[2::2])
     # The record after q <= n is q - 1 + spnd(q - 1) < n + _MAX_STEP.
     records = cached_records(n + _MAX_STEP)
     if records[:1] != proven[1:]:  # a source that does not start at 5 proves nothing
         records = proven[1:]
-    small = primes_upto(_MAX_STEP)
-    below = [prod(p for p in small if p < d) for d in range(_MAX_STEP + 1)]
     steps, done, size = len(records) - 1, 0, 1 << 16
+    block0 = records[: bisect_right(records, _WHEEL + 1)]
+    if block0[-1] == _WHEEL + 1 and _steps_hold(block0, _BELOW[: _WHEEL_STEP + 1]):
+        done, base = len(block0) - 1, _WHEEL
+        # records[done] is 30030 j + 1 for the block j of base = 30030 j.
+        while done < steps and _steps_hold(records[done : done + 2], _BELOW):
+            k = bisect_left(block0, records[done + 1] - base)
+            count = min(len(block0) - k, steps - done)
+            # No lane of block 0 plus 30030 j < 2^63 + 30031 carries, so the
+            # ints are equal exactly when every lane is.
+            if _pack(records[done + 1 : done + 1 + count]) != (
+                    _pack(block0[k : k + count]) + base * _pack(_ONE * count)):
+                break
+            done += count
+            base += _WHEEL
     while done < steps and size:
         end = min(done + size, steps)
-        if _steps_hold(records[done : end + 1], below):
+        if _steps_hold(records[done : end + 1], _BELOW):
             done = end
         else:
             size = (end - done) // 2

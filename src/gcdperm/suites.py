@@ -15,8 +15,11 @@ a <= 199 against a simulated f_a(1..a+2); both read the turning points
 from the one scanner, ``records._turning_points``.  cor1, prop1 and
 prop2 check identities against the definition on the records from
 ``records._certified_records``, which proves them against the greedy rule
-and so fixes f_3 up to the last one; cor1 takes its turning points as
-q + 1 for each record q from 3 = f_3(2).  They read the records in whole
+and so fixes f_3 up to the last one: block 0 step by step, and each later
+block by its first step and one packed comparison with block 0, since a
+step with d <= 13 holds at m exactly when it holds at m mod 30030.  cor1
+takes its turning points as q + 1 for each record q from 3 = f_3(2).
+They read the records in whole
 slices and passes, with no Python step per record: an index identity is
 one slice between its bounds, and cor1's primes one count of sieve flags.
 cor2 counts the seeds the primorial test excludes with one sieve over the

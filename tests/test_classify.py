@@ -450,6 +450,17 @@ def test_prefix_terms_at_the_seed_and_the_witness(a):
             assert list(prefix_terms(a, n)) == generate_prefix(a, n).terms, n
 
 
+def test_prefix_terms_within_the_head_builds_no_block(monkeypatch):
+    # 216 < 221 <= the witness of 216: the simulated head is the whole answer.
+    def refuse(n):
+        raise AssertionError(f"f3_terms({n})")
+
+    monkeypatch.setattr(classify_module, "f3_terms", refuse)
+    assert classify(216).witness >= 221
+    terms = prefix_terms(216, 221)
+    assert terms.typecode == "q" and list(terms) == generate_prefix(216, 221).terms
+
+
 def test_prefix_terms_obeys_the_term_cap_for_its_seed(monkeypatch):
     monkeypatch.setenv("GCDPERM_MAX_TERMS", "100")
     with pytest.raises(LimitExceededError, match="requested 101 terms of f_7; cap is 100"):

@@ -1,7 +1,9 @@
 import gc
+import math
 import sys
 import tracemalloc
 from array import array
+from bisect import bisect_right
 from operator import eq
 from pathlib import Path
 
@@ -494,6 +496,85 @@ def test_a_failed_certificate_at_a_borrowing_top_lane(monkeypatch):
             true = _corrupt_the_record_source(patch, corrupt)(limit)
             assert records.cached_records(limit + 53)[-2:].tolist() == [true[index - 1], 7]
             assert list(_certified_records(limit)) == [3, *true[:index]]
+
+
+@pytest.mark.parametrize("n,first", [(1, [3]), (2, [3]), (3, [3, 5]), (4, [3, 5]),
+                                     (5, [3, 5, 7]), (6, [3, 5, 7]), (7, [3, 5, 7, 11])])
+def test_certified_records_run_through_the_first_record_past_n(n, first):
+    assert list(_certified_records(n)) == first
+
+
+def _plain_cut(recs, start):
+    """The index of the last record of recs that a step-by-step proof from
+    recs[start] reaches: the step q < r holds when d >= 3, gcd(d, m) = 1
+    and every prime below d divides m, for m = q - 1 and d = r - m."""
+    i = start
+    while i + 1 < len(recs):
+        m = recs[i] - 1
+        d = recs[i + 1] - m
+        if not (d >= 3 and math.gcd(d, m) == 1
+                and all(m % p == 0 for p in range(2, d) if all(p % f for f in range(2, p)))):
+            break
+        i += 1
+    return i
+
+
+# The source ends inside block 5, which starts at its record 30030 * 5 + 1.
+PLAIN_LIMIT = 170_000
+SINGLE_LANE_CORRUPTIONS = {
+    "+2": lambda recs, i: recs.__setitem__(i, recs[i] + 2),
+    "-2": lambda recs, i: recs.__setitem__(i, recs[i] - 2),
+    "set to 7": lambda recs, i: recs.__setitem__(i, 7),
+    "dropped": lambda recs, i: recs.pop(i),
+    "duplicated": lambda recs, i: recs.insert(i, recs[i]),
+}
+
+
+def _lanes_to_corrupt():
+    """Source lanes around the first records 30030 j + 1 of blocks 1, 2 and
+    5, the first lanes and the last lane of block 0, and one tail lane."""
+    true = records.cached_records(PLAIN_LIMIT + 53)
+    entries = [true.index(30030 * j + 1) for j in (1, 2, 5)]
+    around = [i + o for i in entries for o in range(-2, 3)]
+    assert entries[0] == 8855 and true[8855] == 30031
+    return sorted({0, 1, 8854, 8855, 8856, *around, bisect_right(true, PLAIN_LIMIT) - 3})
+
+
+def test_the_plain_prover_proves_the_true_records():
+    true = records.cached_records(PLAIN_LIMIT + 53)
+    assert _plain_cut(true, 0) == len(true) - 1
+
+
+@pytest.mark.parametrize("index", _lanes_to_corrupt())
+def test_certified_records_agree_with_a_plain_prover(monkeypatch, index):
+    # The source is the true records up to index - 1, whose steps the plain
+    # prover proves (the test above), so it starts two lanes before index.
+    for name, corrupt in SINGLE_LANE_CORRUPTIONS.items():
+        with monkeypatch.context() as patch:
+            clean = _corrupt_the_record_source(patch, lambda recs: corrupt(recs, index))
+            true, source = clean(PLAIN_LIMIT + 53), records.cached_records(PLAIN_LIMIT + 53)
+            got = list(_certified_records(PLAIN_LIMIT))
+        start = max(0, index - 2)
+        assert source[:start] == true[:start]
+        proven = [3, 5, *source[1 : _plain_cut(source, start) + 1]] if source[0] == 5 else [3, 5]
+        assert got == proven[: bisect_right(proven, PLAIN_LIMIT) + 1], name
+
+
+def test_certified_records_prove_block_0_and_one_step_per_later_block(monkeypatch):
+    # Block 0 takes its 8,855 steps; each later block its first step, and
+    # its other lanes one comparison with block 0.
+    steps_hold = records._steps_hold
+    counted = []
+
+    def counting(lanes, below):
+        counted.append(len(lanes) - 1)
+        return steps_hold(lanes, below)
+
+    monkeypatch.setattr(records, "_steps_hold", counting)
+    recs = _certified_records(2_000_000)
+    blocks = (2_000_000 + 53) // 30030 + 1
+    assert list(recs[1:]) == list(records.cached_records(recs[-1]))
+    assert 8855 <= sum(counted) <= 8855 + 2 * blocks
 
 
 def test_certified_records_prove_a_chunk_at_a_time():
