@@ -8,6 +8,11 @@ early ends the run quietly with 0.  All CSV output uses a comma separator,
 a header row, LF line endings, and no quoting; identical flags produce
 byte-identical files.  Output of more than one chunk of rows may be
 formatted in forked processes, one per usable CPU; the bytes are the same.
+An index column that is a ``range`` with step 1, first in a row format that
+starts with ``%d``, is not formatted per row from 10^4 on: its text is cut
+from a template of 10^4 fixed-width rows (a NUL marker, the four low digits,
+the rest of the row format with ``%`` escaped), the marker replaced by the
+digits above the low four; the bytes are the same.
 """
 
 from __future__ import annotations
@@ -62,21 +67,66 @@ def _shares(spans: list) -> list[list]:
             for i in range(count)]
 
 
+# The text of an index n >= 10^4 is the decimal of n // 10^4 and then the
+# four digits of n % 10^4: one template row per low part.
+_TEMPLATE_ROWS = 10_000
+
+
 def _formatted(row_format: str, spans, columns):
     """The bytes of each chunk of rows: columns(s, e) gives the equally long
     columns of the rows s..e - 1, which are interleaved into one list by
-    slice assignment and formatted by a single ``%``."""
+    slice assignment and formatted by a single ``%``.
+
+    Only when row_format starts with ``%d`` and a chunk's first column is
+    a ``range`` with step 1 are its indices from 10^4 on not formatted per
+    row.  The first such chunk of a call builds, by one ``%``, a template
+    of 10^4 rows: a NUL marker, ``%04d`` of l = 0..9999, then the rest of
+    row_format with every ``%`` escaped to ``%%``, so that it comes out as
+    written.  Before the replace every row has the same width, so the rows
+    of the indices 10^4 h + l, l from l0 on, are one slice of it;
+    replacing the marker by ``%d`` of h makes that slice the row format of
+    those rows with the index as text.  Indices below 10^4 keep their
+    ``%d``.  The pieces are joined into the chunk's format string, and the
+    other columns are formatted by its one ``%`` as before.
+    """
     width = row_format.count("%")
     row = row_format.encode("ascii")
+    indexed = row.startswith(b"%d") and b"\0" not in row
+    template = None
     values = []
     for s, e in spans:
         chunk = columns(s, e)
-        rows = len(chunk[0])
-        if len(values) != rows * width:
-            values = [0] * (rows * width)
+        first = chunk[0]
+        rows = len(first)
+        if not (indexed and type(first) is range and first.step == 1
+                and first.stop > _TEMPLATE_ROWS):
+            if len(values) != rows * width:
+                values = [0] * (rows * width)
+            for j, column in enumerate(chunk):
+                values[j::width] = column
+            yield row * rows % tuple(values)
+            continue
+        if template is None:
+            rest = row[2:].replace(b"%", b"%%")
+            template = (b"\0%04d" + rest) * _TEMPLATE_ROWS % tuple(range(_TEMPLATE_ROWS))
+            step = len(template) // _TEMPLATE_ROWS
+        low = max(0, _TEMPLATE_ROWS - first.start)  # the rows that keep their %d
+        pieces = [row * low]
+        n = first.start + low
+        while n < first.stop:
+            high, l = divmod(n, _TEMPLATE_ROWS)
+            count = min(first.stop - n, _TEMPLATE_ROWS - l)
+            pieces.append(template[l * step : (l + count) * step].replace(b"\0", b"%d" % high))
+            n += count
+        size = low * width + (rows - low) * (width - 1)
+        if len(values) != size:
+            values = [0] * size
         for j, column in enumerate(chunk):
-            values[j::width] = column
-        yield row * rows % tuple(values)
+            if low:
+                values[j : low * width : width] = column[:low]
+            if j:
+                values[low * width + j - 1 :: width - 1] = column[low:] if low else column
+        yield b"".join(pieces) % tuple(values)
 
 
 def _fork_share(children: list, row_format: str, share: list, columns):

@@ -30,7 +30,8 @@ has spnd p; from P_3248 on they raise ValueError.  ``cached_records``, the
 one dense enumerator, returns a new ``array('q')`` of the records up to a
 limit, a block at a time from one pattern, the records of block 0 from 5
 on: every block j >= 1 enters C at its point spnd(30030 j) - 1, so it
-holds that pattern plus 30030 j from there on.
+holds that pattern plus 30030 j from there on.  A block stops at the
+limit's lane, and block 0, the pattern itself, is sliced, not unpacked.
 
 The block walker and the annotation work on packed lanes: ``_pack`` reads
 the 8-byte lanes of an ``array('q')`` as one int, so one int addition or
@@ -243,7 +244,7 @@ def record_count(x: int) -> int:
 # The pattern of one block per kind, filled the first time it is asked
 # for: at _RECORDS the records 7..30031 after the record 5, at _TERMS the
 # terms f_3(6..30031).
-_PATTERNS: dict[int, tuple[int, int, int]] = {}
+_PATTERNS: dict[int, tuple[array, int, int]] = {}
 _RECORDS, _TERMS = 0, 1
 _ONE = array("q", [1])
 
@@ -261,15 +262,15 @@ def _unpack(packed: int, count: int) -> array:
     return array("q", packed.to_bytes(8 * count, sys.byteorder))
 
 
-def _block_pattern(kind: int) -> tuple[int, int, int]:
+def _block_pattern(kind: int) -> tuple[array, int, int]:
     """The ``_PATTERNS[kind]`` pattern of block 0, from the record 5 on.
 
     The records are c + 1 for the points c of C past 4, the last 30031.
     The terms f_3(6..30031) lag their index, f_3(i) = i - 1, except
     f_3(q + 1) = q' for consecutive records q < q'.
-    A pattern is (packed, ones, count): ``_pack`` of the lanes and of
-    count ones, and the lane count.  packed + base * ones then holds
-    base + lane in every lane.
+    A pattern is (lanes, packed, ones): the lanes, and ``_pack`` of them
+    and of as many ones.  packed + base * ones then holds base + lane in
+    every lane.
     """
     walk = _block(FIRST_RECORD)[0]
     lanes = records = array("q", [c + 1 for c in walk[1:]])
@@ -279,17 +280,19 @@ def _block_pattern(kind: int) -> tuple[int, int, int]:
         for nxt in records:
             lanes[q - FIRST_RECORD] = nxt
             q = nxt
-    return _pack(lanes), _pack(_ONE * len(lanes)), len(lanes)
+    return lanes, _pack(lanes), _pack(_ONE * len(lanes))
 
 
-def _step_block(out: array, r: int, kind: int) -> int:
+def _step_block(out: array, r: int, kind: int, top: int | None = None) -> int:
     """Append to out what the record r fixes up to the first record past
     the block of r - 1, 30030 j + 30031, and return that record.
 
     kind _RECORDS appends the records after r, kind _TERMS the terms
     f_3(r + 1..).  One call per block: a record r = 30030 j + 1 enters
     block j >= 1, and the record after it, 30030 j + spnd(30030 j), is a
-    point of C, from which the block is the pattern plus 30030 j.
+    point of C, from which the block is the pattern plus 30030 j.  With
+    top, the pattern's lanes past the record top, or past the term at the
+    index top, are left out.
     """
     walk, base, o, first = _block(r)
     if not o:
@@ -300,9 +303,15 @@ def _step_block(out: array, r: int, kind: int) -> int:
     pattern = _PATTERNS.get(kind)
     if pattern is None:
         pattern = _PATTERNS[kind] = _block_pattern(kind)
-    packed, ones, count = pattern
-    lane = o - FIRST_ETP if kind == _TERMS else bisect_left(walk, o)
-    out.extend(_unpack(packed + base * ones, count)[lane:])
+    lanes, packed, ones = pattern
+    if kind == _TERMS:  # lane k holds f_3(base + 6 + k)
+        lane = o - FIRST_ETP
+        end = None if top is None else max(0, top - base - FIRST_RECORD)
+    else:  # lane k holds the record base + C[k + 1] + 1
+        lane = bisect_left(walk, o)
+        end = None if top is None else max(0, bisect_right(walk, top - base - 1) - 1)
+    # Block 0 is the pattern itself: its lanes are sliced, not unpacked.
+    out.extend(_unpack(packed + base * ones, len(lanes))[lane:end] if base else lanes[lane:end])
     return base + _WHEEL + 1
 
 
@@ -311,7 +320,7 @@ def cached_records(limit: int) -> array:
     out = array("q", [FIRST_RECORD])
     r = FIRST_RECORD
     while r <= limit:
-        r = _step_block(out, r, _RECORDS)
+        r = _step_block(out, r, _RECORDS, limit)
     del out[bisect_right(out, limit):]
     return out
 
@@ -391,7 +400,7 @@ def f3_terms(n: int) -> array:
     terms = array("q", (0, 1, 3, 2, 5, 4))
     r = FIRST_RECORD  # the record at the last index, len(terms) - 1
     while r < n:
-        r = _step_block(terms, r, _TERMS)
+        r = _step_block(terms, r, _TERMS, n)
     del terms[n + 1 :]
     return terms
 

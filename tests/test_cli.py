@@ -869,6 +869,73 @@ def test_export_figures_limit_rejects_non_positive(tmp_path, capsys, value):
     assert not (tmp_path / "figs").exists()
 
 
+# Chunks of indices across 9,999/10,000 (the template starts), 16,384/16,385
+# (a chunk edge), 19,999/20,000, 99,999/100,000 and 999,999/1,000,000 (the
+# part above the four low digits gains a digit), and chunks that start and
+# end in the middle of a 10^4 stretch.
+TEMPLATE_SPANS = [(1, 16_385), (16_385, 32_769), (9_990, 10_011), (19_999, 20_001),
+                  (99_990, 100_011), (999_999, 1_000_002), (12_345, 12_346), (54_321, 71_000)]
+
+
+def _one_percent(row_format, chunk):
+    """A chunk's rows by one % over its row format repeated: the oracle of the template."""
+    return row_format.encode("ascii") * len(chunk[0]) % tuple(v for row in zip(*chunk) for v in row)
+
+
+@pytest.mark.parametrize("row_format", ["%d,%d\n", "%d %d\n", "%d,%d,%d\n", "%d,%d,%d,%d,%d\n"])
+def test_formatted_index_template_matches_one_percent_per_chunk(row_format):
+    width = row_format.count("%")
+
+    def columns(s, e):  # the index, then columns of either sign
+        return (range(s, e), *([(i % 3 - 1) * i * (k + 2) for i in range(s, e)]
+                               for k in range(width - 1)))
+
+    # One call builds the template once and reads it for every later chunk.
+    got = list(cli._formatted(row_format, TEMPLATE_SPANS, columns))
+    assert len(got) == len(TEMPLATE_SPANS)
+    for span, data in zip(TEMPLATE_SPANS, got):
+        assert data == _one_percent(row_format, columns(*span)), span
+    for span in TEMPLATE_SPANS[::-1]:
+        assert list(cli._formatted(row_format, [span], columns)) == [
+            _one_percent(row_format, columns(*span))], span
+
+
+def test_formatted_keeps_a_first_column_that_is_no_step_1_range():
+    # scan's first column is a tuple of the seeds 2, 4, 6, 12, ...; it and a
+    # range of step 6 past 10^4 keep a %d per row.
+    seeds = (2, 4, *range(6, 6 * 40_000, 6))
+
+    def scan_columns(s, e):
+        return tuple(zip(*[(a, b"c3" if a % 4 else b"identity", a - 1, a % 2, a % 3, 1)
+                           for a in seeds[s - 1 : e - 1]]))
+
+    def stepped_columns(s, e):
+        return range(6 * s, 6 * e, 6), [i * i for i in range(s, e)]
+
+    for row_format, columns in (("%d,%s,%d,%d,%d,%d\n", scan_columns),
+                                ("%d,%d\n", stepped_columns)):
+        spans = [(1, WRITE_CHUNK_LINES + 1), (30_000, 40_001)]
+        got = list(cli._formatted(row_format, spans, columns))
+        assert got == [_one_percent(row_format, columns(*span)) for span in spans]
+        assert got[1].startswith(b"%d," % columns(30_000, 30_001)[0][0])
+
+
+@pytest.mark.parametrize("n", [9_999, 10_000, 10_001, 100_000, 100_001])
+def test_generate_around_the_index_template_matches_simulation(capsys, n):
+    for flags, kind in GENERATE_FORMATS:
+        code, out, _ = run(capsys, "generate", "--a", "3", "--n", str(n), *flags)
+        assert code == 0 and _first_difference(out, _simulated_generate(n, **kind)) is None, flags
+
+
+def test_records_around_the_index_template_match_a_row_by_row_oracle(capsys):
+    # The CSV of a smaller limit is the header and the first rows of the largest.
+    values = record_values(10**6)
+    want = _records_csv_by_rows(values[100_000]).splitlines(keepends=True)
+    for rows in (9_999, 10_000, 10_001, 99_999, 100_000, 100_001):
+        code, out, _ = run(capsys, "records", "--limit", str(values[rows - 1]))
+        assert code == 0 and _first_difference(out, "".join(want[: rows + 1])) is None, rows
+
+
 def test_fig2_matches_simulation_at_default_span(tmp_path, capsys):
     code, _, _ = run(capsys, "export-figures", "fig2", "--out-dir", str(tmp_path))
     assert code == 0

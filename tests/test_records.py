@@ -242,6 +242,39 @@ def test_block_stepper_resumes_from_any_record():
         assert out.tolist() == walk[: len(out)] and out[-1] > 4 * WHEEL
 
 
+def test_cached_records_match_the_plain_walk_at_every_limit_into_block_1():
+    # A limit inside block 0 slices the lanes it needs from the pattern; the
+    # limits run over every value of block 0 and past the record 30031.
+    walk = array("q", _plain_walk(30_100))
+    for limit in range(FIRST_RECORD, 30_101):
+        assert records.cached_records(limit) == walk[: bisect_right(walk, limit)], limit
+
+
+def test_records_and_terms_inside_block_0_unpack_nothing(monkeypatch):
+    def refuse(packed, count):
+        raise AssertionError(f"unpacked {count} lanes")
+
+    want = f3_terms(WHEEL + 1)
+    monkeypatch.setattr(records, "_unpack", refuse)
+    assert records.cached_records(WHEEL).tolist() == _plain_walk(WHEEL)[:-1]
+    for n in (6, 7, 100, WHEEL + 1):
+        assert f3_terms(n) == want[: n + 1]
+
+
+@pytest.mark.parametrize("p", [17, 53])
+def test_block_stepper_leaves_out_the_lanes_past_top(p):
+    # Past the entry record 30030 j + spnd(30030 j), which a block appends
+    # whatever top is, a block stops at the last record <= top.
+    base = WHEEL * prod(q for q in primes_upto(p - 1) if q >= 17)
+    walk = [base + 1]
+    while walk[-1] < base + WHEEL + 1:
+        walk.append(next_record(walk[-1]))
+    for top in (base + 1, walk[1], walk[1] + 1, walk[5] - 1, walk[5], walk[-2], walk[-1] - 1):
+        out = array("q")
+        assert _step_block(out, base + 1, _RECORDS, top) == walk[-1]
+        assert out.tolist() == walk[1 : max(2, bisect_right(walk, top))], top
+
+
 @pytest.mark.parametrize("p", [p for p in primes_upto(53) if p >= 17])
 def test_block_stepper_enters_far_blocks(p):
     # Below 2^63 spnd(30030 j) runs from 17 to 53; the least j with
