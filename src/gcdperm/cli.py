@@ -89,7 +89,7 @@ def _formatted(row_format: str, spans, columns):
     ``%d``.  The pieces are joined into the chunk's format string, and the
     other columns are formatted by its one ``%`` as before.
     """
-    width = row_format.count("%")
+    width = row_format.replace("%%", "").count("%")  # a literal %% takes no field
     row = row_format.encode("ascii")
     indexed = row.startswith(b"%d") and b"\0" not in row
     template = None

@@ -37,7 +37,10 @@ The block walker and the annotation work on packed lanes: ``_pack`` reads
 the 8-byte lanes of an ``array('q')`` as one int, so one int addition or
 subtraction acts on every lane at once, and ``_unpack`` turns the int
 back.  Every value lies below 2^63 and stays non-negative, so no lane
-overflows into or borrows from its neighbour.  Annotation, ``_annotated``,
+overflows into or borrows from its neighbour.  ``_residues`` gives v mod m,
+2 <= m <= 31, for every lane v: each of the 8 byte columns maps by one
+table to b 256^k mod m, and the columns add with one byte per lane, where
+eight terms of at most 30 cannot carry.  Annotation, ``_annotated``,
 returns a chunk function: the columns of any slice of the records, so
 that a writer may format its chunks in any order or process.  The
 turning points are the previous records plus a 1 in each lane, the jumps
@@ -260,6 +263,44 @@ def _pack(lanes: array) -> int:
 def _unpack(packed: int, count: int) -> array:
     """The ``array('q')`` of count lanes that ``_pack`` maps to packed."""
     return array("q", packed.to_bytes(8 * count, sys.byteorder))
+
+
+_RESIDUE_LANES = 1 << 16
+
+
+def _residues(values, m: int) -> bytearray:
+    """One byte v mod m per lane v >= 0 of an ``array('q')`` or its
+    memoryview, for 2 <= m <= 31.
+
+    A lane is sum_k b_k 256^k over its bytes b_k, so v mod m is
+    sum_k (b_k w_k mod m) mod m with w_k = 256^k mod m.  Byte column k,
+    the byte of significance k of every lane (at offset k of the lane in
+    the little-endian order, 7 - k in the big-endian), maps by one
+    ``translate`` to b w_k mod m, and the columns add as ints of one byte
+    per lane: eight terms of at most m - 1 <= 30 stay below 256, so no
+    lane carries.  One more ``translate`` reduces each sum mod m.  A column
+    with w_k = 0 is not read, so m = 2 reads one.  The lanes are copied
+    65,536 at a time into a result allocated once, so beside it only one
+    chunk is alive.
+    """
+    view = memoryview(values)
+    little = sys.byteorder == "little"
+    columns = []
+    for k in range(8):
+        w = pow(256, k, m)
+        if w:
+            columns.append((k if little else 7 - k, bytes(b * w % m for b in range(256))))
+    reduce = bytes(s % m for s in range(256))
+    out = bytearray(len(view))
+    for i in range(0, len(view), _RESIDUE_LANES):
+        raw = bytes(view[i : i + _RESIDUE_LANES])
+        n = len(raw) // 8
+        total = 0
+        for k, table in columns:
+            total += int.from_bytes(raw[k::8].translate(table), "little")
+        out[i : i + n] = total.to_bytes(n, "little").translate(reduce)
+        del raw  # before the next chunk is copied
+    return out
 
 
 def _block_pattern(kind: int) -> tuple[array, int, int]:

@@ -19,9 +19,11 @@ and so fixes f_3 up to the last one: block 0 step by step, and each later
 block by its first step and one packed comparison with block 0, since a
 step with d <= 13 holds at m exactly when it holds at m mod 30030.  cor1
 takes its turning points as q + 1 for each record q from 3 = f_3(2).
-They read the records in whole
-slices and passes, with no Python step per record: an index identity is
-one slice between its bounds, and cor1's primes one count of sieve flags.
+They read the records in slices, with no Python step per record: each
+residue check, an index identity on the slice between its bounds and
+cor1's parities and 6k +- 1 form, is one ``records._residues`` of the
+slice, a byte per record read off the byte columns of its lanes, and
+cor1's primes are one gather of sieve flags.
 cor2 counts the seeds the primorial test excludes with one sieve over the
 bands of its definition, one byte per seed.  Each suite drops what it
 built when it returns, and the term cap (GCDPERM_MAX_TERMS) bounds the
@@ -33,7 +35,6 @@ too long for ``str`` still prints.
 from __future__ import annotations
 
 import sys
-from itertools import islice
 from typing import Callable, NamedTuple, Sequence
 
 from .classify import (
@@ -54,7 +55,8 @@ from .primorial import (
     verify_primorial_records,
     verify_translation,
 )
-from .records import PRIMORIAL_CEILING, _between, _certified_records, _turning_points, is_record
+from .records import (PRIMORIAL_CEILING, _between, _certified_records, _residues,
+                      _turning_points, is_record)
 from .sequence import check_cap, generate_prefix, short_int
 
 
@@ -116,7 +118,7 @@ def _index_identity(suite: str, records, m: int, k_lo: int, k_max: int) -> Check
     """
     lo, hi = m * k_lo, m * k_max
     inside = _between(memoryview(records), lo, hi)
-    ok = len(records) > 0 and records[-1] > hi and 0 not in map(m.__rmod__, inside)
+    ok = len(records) > 0 and records[-1] > hi and 0 not in _residues(inside, m)
     detail = f"k <= {k_max}" if k_lo == 1 else f"{k_lo} <= k <= {k_max}"
     return CheckResult(suite, f"f_3({m}k+1) = {m}k", ok, detail, max(k_max - k_lo + 1, 0))
 
@@ -165,9 +167,9 @@ def cor1(*, limit=100_000) -> list[CheckResult]:
         _primes_are_records(recs, limit),
         # Each turning point q + 1 is even when q is odd.
         CheckResult("cor1", "turning points even, records odd",
-                    covered and all(map((2).__rmod__, islice(records, 1, below + 1))),
+                    covered and 0 not in _residues(memoryview(records)[1 : below + 1], 2),
                     items=min(below, len(records) - 1)),
-        CheckResult("cor1", "records are 6k +- 1", set(map((6).__rmod__, recs)) <= {1, 5},
+        CheckResult("cor1", "records are 6k +- 1", not _residues(recs, 6).translate(None, b"\1\5"),
                     items=len(recs)),
     ]
 

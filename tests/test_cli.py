@@ -882,9 +882,10 @@ def _one_percent(row_format, chunk):
     return row_format.encode("ascii") * len(chunk[0]) % tuple(v for row in zip(*chunk) for v in row)
 
 
-@pytest.mark.parametrize("row_format", ["%d,%d\n", "%d %d\n", "%d,%d,%d\n", "%d,%d,%d,%d,%d\n"])
+@pytest.mark.parametrize("row_format", ["%d,%d\n", "%d %d\n", "%d,%d,%d\n", "%d,%d,%d,%d,%d\n",
+                                        "%d,%%,%d\n"])
 def test_formatted_index_template_matches_one_percent_per_chunk(row_format):
-    width = row_format.count("%")
+    width = row_format.replace("%%", "").count("%")  # a literal %% takes no field
 
     def columns(s, e):  # the index, then columns of either sign
         return (range(s, e), *([(i % 3 - 1) * i * (k + 2) for i in range(s, e)]
@@ -913,7 +914,7 @@ def test_formatted_keeps_a_first_column_that_is_no_step_1_range():
         return range(6 * s, 6 * e, 6), [i * i for i in range(s, e)]
 
     for row_format, columns in (("%d,%s,%d,%d,%d,%d\n", scan_columns),
-                                ("%d,%d\n", stepped_columns)):
+                                ("%d,%d\n", stepped_columns), ("%d,%%,%d\n", stepped_columns)):
         spans = [(1, WRITE_CHUNK_LINES + 1), (30_000, 40_001)]
         got = list(cli._formatted(row_format, spans, columns))
         assert got == [_one_percent(row_format, columns(*span)) for span in spans]

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from array import array
 from bisect import bisect_right
 from math import prod
@@ -19,7 +20,7 @@ from gcdperm import (
 )
 from gcdperm import records
 from gcdperm.records import (_RECORDS, _TERMS, _WHEEL, _annotated, _between, _block, _pack,
-                             _records_around, _step_block, _unpack, record_count,
+                             _records_around, _residues, _step_block, _unpack, record_count,
                              records_from_values)
 from gcdperm.primes import is_prime, primes_upto, primorial, smallest_prime_not_dividing
 
@@ -173,6 +174,49 @@ def test_packed_lanes_round_trip_without_carry():
     assert _unpack(_pack(lanes), len(lanes)) == lanes
     assert list(_unpack(_pack(lanes) + ones, len(lanes))) == [x + 1 for x in lanes]
     assert list(_unpack(_pack(lanes) + ones - ones, len(lanes))) == list(lanes)
+
+
+# Lane counts around the 65,536-lane chunk of _residues, and past two chunks.
+RESIDUE_LENGTHS = [0, 1, 65_535, 65_536, 65_537, 140_000]
+
+
+@pytest.mark.parametrize("top", [2**8, 2**31, 2**63 - 1])
+def test_residues_match_the_lanewise_mod(top):
+    rng = random.Random(top)
+    values = array("q", [0, top - 1, *(rng.randrange(top) for _ in range(140_001))])
+    view = memoryview(values)
+    for m in range(2, 32):
+        want = bytes(v % m for v in values)
+        for n in RESIDUE_LENGTHS:
+            assert _residues(values[:n], m) == want[:n], (m, n)
+            # A view that starts at an odd lane, so no chunk starts at lane 0.
+            assert _residues(view[1 : 1 + n], m) == want[1 : 1 + n], (m, n)
+        assert _residues(view[3:], m) == want[3:], m
+
+
+def test_residues_read_the_columns_of_big_endian_lanes(monkeypatch):
+    values = array("q", [0, 1, 255, 256, 2**31 + 7, 2**63 - 1, *range(10**12, 10**12 + 70_000, 7)])
+    swapped = array("q", values)
+    swapped.byteswap()  # the bytes of each lane as a big-endian host holds them
+    want = {m: _residues(values, m) for m in range(2, 32)}
+    monkeypatch.setattr(records.sys, "byteorder", "big")
+    for m in range(2, 32):
+        assert _residues(swapped, m) == want[m] == bytes(v % m for v in values), m
+
+
+def test_residues_copy_one_chunk_of_lanes_at_a_time():
+    # A copy of the whole slice would add 8 bytes a lane; one chunk of
+    # 65,536 lanes and its columns stay under 1 MiB, whatever the length.
+    values = array("q", range(3, 3 + 2 * 10**6, 2))
+    view = memoryview(values)[1:]
+    tracemalloc.start()
+    try:
+        got = _residues(view, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 10**6 - 1 and set(got) == {0, 1, 2}
+    assert peak <= len(got) + 2**20
 
 
 def test_block_start_spnd_matches_the_search():

@@ -284,6 +284,28 @@ def test_index_identity_reads_both_ends(m, k_lo, k_max):
         assert suites._index_identity("prop", listed, m, k_lo, k_max).ok == ok, k
 
 
+# A value planted after a record q = 1 mod 6 past the first 65,536 lanes of
+# every slice a residue check reads, fed to the suites as proven records.
+@pytest.mark.parametrize("fault,cor1_ok,prop1_ok,prop2_ok", [
+    (None, [True] * 4, True, True),  # the true records
+    # An even value, 2 mod 6: a turning point, not a record, and not 3k.
+    (lambda q: q + 1, [False, True, False, False], False, True),
+    # 3 mod 6: odd and a multiple of 3, so a record in neither form.
+    (lambda q: q + 2, [True, True, True, False], True, False),
+])
+def test_a_planted_record_fails_its_residue_checks(monkeypatch, fault, cor1_ok, prop1_ok,
+                                                    prop2_ok):
+    recs = _certified_records(300_000)
+    if fault:
+        i = next(i for i in range(65_540, len(recs)) if recs[i] % 6 == 1)
+        recs.insert(i + 1, fault(recs[i]))
+        assert recs[i] < recs[i + 1] < recs[i + 2]
+    monkeypatch.setattr(suites, "_certified_records", lambda n: array("q", recs))
+    assert [r.ok for r in SUITES["cor1"](limit=250_000)] == cor1_ok
+    assert [r.ok for r in SUITES["prop1"](limit=125_000)] == [prop1_ok]
+    assert [r.ok for r in SUITES["prop2"](limit=83_333)] == [prop2_ok]
+
+
 def test_cor1_counts_the_primes_missing_from_the_records():
     recs = array("q", (r for r in _certified_records(1000) if 5 <= r <= 1000))
     assert 101 in recs and 25 in recs  # a prime and a composite record
