@@ -125,11 +125,13 @@ def classify(a: int) -> ClassLabel:
     return _attempt(a)
 
 
-def prefix_terms(a: int, n: int) -> array | list[int]:
+def prefix_terms(a: int, n: int, label: ClassLabel | None = None) -> array | list[int]:
     """f_a(1..n) as an ``array('q')``, ``terms[i] == f_a(i)``; slot 0 is padding.
 
     Simulates only the head up to the classify witness, at most about
-    a + 16 terms: from there f_a is f_3 or the identity.  Needs n >= 2 and
+    a + 16 terms: from there f_a is f_3 or the identity.  A caller that
+    holds ``classify(a)`` passes it as label, so the seed is not
+    classified again.  Needs n >= 2 and
     obeys the term cap (GCDPERM_MAX_TERMS).  A term past 2^63 - 1, which
     only a seed a >= 2^63 gives, does not fit in the array: then the
     engine's list of ints is returned instead.
@@ -141,7 +143,8 @@ def prefix_terms(a: int, n: int) -> array | list[int]:
             return array("q", head)
         except OverflowError:  # a seed of 2^63 or more stays a Python int
             return head
-    label = classify(a)
+    if label is None:
+        label = classify(a)
     # a = 2 has witness 1, but the engine's shortest prefix is f(1..2).
     head = generate_prefix(a, max(2, min(n, label.witness))).terms
     if len(head) > n:  # the head reaches f_a(n)

@@ -249,8 +249,16 @@ def cmd_records(args) -> int:
     check_cap(args.limit, f"the records up to {short_int(args.limit)}")
     values = cached_records(args.limit)
     annotate = _annotated(values)
-    _write_rows(args.out, "index,record,turning_point,jump,is_composite", "%d,%d,%d,%d,%d\n",
-                _spans(len(values)), lambda s, e: (range(s, e), *annotate(s - 1, e - 1)))
+    # The text "jump,is_composite" of each key 2 jump + is_composite.
+    tails = [b"%d,%d" % divmod(k, 2) for k in range(256)]
+
+    def columns(s, e):
+        rs, ts, keys = annotate(s - 1, e - 1)
+        tail = operator.itemgetter(*keys)(tails) if len(keys) > 1 else (tails[keys[0]],)
+        return range(s, e), rs, ts, tail
+
+    _write_rows(args.out, "index,record,turning_point,jump,is_composite", "%d,%d,%d,%s\n",
+                _spans(len(values)), columns)
     return EXIT_OK
 
 

@@ -44,7 +44,8 @@ def decompose(a: int, n: int) -> list[Cycle]:
     Ordered by ascending smallest element.  Fixed points are left out and
     never consume an index.  By the lemma above, with w the classify
     witness, the cycles through 1..min(n, w - 1) are walked on
-    ``prefix_terms(a, w - 1)``, and a c3 seed adds the record blocks for
+    ``prefix_terms(a, w - 1, label)``, which reuses the label and does not
+    classify the seed again, and a c3 seed adds the record blocks for
     w - 1 <= q < n from ``_certified_records(n)``.  The term cap
     (GCDPERM_MAX_TERMS) bounds w - 1 and, for those blocks, n.
     """
@@ -52,7 +53,7 @@ def decompose(a: int, n: int) -> list[Cycle]:
         raise ValueError(f"need n >= 1, got {n}")
     label = classify(a)
     w = label.witness
-    head = prefix_terms(a, max(w - 1, 2))  # a = 2 has witness 1 and no head
+    head = prefix_terms(a, max(w - 1, 2), label)  # a = 2 has witness 1 and no head
     seen: set[int] = set()
     cycles: list[Cycle] = []
     for start in range(1, min(n, w - 1) + 1):

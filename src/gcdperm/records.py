@@ -46,7 +46,11 @@ that a writer may format its chunks in any order or process.  The
 turning points are the previous records plus a 1 in each lane, the jumps
 the records less the turning points, and ``is_composite`` one gather
 from one sieve up to the largest record, built once before any chunk,
-not a primality test per record.
+not a primality test per record.  The jump and compositeness of a row
+come as one key byte, 2 jump + is_composite: the jump after a record q
+is spnd(q - 1) - 2 <= 51 below 2^63, so 2 jump + 1 fits one byte, and
+the low byte column of the jumps' lanes, doubled, and the flags add as
+ints of one byte per lane without carry.
 
 The records pin f_3 down completely: ``reconstruct_f3`` answers one index,
 and ``f3_terms`` builds the whole prefix f_3(1..n) as an ``array('q')``
@@ -379,11 +383,34 @@ def record_values(limit: int) -> list[int]:
 # bytes.translate table: sieve flag 1 (prime) -> 0, 0 -> 1.
 _NOT = bytes([1, 0]) + bytes(254)
 
+# A record row's key is 2 jump + is_composite, one byte: the jump of a
+# record is at most 51 below 2^63, and a chunk refuses a lane outside
+# 0..127, which has a bit of _JUMP_MASK set.
+_JUMP_MASK = (1 << 64) - 128
+
+
+def _keys(jumps: int, flags: bytes) -> bytes:
+    """One byte 2 j + c per lane: j the lanes, each in 0..127, of the
+    ``_pack``ed jumps, c the byte of flags (0 or 1) at the same position.
+
+    Such a jump is its lane's low byte, at offset 0 of the lane in the
+    little-endian order and 7 in the big-endian, so one slice of the
+    jumps' bytes reads the column.  Twice that column plus the flags, as
+    ints of one byte per lane, stays below 256 in every lane, so no lane
+    carries.
+    """
+    count = len(flags)
+    low = jumps.to_bytes(8 * count, sys.byteorder)[0 if sys.byteorder == "little" else 7 :: 8]
+    return (2 * int.from_bytes(low, "little") + int.from_bytes(flags, "little")).to_bytes(
+        count, "little")
+
 
 def _annotated(values: array) -> Callable[[int, int], tuple[Sequence[int], ...]]:
     """The chunk function of the full ascending, nonempty ``array('q')`` of
-    records from 5: chunk(s, e) gives the columns (value, turning_point, jump,
-    is_composite) of values[s:e], for 0 <= s < e <= len(values).
+    records from 5: chunk(s, e) gives the columns (value, turning_point, key)
+    of values[s:e], for 0 <= s < e <= len(values): the values and turning
+    points as lists of ints, the keys as bytes, one byte per row,
+    2 jump + is_composite.
 
     The index of the first record is 4; each later record r follows the
     previous record q at index q + 1, so its jump is r - q - 1 >= 1.  A
@@ -394,28 +421,53 @@ def _annotated(values: array) -> Callable[[int, int], tuple[Sequence[int], ...]]
     array is read in slices, not copied.  Compositeness (1 or 0) is one
     gather from one sieve up to the last value, built here, once, before
     any chunk; a chunk of one row takes its one flag by index.
+
+    The keys fit one byte: r = (q - 1) + spnd(q - 1), so the jump is
+    spnd(q - 1) - 2, and spnd(m) <= 53 for m < 2^63, since the primes up
+    to 53 multiply past 2^63.  So 2 jump + 1 <= 103 < 256, and ``_keys``
+    adds the columns of 2 jump and of the flags without carry.  A list
+    that is not the records, with a jump below 0 or above 127, raises
+    ValueError: one ``&`` of the packed jumps with ``_JUMP_MASK`` in every
+    lane, before the gather, finds it; a negative int, whose top lane
+    borrowed, has every high bit set.  The packed ones and jump mask are
+    built once per chunk length.
     """
     if values[0] != FIRST_RECORD:
         raise ValueError(f"annotation needs the full list from {FIRST_RECORD}, got {values[0]}")
     composite = sieve_flags(values[-1]).translate(_NOT)
+    lanes: dict[int, tuple[int, int]] = {}  # chunk length -> packed (ones, jump mask)
 
     def chunk(s: int, e: int) -> tuple[Sequence[int], ...]:
         rs = values[s:e]
         n = len(rs)
         before = values[s - 1 : e - 1] if s else array("q", [FIRST_ETP - 1]) + rs[:-1]
-        ts = _pack(before) + _pack(_ONE * n)
-        flags = itemgetter(*rs)(composite) if n > 1 else (composite[rs[0]],)
-        return rs, _unpack(ts, n), _unpack(_pack(rs) - ts, n), flags
+        packed = lanes.get(n)
+        if packed is None:
+            ones = _pack(_ONE * n)
+            packed = lanes[n] = ones, ones * _JUMP_MASK
+        ones, mask = packed
+        ts = _pack(before) + ones
+        jumps = _pack(rs) - ts
+        if jumps & mask:
+            raise ValueError("not a list of f_3 records: a jump below 0 or above 127")
+        # Lists, not arrays: a writer interleaves a list's ints by one copy,
+        # and the values' ints serve the gather as well.
+        rs = rs.tolist()
+        flags = bytes(itemgetter(*rs)(composite)) if n > 1 else composite[rs[0] : rs[0] + 1]
+        return rs, _unpack(ts, n).tolist(), _keys(jumps, flags)
 
     return chunk
 
 
 def records_from_values(values: Sequence[int]) -> list[Record]:
-    """Annotate a full ascending record-value list (starting at 5)."""
+    """Annotate a full ascending record-value list (starting at 5); a list
+    with a jump below 0 or above 127 is not the records and raises
+    ValueError."""
     values = array("q", values)
     if not values:
         return []
-    return [Record(r, t, j, c == 1) for r, t, j, c in zip(*_annotated(values)(0, len(values)))]
+    rows = zip(*_annotated(values)(0, len(values)))
+    return [Record(r, t, k >> 1, k & 1 == 1) for r, t, k in rows]
 
 
 def record_stream_upto(limit: int) -> list[Record]:

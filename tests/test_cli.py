@@ -200,22 +200,27 @@ def _first_difference(got, want):
     return next(((i, g, w) for i, (g, w) in enumerate(pairs) if g != w), "one text is a prefix")
 
 
-def test_records_csv_matches_a_row_by_row_oracle(tmp_path, capsys):
-    # The writer formats whole chunks of rows at once; the limits put the
-    # last row at, and one past, the end of a chunk, and on both sides of
-    # the record 30031 = 30030 + 1.
+def test_records_csv_matches_a_row_by_row_oracle(tmp_path, capsys, monkeypatch):
+    # The writer formats whole chunks of rows at once, in one process or
+    # in two; the limits put the last row at, and one past, the end of a
+    # chunk, and on both sides of the records 31 and 30031 = 30030 + 1.
+    # The jump and compositeness of a row are one looked-up tail.
     one_chunk = record_values(10**6)[WRITE_CHUNK_LINES - 1]
     four_chunks = record_values(10**6)[4 * WRITE_CHUNK_LINES - 1]
+    limits = (5, 6, 7, 31, 30_030, 30_031, 30_032, one_chunk, one_chunk + 1,
+              four_chunks, four_chunks + 1)
+    wants = {limit: _records_csv_by_rows(limit) for limit in limits}
+    assert wants[four_chunks + 1].count("\n") == 4 * WRITE_CHUNK_LINES + 1
     target = tmp_path / "records.csv"
-    for limit in (5, 6, 7, 30_030, 30_031, one_chunk, one_chunk + 1,
-                  four_chunks, four_chunks + 1):
-        want = _records_csv_by_rows(limit)
-        code, out, _ = run(capsys, "records", "--limit", str(limit))
-        assert code == 0 and _first_difference(out, want) is None, limit
-        code, out, _ = run(capsys, "records", "--limit", str(limit), "--out", str(target))
-        assert code == 0 and out == ""
-        assert _first_difference(target.read_bytes().decode("ascii"), want) is None, limit
-    assert want.count("\n") == 4 * WRITE_CHUNK_LINES + 1
+    for shares in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda shares=shares: shares)
+        for limit, want in wants.items():
+            code, out, _ = run(capsys, "records", "--limit", str(limit))
+            assert code == 0 and _first_difference(out, want) is None, (shares, limit)
+            code, out, _ = run(capsys, "records", "--limit", str(limit), "--out", str(target))
+            assert code == 0 and out == ""
+            got = target.read_bytes().decode("ascii")
+            assert _first_difference(got, want) is None, (shares, limit)
 
 
 # SHA-256 of `generate --a A --n 40000 [FLAGS]` on stdout, pinned from the

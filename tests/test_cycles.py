@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from gcdperm import (
@@ -220,6 +222,26 @@ def test_decompose_matches_a_walk_on_the_naive_prefix(naive_prefix):
             got = decompose(a, n)
             assert [c.elements for c in got] == _walked_cycles(terms[: n + 61], n), (a, n)
             assert [c.index for c in got] == list(range(1, len(got) + 1))
+
+
+def test_decompose_classifies_each_seed_once(monkeypatch):
+    # The head is simulated to the witness of the one classify call; every
+    # module that could classify the seed again counts its calls here.
+    calls = []
+    real = classify
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    for name in ("gcdperm.cycles", "gcdperm.classify"):
+        monkeypatch.setattr(sys.modules[name], "classify", counted)
+    for a in range(2, 301):
+        w = real(a).witness
+        for n in (1, w + 200):
+            calls.clear()
+            decompose(a, n)
+            assert calls == [a], (a, n)
 
 
 @pytest.mark.parametrize("call,message", [

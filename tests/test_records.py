@@ -19,9 +19,9 @@ from gcdperm import (
     record_values,
 )
 from gcdperm import records
-from gcdperm.records import (_RECORDS, _TERMS, _WHEEL, _annotated, _between, _block, _pack,
-                             _records_around, _residues, _step_block, _unpack, record_count,
-                             records_from_values)
+from gcdperm.records import (_RECORDS, _TERMS, _WHEEL, _annotated, _between, _block,
+                             _keys, _pack, _records_around, _residues, _step_block, _unpack,
+                             record_count, records_from_values)
 from gcdperm.primes import is_prime, primes_upto, primorial, smallest_prime_not_dividing
 
 RECORDS_7_TO_211 = [
@@ -161,11 +161,36 @@ def test_annotated_chunks_match_a_row_by_row_oracle(chunk):
     values = records.cached_records(30_100)
     annotate = _annotated(values)
     chunks = [annotate(s, min(s + chunk, len(values))) for s in range(0, len(values), chunk)]
-    got = [row for columns in chunks for row in zip(*columns)]
+    assert all(type(keys) is bytes for _, _, keys in chunks)
+    # Each key byte is 2 jump + is_composite.
+    got = [(r, t, k >> 1, k & 1) for columns in chunks for r, t, k in zip(*columns)]
     want = [(r, t, j, int(c)) for r, t, j, c in _records_by_rows(values)]
     assert got == want
     sizes = [len(columns[0]) for columns in chunks]
     assert sum(sizes) == len(values) and set(sizes[:-1]) <= {chunk}
+
+
+def test_keys_read_the_low_byte_of_big_endian_lanes(monkeypatch):
+    # Every jump a key can hold, past a few bytes of the flags.
+    jumps = array("q", [*range(128), *range(127, -1, -1)] * 40)
+    flags = bytes(random.Random(1).randrange(2) for _ in jumps)
+    want = bytes(2 * j + c for j, c in zip(jumps, flags))
+    assert _keys(_pack(jumps), flags) == want
+    swapped = array("q", jumps)
+    swapped.byteswap()  # the bytes of each lane as a big-endian host holds them
+    monkeypatch.setattr(records.sys, "byteorder", "big")
+    assert _keys(_pack(swapped), flags) == want
+
+
+@pytest.mark.parametrize("values", [[5, 1000], [5, 1000, 1001], [5, 135], [5, 7, 6],
+                                    [5, 4, 9], [5, 7, 7]])
+def test_records_from_values_refuses_a_list_that_is_not_the_records(values):
+    # 1000 follows 5 by a jump of 994, and 135 by one of 129; 6 and 4 fall
+    # below the record before them, and the second 7 by a jump of -1: none
+    # fits a key byte.  So the top lane, a middle lane, a lane past the
+    # low byte and a borrow are each refused.
+    with pytest.raises(ValueError, match="not a list of f_3 records"):
+        records_from_values(values)
 
 
 def test_packed_lanes_round_trip_without_carry():

@@ -321,6 +321,19 @@ def test_cor1_counts_the_primes_missing_from_the_records():
     assert suites._primes_are_records(array("q"), 5)[2:] == (False, "1 missing", 1)
 
 
+@pytest.mark.parametrize("count", [4095, 4096, 4097, 8193])
+def test_cor1_gathers_the_prime_flags_a_chunk_at_a_time(count):
+    # Record counts on both sides of the 4,096-record gather, and one that
+    # leaves a chunk of one record.
+    recs = memoryview(_certified_records(100_000))[1 : count + 1]
+    limit = recs[-1]
+    primes = primes_upto(limit)
+    assert suites._primes_are_records(recs, limit)[2:] == (True, f"limit {limit}", len(primes) - 2)
+    without_last = array("q", (r for r in recs if r != primes[-1]))
+    check = suites._primes_are_records(without_last, limit)
+    assert check[2:] == (False, "1 missing", len(primes) - 2)
+
+
 @pytest.mark.parametrize("bound,identities", [
     (1, 0), (2, 1), (4, 2), (6, 3), (300, 51), (1200, 197), (30_030, 4865),
 ])
@@ -403,6 +416,32 @@ def test_cor1_at_limit_3_checks_only_the_index_identity(capsys):
     code, out, _ = _verify(capsys, "cor1", "--limit", "3")
     assert code == 0
     assert [line.split()[0] for line in out.splitlines()[:-1]] == ["PASS"] + ["VACUOUS"] * 3
+
+
+# The output of `verify cor1` at the limits with no record (3, 4), one (5, 6)
+# and two (7): the prime-flag gather takes each case.
+COR1_HEAD = {
+    3: ("PASS  [cor1] f_3(2k+1) = 2k                         k <= 1\n"
+        "VACUOUS  [cor1] every prime in [5, limit] is a record  limit 3\n"
+        "VACUOUS  [cor1] turning points even, records odd\n"
+        "VACUOUS  [cor1] records are 6k +- 1\n"
+        "cor1: 1/1 checks passed, 3 vacuous\n"),
+    4: ("PASS  [cor1] f_3(2k+1) = 2k                         k <= 1\n"
+        "VACUOUS  [cor1] every prime in [5, limit] is a record  limit 4\n"
+        "PASS  [cor1] turning points even, records odd\n"
+        "VACUOUS  [cor1] records are 6k +- 1\n"
+        "cor1: 2/2 checks passed, 2 vacuous\n"),
+    **{limit: (f"PASS  [cor1] f_3(2k+1) = 2k                         k <= {(limit - 1) // 2}\n"
+               f"PASS  [cor1] every prime in [5, limit] is a record  limit {limit}\n"
+               "PASS  [cor1] turning points even, records odd\n"
+               "PASS  [cor1] records are 6k +- 1\n"
+               "cor1: 4/4 checks passed\n") for limit in (5, 6, 7)},
+}
+
+
+@pytest.mark.parametrize("limit", sorted(COR1_HEAD))
+def test_cor1_output_at_the_smallest_limits(capsys, limit):
+    assert _verify(capsys, "cor1", "--limit", str(limit)) == (0, COR1_HEAD[limit], "")
 
 
 def _f3_from_records(recs):
