@@ -21,8 +21,9 @@ upward below the index.  The term cap (GCDPERM_MAX_TERMS) is the one limit;
 it bounds the terms simulated past an even seed, and an even seed with no
 certificate within the cap of its buffer raises BudgetExhaustedError.
 
-``prefix_terms`` builds f_a from the certificate: a simulated head, then
-``f3_terms`` or the identity.
+``prefix_terms`` builds f_a on ``f3_terms``: the head up to a in closed
+form, the engine only from index a to the witness, then f_3 or the
+identity.
 
 Two closed-form membership tests for the eventually-identity seeds are
 provided alongside, one in terms of records adjacent to a, one in terms of
@@ -39,9 +40,9 @@ from __future__ import annotations
 from array import array
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .primes import nth_prime, primorial
+from .primes import nth_prime, primorial, smallest_prime_not_dividing
 from .records import _records_around, _turning_points, f3_terms, is_record, next_record
-from .sequence import SequenceBuffer, check_cap, generate_prefix, short_int
+from .sequence import SequenceBuffer, check_cap, short_int
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -72,8 +73,11 @@ class ClassLabel(NamedTuple):
     etps: tuple[int, ...] = ()
 
 
-def _even_seed_buffer(a: int) -> SequenceBuffer:
-    """The engine at index a of f_a for even a >= 4, by the even-seed lemma (see classify)."""
+def _seed_buffer(a: int) -> SequenceBuffer:
+    """The engine at index a of f_a for a >= 3: f(a) = a - 1 with 1..a used
+    for odd a, and the state of the even-seed lemma for even a (see classify)."""
+    if a % 2:
+        return SequenceBuffer.resume(a, a, a - 1, a + 1, set())
     q, r = _records_around(a - 1) if a > 4 else (3, 5)
     low, above = (a + 1, set()) if q == a - 1 else (a - 1, {a, r})
     return SequenceBuffer.resume(a, a, a - 2, low, above)
@@ -85,7 +89,7 @@ def _attempt(a: int) -> ClassLabel:
     if a % 2:
         t = a + 1  # f(n) = n - 1 on 3..a, so a + 1 is the first ETP
     else:
-        buffer = _even_seed_buffer(a)
+        buffer = _seed_buffer(a)
         for tp in _turning_points(buffer, a + buffer.cap):
             if tp.is_etp:
                 t = tp.t
@@ -107,9 +111,12 @@ def classify(a: int) -> ClassLabel:
 
     Odd a: f(n) = n - 1 on 3..a, so a + 1 is the first ETP.  Even a >= 4
     (the even-seed lemma): let lo = 3 if 3 does not divide a, and
-    lo = spnd(a) + 1 if 6 divides a (spnd: the smallest prime not
-    dividing).  Then f_a(n) = f_3(n - 1) for lo <= n <= a + 1, and f_a
-    takes on 3..lo-1 the values f_3 takes on 2..lo-2.  (From lo on both
+    lo = p + 1 with p = spnd(a) if 6 divides a (spnd: the smallest prime
+    not dividing).  Then f_a(n) = f_3(n - 1) for lo <= n <= a + 1, and on
+    3..lo-1 f_a is p, 2, 3, ..., lo - 3: every prime below p divides a, so
+    every value in 2..p - 1 shares a factor with a and f(3) = p; p is odd,
+    so f(4) = 2; after that i - 2 is the least unused value and is coprime
+    to f(i - 1) = i - 3, so f(i) = i - 2 up to i = lo - 1.  (From lo on both
     maps continue greedily from the same last term with used sets that
     differ by a alone, and f_3 first reaches a at index a + 1.)  So
     f_a(a) = a - 2, and by index a f_a has used a and the values f_3 used
@@ -128,29 +135,42 @@ def classify(a: int) -> ClassLabel:
 def prefix_terms(a: int, n: int, label: ClassLabel | None = None) -> array | list[int]:
     """f_a(1..n) as an ``array('q')``, ``terms[i] == f_a(i)``; slot 0 is padding.
 
-    Simulates only the head up to the classify witness, at most about
-    a + 16 terms: from there f_a is f_3 or the identity.  A caller that
-    holds ``classify(a)`` passes it as label, so the seed is not
-    classified again.  Needs n >= 2 and
-    obeys the term cap (GCDPERM_MAX_TERMS).  A term past 2^63 - 1, which
-    only a seed a >= 2^63 gives, does not fit in the array: then the
-    engine's list of ints is returned instead.
+    One construction on ``f3_terms``, with no head simulated: f_a(1..2) =
+    1, a; on 3..a, f(i) = i - 1 for odd a, and for even a the even-seed
+    lemma (see classify), whose f_3 part f_3(lo - 1..a - 1) is one shifted
+    slice.  Only for n > a is the seed classified: the engine, resumed at
+    index a, simulates a + 1..w - 1 for the witness w, and from w on f_a
+    is f_3 or the identity.  A caller that holds ``classify(a)`` passes it
+    as label, so the seed is not classified again.  Needs n >= 2 and obeys
+    the term cap (GCDPERM_MAX_TERMS).  A term past 2^63 - 1, which only a
+    seed a >= 2^63 gives, does not fit in the array: then a list of ints
+    is returned instead.
     """
     check_cap(n, f"{short_int(n)} terms of f_{short_int(a)}")
-    if n <= a:  # every witness of a seed a >= 3 lies past a
-        head = generate_prefix(a, n).terms
-        try:
-            return array("q", head)
-        except OverflowError:  # a seed of 2^63 or more stays a Python int
-            return head
-    if label is None:
+    h = min(n, a)
+    if n > a and label is None:
         label = classify(a)
-    # a = 2 has witness 1, but the engine's shortest prefix is f(1..2).
-    head = generate_prefix(a, max(2, min(n, label.witness))).terms
-    if len(head) > n:  # the head reaches f_a(n)
-        return array("q", head)
-    terms = f3_terms(n) if label.verdict == C3 else array("q", range(n + 1))
-    terms[: len(head)] = array("q", head)
+    identity = n > a and label.verdict == IDENTITY
+    terms = f3_terms(h if identity else n)
+    if a % 2:
+        terms[3 : h + 1] = array("q", range(2, h))  # f(i) = i - 1
+    else:
+        lo = 3 if a % 3 else smallest_prime_not_dividing(a) + 1
+        terms[lo : h + 1] = terms[lo - 1 : h]  # f_a(i) = f_3(i - 1)
+        if lo > 3:  # p, 2, 3, ..., lo - 3 on 3..lo - 1, cut at h
+            terms[3:lo] = array("q", [lo - 1, *range(2, lo - 2)][: h - 2])
+    if n > a:
+        if label.witness > a + 1:
+            buffer = _seed_buffer(a)
+            buffer.extend_to(min(n, label.witness - 1))
+            terms[a + 1 : a + len(buffer.terms)] = array("q", buffer.terms[1:])
+        if identity:
+            terms.extend(range(len(terms), n + 1))
+    try:
+        terms[2] = a
+    except OverflowError:  # a seed of 2^63 or more stays a Python int
+        terms = terms.tolist()
+        terms[2] = a
     return terms
 
 

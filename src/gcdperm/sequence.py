@@ -18,11 +18,12 @@ Generation is inherently sequential: each term depends on the one before,
 but callers grow a buffer in chunks with ``extend_to``, not term by term.
 Buffers take no locks and the module starts no threads or processes.
 
-This engine is the oracle and the head simulation: ``classify.prefix_terms``
-builds bulk output from a short simulated head and a tail from the records
-(``records.f3_terms``) or the identity, and the tests hold the two equal.
-``records._certified_records`` starts its proof of the records from
-f_3(1..5).
+This engine is the oracle, and it builds no head: ``classify.prefix_terms``
+builds bulk output on the records (``records.f3_terms``), with the engine
+resumed at index a for the few terms up to the classify witness, and the
+tests hold it equal to ``generate_prefix``.  ``classify`` simulates that
+same window past an even seed, and ``records._certified_records`` starts
+its proof of the records from f_3(1..5).
 
 ``check_cap(count, what)`` is the one check of the term cap
 (GCDPERM_MAX_TERMS) for every request of the package; a buffer compares

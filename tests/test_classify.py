@@ -21,8 +21,9 @@ from gcdperm import (
     record_values,
     scan_identity_seeds,
 )
-from gcdperm.classify import _bands, _even_seed_buffer, _excluded_flags
-from gcdperm.primes import nth_prime, primorial
+from gcdperm.classify import _bands, _excluded_flags, _seed_buffer
+from gcdperm.primes import nth_prime, primorial, smallest_prime_not_dividing
+from gcdperm.sequence import SequenceBuffer
 
 # The module itself: the package binds the name classify to the function.
 classify_module = importlib.import_module("gcdperm.classify")
@@ -207,7 +208,7 @@ def test_even_seed_state_matches_simulation():
     # simulated from the seed: f(a), f(a+1), the used values and the
     # running maximum of f(1..a).
     for a in range(4, 2001, 2):
-        buf = _even_seed_buffer(a)
+        buf = _seed_buffer(a)
         head_max = buf.head_max
         buf.extend_to(a + 1)
         terms = generate_prefix(a, a + 1).terms
@@ -221,7 +222,7 @@ def test_even_seed_buffer_head_max_and_pool_peak():
     # At index a the largest value so far is max f(1..a), and the values
     # unused below it number that maximum minus a.
     for a in range(6, 61, 2):
-        buf = _even_seed_buffer(a)
+        buf = _seed_buffer(a)
         head_max = max(generate_prefix(a, a).terms[1:])
         assert (len(buf), buf.head_max, buf.pool_peak) == (a, head_max, head_max - a), a
 
@@ -420,8 +421,9 @@ def test_classify_validates_seed():
         classify(1)
 
 
-# The term builder: a simulated head up to the classify witness, then f_3 or
-# the identity.  The engine and the naive generator are its oracles.
+# The term builder: f3_terms with the seed's head up to a, the engine from a
+# to the classify witness, then f_3 or the identity.  The engine and the
+# naive generator are its oracles.
 
 
 def test_prefix_terms_equals_the_engine_on_small_seeds():
@@ -450,15 +452,48 @@ def test_prefix_terms_at_the_seed_and_the_witness(a):
             assert list(prefix_terms(a, n)) == generate_prefix(a, n).terms, n
 
 
-def test_prefix_terms_within_the_head_builds_no_block(monkeypatch):
-    # 216 < 221 <= the witness of 216: the simulated head is the whole answer.
-    def refuse(n):
-        raise AssertionError(f"f3_terms({n})")
+def test_prefix_terms_equals_the_engine_at_every_piece_boundary():
+    # Each seed against one engine run to its witness + 40, at the ends of
+    # every piece: the head 3..lo - 1 of a multiple of 6, the shifted f_3
+    # slice lo..a, the simulated window a + 1..w - 1 and the tail from w.
+    for a in range(2, 3001):
+        w = classify(a).witness
+        lo = smallest_prime_not_dividing(a) + 1 if a % 6 == 0 else 3
+        engine = generate_prefix(a, w + 40).terms
+        for n in {2, 3, lo - 1, lo, a - 1, a, a + 1, w - 1, w, w + 40}:
+            if n >= 2:
+                assert list(prefix_terms(a, n)) == engine[: n + 1], (a, n)
 
-    monkeypatch.setattr(classify_module, "f3_terms", refuse)
-    assert classify(216).witness >= 221
-    terms = prefix_terms(216, 221)
-    assert terms.typecode == "q" and list(terms) == generate_prefix(216, 221).terms
+
+def test_prefix_terms_simulates_only_past_the_seed(monkeypatch):
+    # The head up to a comes from f3_terms: the engine never runs from the
+    # seed, and from the state at index a it adds at most w - a - 1 terms.
+    def refuse(a, n):
+        raise AssertionError(f"generate_prefix({a}, {n})")
+
+    monkeypatch.setattr(classify_module, "generate_prefix", refuse, raising=False)
+    simulated = []
+    extend_to = SequenceBuffer.extend_to
+
+    def counted(self, n):
+        before = self.last_index
+        extend_to(self, n)
+        simulated.append(self.last_index - before)
+
+    monkeypatch.setattr(SequenceBuffer, "extend_to", counted)
+    for a in (7, 216, 30_030, 999_998, 1_999_998):
+        label = classify(a)
+        simulated.clear()
+        prefix_terms(a, label.witness + 100, label)
+        assert sum(simulated) <= label.witness - a - 1, a
+
+
+def test_prefix_terms_up_to_the_seed_past_the_classify_limit(naive_prefix):
+    # Seeds past P_3248, where classify raises: n <= a classifies nothing.
+    for a in (10**13000 + 1, 6 * 10**13000):
+        with pytest.raises(ValueError):
+            classify(a)
+        assert list(prefix_terms(a, 6)) == naive_prefix(a, 6)
 
 
 def test_prefix_terms_obeys_the_term_cap_for_its_seed(monkeypatch):

@@ -9,7 +9,9 @@ belongs to ``primes.py``: no other module assigns ``_PRIMES`` or
 generation engine: ``primorial.py`` neither imports ``sequence`` nor names
 ``generate_prefix`` or ``SequenceBuffer``.  Nor does ``cycles.py``: the
 cycles come from the classify certificate, the head from
-``classify.prefix_terms`` and the record blocks from the proven records.  The CLI has one term source,
+``classify.prefix_terms`` and the record blocks from the proven records.
+``classify.py`` runs the engine only on its window past the seed, from a
+``SequenceBuffer`` it resumes there: it never names ``generate_prefix``.  The CLI has one term source,
 ``classify.prefix_terms``: ``cli.py`` names neither the engine
 (``generate_prefix``, ``SequenceBuffer``) nor ``f3_terms``.  The term cap
 belongs to ``sequence.py``: no other module names ``max_terms_cap`` or
@@ -97,6 +99,11 @@ def test_primorial_checks_do_not_simulate():
 def test_cycles_read_the_certificate_and_do_not_simulate():
     path = next(p for p in SOURCES if p.name == "cycles.py")
     assert {"sequence", "generate_prefix", "SequenceBuffer"} & set(_names(_tree(path))) == set()
+
+
+def test_classify_builds_no_prefix_with_the_engine():
+    path = next(p for p in SOURCES if p.name == "classify.py")
+    assert "generate_prefix" not in set(_names(_tree(path)))
 
 
 def test_cli_has_one_term_source():
