@@ -1,6 +1,7 @@
 """Prime utilities: sieve, Miller-Rabin primality proven exact below
 3,317,044,064,679,887,385,961,981 (about 3.3e24) and refused from there on
-by check_proven, the table of primes and primorials, non-divisor search."""
+by check_proven, the table of primes and primorials, and the smallest
+prime non-divisor read off the wheel and the primorial table."""
 
 import math
 from itertools import compress
@@ -82,9 +83,10 @@ def nth_prime(n: int) -> int:
 
 def primorial(n: int) -> int:
     """Product of the first n primes: 2, 6, 30, 210, 2310, ..."""
-    nth_prime(n)
-    for p in _PRIMES[len(_PRIMORIALS) : n]:
-        _PRIMORIALS.append(_PRIMORIALS[-1] * p)
+    if not 0 < n <= len(_PRIMORIALS):
+        nth_prime(n)
+        for p in _PRIMES[len(_PRIMORIALS) : n]:
+            _PRIMORIALS.append(_PRIMORIALS[-1] * p)
     return _PRIMORIALS[n - 1]
 
 
@@ -106,41 +108,37 @@ def _wheel_table() -> bytearray:
 _WHEEL_SPND = _wheel_table()
 
 
-# The primes from p_7 = 17 on in batches of _BATCH, each with its product,
-# grown on demand by smallest_prime_not_dividing.
-_BATCH = 32
-_BATCHES: list[tuple[int, list[int]]] = []
-
-
 def smallest_prime_not_dividing(m: int) -> int:
     """Least prime that is not a factor of m (m >= 1).
 
-    One lookup in the wheel table unless every prime up to 13 divides m.
-    Past the wheel the primes come in batches of 32: m is reduced once by
-    a batch's product, and only that small remainder is tried against
-    each prime of the batch (a remainder of 0: every one divides m).  The
-    answer stays small, since any m < P_k has a non-divisor among the
-    first k primes.
+    P_k | m exactly when p_1, ..., p_k all divide m, so the k with P_k | m
+    form a prefix, and the answer is p_k for the least k with P_k not
+    dividing m.  One lookup in the wheel table answers unless P_6 | m, and
+    one modulo by P_7 unless P_7 | m.  Past that, k is bisected on the
+    primorial table, up to its end or to the first k with 4k - 10 >= the
+    bit length of m, since P_k >= 2^18 * 16^(k - 7) > m there.  When P_k
+    divides m at the table's end, the search first steps 1, 2, 4, ... past
+    it.  Each modulo is by a P_k about as large as m, so it is short.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     p = _WHEEL_SPND[m % _WHEEL]
     if p:
         return p
-    j = 0
-    while True:
-        if j == len(_BATCHES):
-            first = 7 + _BATCH * j  # the index of the batch's first prime
-            nth_prime(first + _BATCH - 1)
-            batch = _PRIMES[first - 1 : first - 1 + _BATCH]
-            _BATCHES.append((math.prod(batch), batch))
-        product, batch = _BATCHES[j]
-        rest = m % product
-        if rest:
-            for p in batch:
-                if rest % p:
-                    return p
-        j += 1
+    if m % (17 * _WHEEL):  # P_7 = 510510
+        return 17
+    # Keep P_lo | m, and step hi until P_hi does not divide m: at hi = lo + 1
+    # that is p_hi not dividing m, which grows no table.
+    lo, hi, step = 7, max(8, min(len(_PRIMORIALS), (m.bit_length() + 13) // 4)), 1
+    while m % (nth_prime(hi) if hi == lo + 1 else primorial(hi)) == 0:
+        lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if m % _PRIMORIALS[mid - 1]:
+            hi = mid
+        else:
+            lo = mid
+    return nth_prime(hi)
 
 
 def twin_prime_pairs(limit: int) -> list[tuple[int, int]]:

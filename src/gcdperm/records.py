@@ -328,16 +328,16 @@ def _block_pattern(kind: int) -> tuple[array, int, int]:
     return lanes, _pack(lanes), _pack(_ONE * len(lanes))
 
 
-def _step_block(out: array, r: int, kind: int, top: int | None = None) -> int:
+def _step_block(out: array, r: int, kind: int, top: int) -> int:
     """Append to out what the record r fixes up to the first record past
     the block of r - 1, 30030 j + 30031, and return that record.
 
     kind _RECORDS appends the records after r, kind _TERMS the terms
     f_3(r + 1..).  One call per block: a record r = 30030 j + 1 enters
     block j >= 1, and the record after it, 30030 j + spnd(30030 j), is a
-    point of C, from which the block is the pattern plus 30030 j.  With
-    top, the pattern's lanes past the record top, or past the term at the
-    index top, are left out.
+    point of C, from which the block is the pattern plus 30030 j.  The
+    pattern's lanes past the record top, or past the term at the index
+    top, are left out.
     """
     walk, base, o, first = _block(r)
     if not o:
@@ -351,10 +351,10 @@ def _step_block(out: array, r: int, kind: int, top: int | None = None) -> int:
     lanes, packed, ones = pattern
     if kind == _TERMS:  # lane k holds f_3(base + 6 + k)
         lane = o - FIRST_ETP
-        end = None if top is None else max(0, top - base - FIRST_RECORD)
+        end = max(0, top - base - FIRST_RECORD)
     else:  # lane k holds the record base + C[k + 1] + 1
         lane = bisect_left(walk, o)
-        end = None if top is None else max(0, bisect_right(walk, top - base - 1) - 1)
+        end = max(0, bisect_right(walk, top - base - 1) - 1)
     # Block 0 is the pattern itself: its lanes are sliced, not unpacked.
     out.extend(_unpack(packed + base * ones, len(lanes))[lane:end] if base else lanes[lane:end])
     return base + _WHEEL + 1

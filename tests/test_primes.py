@@ -50,7 +50,7 @@ def _trial_spnd(m, primes):
     return next(p for p in primes if m % p)
 
 
-def test_spnd_batches_match_trial_division():
+def test_spnd_primorial_search_matches_trial_division():
     ps = primes_upto(13_000)  # p_1501 = 12,569
     assert [m for m in range(1, 100_001) if smallest_prime_not_dividing(m) != _trial_spnd(m, ps)] == []
     rng = random.Random(2023)
@@ -69,6 +69,23 @@ def test_spnd_batches_match_trial_division():
             assert m % p and m % below[i] == 0, (n, c)
             if n <= 300:
                 assert p == _trial_spnd(m, ps), (n, c)
+
+
+@pytest.mark.parametrize("n", [50, 400, 1400])
+def test_spnd_grows_the_primorial_table_to_about_twice_its_answer(monkeypatch, n):
+    # spnd(c P_n) = p_(n+1).  From a cold table the search steps 1, 2, 4, ...
+    # past the table's end, so it stops below twice the answer's index; on a
+    # table that holds P_n it adds at most P_(n+1).
+    ps = primes_upto(13_000)
+    pn = prod(ps[:n])
+    for c in (1, 2):
+        monkeypatch.setattr(primes, "_PRIMORIALS", [2])
+        assert smallest_prime_not_dividing(c * pn) == ps[n]
+        assert len(primes._PRIMORIALS) <= 2 * (n + 1), c
+    monkeypatch.setattr(primes, "_PRIMORIALS", [2])
+    assert primorial(n) == pn
+    assert smallest_prime_not_dividing(pn) == ps[n]
+    assert len(primes._PRIMORIALS) <= n + 1
 
 
 def test_spnd_rejects_nonpositive():

@@ -307,7 +307,7 @@ def test_block_stepper_resumes_from_any_record():
         out = array("q", [r for r in walk if r <= end])
         r = end
         while r <= 4 * WHEEL:
-            r = _step_block(out, r, _RECORDS)
+            r = _step_block(out, r, _RECORDS, 4 * WHEEL + 1)
         assert out.tolist() == walk[: len(out)] and out[-1] > 4 * WHEEL
 
 
@@ -359,7 +359,7 @@ def test_block_stepper_enters_far_blocks(p):
         out = array("q")
         r = base + 1
         while r < end:
-            r = _step_block(out, r, kind)
+            r = _step_block(out, r, kind, end)
         assert r == end
         if kind == _RECORDS:
             assert out.tolist() == walk[1:], p
