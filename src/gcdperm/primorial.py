@@ -25,8 +25,8 @@ from itertools import accumulate
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .primes import is_prime, nth_prime, primorial, sieve_flags, smallest_prime_not_dividing
-from .records import (FIRST_RECORD, _records_around, cached_records, is_record, reconstruct_f3,
-                      record_count)
+from .records import (FIRST_RECORD, _gather, _records_around, cached_records, is_record,
+                      reconstruct_f3, record_count)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -189,9 +189,9 @@ def kappa_empirical(n: int) -> float:
 
 def _prime_record_counts(limit: int) -> Iterator[tuple[int, int]]:
     """(r, prime records up to and including r) for every record r <= limit,
-    from one gather of sieve flags over the records."""
+    from one ``_gather`` of sieve flags over the records."""
     recs = cached_records(limit)
-    return zip(recs, accumulate(map(sieve_flags(limit).__getitem__, recs)))
+    return zip(recs, accumulate(_gather(sieve_flags(limit), recs)))
 
 
 def prime_ratio_series(limit: int) -> list[tuple[int, float]]:
@@ -257,10 +257,8 @@ class DensityLedger(NamedTuple):
         )
 
     def ratios_non_increasing(self) -> bool:
-        from fractions import Fraction
-
-        ratios = [Fraction(wn, primorial(i + 1)) for i, wn in enumerate(self.w)]
-        return all(b <= a for a, b in zip(ratios, ratios[1:]))
+        # As P_{n+1} = P_n p_{n+1}: w_{n+1} / P_{n+1} <= w_n / P_n iff w_{n+1} <= w_n p_{n+1}.
+        return all(self.w[i + 1] <= self.w[i] * nth_prime(i + 2) for i in range(len(self.w) - 1))
 
 
 def build_density_ledger(n_max: int = 5) -> DensityLedger:

@@ -40,11 +40,13 @@ back.  Every value lies below 2^63 and stays non-negative, so no lane
 overflows into or borrows from its neighbour.  ``_residues`` gives v mod m,
 2 <= m <= 31, for every lane v: each of the 8 byte columns maps by one
 table to b 256^k mod m, and the columns add with one byte per lane, where
-eight terms of at most 30 cannot carry.  Annotation, ``_annotated``,
+eight terms of at most 30 cannot carry.  ``_gather`` reads a sieve at
+every value, a byte each, by one ``itemgetter`` per 16,384 values: the one
+read of prime flags at the records.  Annotation, ``_annotated``,
 returns a chunk function: the columns of any slice of the records, so
 that a writer may format its chunks in any order or process.  The
 turning points are the previous records plus a 1 in each lane, the jumps
-the records less the turning points, and ``is_composite`` one gather
+the records less the turning points, and ``is_composite`` one ``_gather``
 from one sieve up to the largest record, built once before any chunk,
 not a primality test per record.  The jump and compositeness of a row
 come as one key byte, 2 jump + is_composite: the jump after a record q
@@ -96,7 +98,7 @@ from math import gcd, prod
 from operator import itemgetter, mod
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .primes import (_WHEEL, _WHEEL_SPND, nth_prime, primes_upto, sieve_flags,
+from .primes import (_WHEEL, _WHEEL_SPND, nth_prime, primes_upto, primorial, sieve_flags,
                      smallest_prime_not_dividing)
 from .sequence import SequenceBuffer, check_cap, generate_prefix, short_int
 
@@ -191,8 +193,8 @@ def _block(v: int) -> tuple[list[int], int, int, int]:
             m += _WHEEL_SPND[m] - 1
             walk.append(m)
         _WALK[:] = walk
-    # P_3248 has 42,966 bits; it is formed only for a value that long.
-    if v.bit_length() > 42_000 and v >= prod(primes_upto(_WHEEL)):
+    # P_3248 has 42,966 bits; it is read off the primorial table only for a value that long.
+    if v.bit_length() > 42_965 and v >= primorial(PRIMORIAL_CEILING):
         raise ValueError(f"the f_3 records are exact only below P_{PRIMORIAL_CEILING}, the "
                          "product of the primes up to 30029 (about 6.9e12933)")
     j, off = divmod(v - 1, _WHEEL)
@@ -382,6 +384,16 @@ def record_values(limit: int) -> list[int]:
 
 # bytes.translate table: sieve flag 1 (prime) -> 0, 0 -> 1.
 _NOT = bytes([1, 0]) + bytes(254)
+# The CLI writer's chunk, cli.WRITE_CHUNK_LINES: a records chunk is one lookup.
+_GATHER_LANES = 1 << 14
+
+
+def _gather(flags, values) -> bytes:
+    """flags[v] for each value v, a byte each, by one ``itemgetter`` per 16,384
+    values, each padded with index 0 to return a tuple for one value too."""
+    return b"".join(bytes(itemgetter(*values[i : i + _GATHER_LANES], 0)(flags))[:-1]
+                    for i in range(0, len(values), _GATHER_LANES))
+
 
 # A record row's key is 2 jump + is_composite, one byte: the jump of a
 # record is at most 51 below 2^63, and a chunk refuses a lane outside
@@ -418,9 +430,8 @@ def _annotated(values: array) -> Callable[[int, int], tuple[Sequence[int], ...]]
     points are packed(previous records) plus ones, the jumps are
     packed(records) less the turning points.  Every value lies below 2^63
     and every jump is at least 1, so no lane overflows or borrows.  The
-    array is read in slices, not copied.  Compositeness (1 or 0) is one
-    gather from one sieve up to the last value, built here, once, before
-    any chunk; a chunk of one row takes its one flag by index.
+    array is read in slices, not copied.  Compositeness (1 or 0) is a
+    ``_gather`` from one sieve up to the last value, built here, once.
 
     The keys fit one byte: r = (q - 1) + spnd(q - 1), so the jump is
     spnd(q - 1) - 2, and spnd(m) <= 53 for m < 2^63, since the primes up
@@ -453,8 +464,7 @@ def _annotated(values: array) -> Callable[[int, int], tuple[Sequence[int], ...]]
         # Lists, not arrays: a writer interleaves a list's ints by one copy,
         # and the values' ints serve the gather as well.
         rs = rs.tolist()
-        flags = bytes(itemgetter(*rs)(composite)) if n > 1 else composite[rs[0] : rs[0] + 1]
-        return rs, _unpack(ts, n).tolist(), _keys(jumps, flags)
+        return rs, _unpack(ts, n).tolist(), _keys(jumps, _gather(composite, rs))
 
     return chunk
 

@@ -49,12 +49,13 @@ def short_int(value: int, most: int = 20) -> str:
     """str(value) for an int >= 0 of at most ``most`` digits.  A longer one
     shows as its first and last five digits and its digit count, and is
     never converted whole."""
-    if value.bit_length() <= 3 * most or value < 10**most:
+    if value.bit_length() <= 3 * most:
         return str(value)
-    digits = int((value.bit_length() - 1) * math.log10(2))  # at most the digit count
-    while 10**digits <= value:
-        digits += 1
-    return f"{value // 10 ** (digits - 5)}...{value % 10**5:05d} ({digits} digits)"
+    # 2^(b - 1) <= value < 2^b for b bits: the digit count is d or d + 1.
+    d = int((value.bit_length() - 1) * math.log10(2)) + 1
+    head = value // 10 ** (d - 5)
+    d += head >= 10**5  # a head of six digits
+    return str(value) if d <= most else f"{str(head)[:5]}...{value % 10**5:05d} ({d} digits)"
 
 
 def _over_cap(what: str, cap: int) -> LimitExceededError:

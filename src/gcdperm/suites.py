@@ -35,7 +35,6 @@ too long for ``str`` still prints.
 from __future__ import annotations
 
 import sys
-from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .classify import (
@@ -56,7 +55,7 @@ from .primorial import (
     verify_primorial_records,
     verify_translation,
 )
-from .records import (PRIMORIAL_CEILING, _between, _certified_records, _residues,
+from .records import (PRIMORIAL_CEILING, _between, _certified_records, _gather, _residues,
                       _turning_points, is_record)
 from .sequence import check_cap, generate_prefix, short_int
 
@@ -124,21 +123,13 @@ def _index_identity(suite: str, records, m: int, k_lo: int, k_max: int) -> Check
     return CheckResult(suite, f"f_3({m}k+1) = {m}k", ok, detail, max(k_max - k_lo + 1, 0))
 
 
-_GATHER_LANES = 1 << 12
-
-
 def _primes_are_records(recs, limit: int) -> CheckResult:
     """Every prime in [5, limit] is among recs, the strictly increasing
     records from 5 up to the limit: the primes there number as many as
-    the prime records, whose sieve flags are gathered by one ``itemgetter``
-    per 4,096 records, so that its tuples stay small.  Each gather is
-    padded with the flags of 0 and 1, both 0, so that it returns a tuple
-    for a chunk of one record as well."""
+    the prime records, whose sieve flags ``_gather`` reads."""
     flags = sieve_flags(limit)
     primes = flags.count(1) - 2  # 2 and 3
-    hits = sum(sum(itemgetter(*recs[i : i + _GATHER_LANES], 0, 1)(flags))
-               for i in range(0, len(recs), _GATHER_LANES))
-    missing = primes - hits
+    missing = primes - _gather(flags, recs).count(1)
     return CheckResult("cor1", "every prime in [5, limit] is a record", not missing,
                        f"{missing} missing" if missing else f"limit {limit}", primes)
 

@@ -20,7 +20,9 @@ band table belongs to ``classify._bands``: no other function names its
 memo ``_BANDS``, and only ``exceptional_seed_density``, which sums by k and
 not by a limit, names ``primorial`` besides it.  The library reads the
 records as the array of ``records.cached_records`` and the turning points
-from ``records._turning_points``: no module calls the list wrappers
+from ``records._turning_points``, and its prime flags at the records by
+``records._gather``: ``suites.py`` and ``primorial.py`` name neither
+``itemgetter`` nor ``__getitem__``.  No module calls the list wrappers
 ``record_values``, ``find_turning_points``, ``record_stream_upto`` or
 ``kappa_bounds``, and only ``record_stream_upto`` calls
 ``records_from_values``.
@@ -74,6 +76,15 @@ def test_only_records_reads_the_record_walk():
     offenders = [
         p.name for p in SOURCES if p.name != "records.py"
         and {"bisect", "_WALK", "_PATTERNS"} & set(_names(_tree(p)))
+    ]
+    assert offenders == []
+
+
+def test_only_records_gathers_the_sieve_at_the_records():
+    # cor1 and the fig3/fig4 series read their prime flags by records._gather.
+    offenders = [
+        p.name for p in SOURCES if p.name in ("suites.py", "primorial.py")
+        and {"itemgetter", "__getitem__"} & set(_names(_tree(p)))
     ]
     assert offenders == []
 

@@ -61,6 +61,22 @@ def test_w_recurrence():
     assert ledger.ratios_non_increasing()
 
 
+def test_density_ratios_compare_as_ints():
+    ledger = build_density_ledger(60)
+
+    def by_fractions(w):
+        ratios = [Fraction(wn, primorial(i + 1)) for i, wn in enumerate(w)]
+        return all(b <= a for a, b in zip(ratios, ratios[1:]))
+
+    for n in range(2, 61):
+        assert ledger._replace(w=ledger.w[:n]).ratios_non_increasing() is by_fractions(
+            ledger.w[:n]) is True
+    for i in (1, 5, 59):  # raise w_{i+1} just past w_i p_{i+1}
+        w = list(ledger.w)
+        w[i] = w[i - 1] * nth_prime(i + 1) + 1
+        assert ledger._replace(w=tuple(w)).ratios_non_increasing() is by_fractions(w) is False
+
+
 def test_primorial_record_reports():
     for n, samples in [(2, (5, 7, 11, 13)), (3, (29, 31, 59, 61)), (4, (209, 211))]:
         report = verify_primorial_records(n)

@@ -19,9 +19,9 @@ from gcdperm import (
     record_values,
 )
 from gcdperm import records
-from gcdperm.records import (_RECORDS, _TERMS, _WHEEL, _annotated, _between, _block,
-                             _keys, _pack, _records_around, _residues, _step_block, _unpack,
-                             record_count, records_from_values)
+from gcdperm.records import (_GATHER_LANES, _RECORDS, _TERMS, _WHEEL, _annotated, _between,
+                             _block, _gather, _keys, _pack, _records_around, _residues,
+                             _step_block, _unpack, record_count, records_from_values)
 from gcdperm.primes import is_prime, primes_upto, primorial, smallest_prime_not_dividing
 
 RECORDS_7_TO_211 = [
@@ -157,7 +157,7 @@ def test_records_from_values_on_a_list_matches_a_row_by_row_oracle():
 
 @pytest.mark.parametrize("chunk", [1, 2, 7, 1000])
 def test_annotated_chunks_match_a_row_by_row_oracle(chunk):
-    # Chunk size 1 takes the one-row case of the compositeness gather.
+    # Chunk size 1 takes the one-value padding of the compositeness gather.
     values = records.cached_records(30_100)
     annotate = _annotated(values)
     chunks = [annotate(s, min(s + chunk, len(values))) for s in range(0, len(values), chunk)]
@@ -483,10 +483,24 @@ def test_record_count_far_out():
 def test_records_end_below_p_3248():
     # The closed form holds below the product of the primes up to 30029.
     bound = primorial(3248)
+    # Only a value past 42,965 bits is compared with the bound.
+    assert bound.bit_length() == 42_966 and (2 * primorial(3247) + 1).bit_length() == 42_952
     assert is_record(bound - 1) and record_count(bound - 1) > 0
     for query in (is_record, record_count):
-        with pytest.raises(ValueError, match="only below P_3248"):
+        with pytest.raises(ValueError, match="only below P_3248") as caught:
             query(bound + 1)
+        assert str(caught.value) == ("the f_3 records are exact only below P_3248, the product "
+                                     "of the primes up to 30029 (about 6.9e12933)")
+
+
+@pytest.mark.parametrize("count", [0, 1, _GATHER_LANES, _GATHER_LANES + 1])
+def test_gather_reads_one_flag_per_value(count):
+    # The annotation passes a list; cor1 a memoryview slice of an array('q').
+    flags = bytes(random.Random(count).choices(range(256), k=5_000))
+    values = random.Random(count + 1).choices(range(len(flags)), k=count)
+    view = memoryview(array("q", [0, *values]))[1:]
+    assert _gather(flags, values) == _gather(flags, view) == bytes(flags[v] for v in values)
+    assert type(_gather(flags, values)) is bytes
 
 
 def test_sparse_f3_matches_the_prefix():

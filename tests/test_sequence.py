@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -194,6 +195,28 @@ def test_short_int_shortens_past_20_digits():
     assert [short_int(v) for v in (0, 7, 10**19, 10**20 - 1)] == ["0", "7", str(10**19), "9" * 20]
     assert short_int(10**20) == "10000...00000 (21 digits)"
     assert short_int(123456789 * 10**4000 + 4321) == "12345...04321 (4009 digits)"
+
+
+# The int-to-str limit that suites._shown passes as most (4,300 by default).
+INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+@pytest.mark.parametrize("most", [20, INT_LIMIT])
+def test_short_int_matches_str_to_13000_digits(most):
+    def by_str(value):
+        s = str(value)
+        return s if len(s) <= most else f"{s[:5]}...{s[-5:]} ({len(s)} digits)"
+
+    before = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if before is not None:
+        sys.set_int_max_str_digits(0)  # no limit, so str() is the oracle
+    try:
+        for k in [*range(20, 13_001, 499), INT_LIMIT - 1, INT_LIMIT, INT_LIMIT + 1]:
+            for value in (10**k - 1, 10**k, 10**k + 1, 2 ** (3 * k)):
+                assert short_int(value, most) == by_str(value), (k, value.bit_length())
+    finally:
+        if before is not None:
+            sys.set_int_max_str_digits(before)
 
 
 def test_a_refusal_shortens_its_ints(monkeypatch):

@@ -717,6 +717,17 @@ def test_shown_shortens_an_int_past_the_int_limit():
         sys.set_int_max_str_digits(before)
 
 
+def test_thm5_forms_no_primorial_outside_the_table(monkeypatch):
+    # P_3200 has 42,253 bits: the record queries near it stay below the
+    # 42,966 bits of P_3248 and compare with no primorial.
+    def refuse(*args):
+        raise AssertionError("records.prod called")
+
+    monkeypatch.setattr(records, "prod", refuse)
+    results = SUITES["thm5"](n=3200)
+    assert results and all(r.ok for r in results)
+
+
 @pytest.mark.parametrize("name", ["thm5", "thm8-recurrence"])
 def test_suites_past_the_int_limit_pass(name):
     # P_1400 has 4,988 digits, past the interpreter's 4,300 for str().
