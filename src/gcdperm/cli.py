@@ -12,7 +12,15 @@ An index column that is a ``range`` with step 1, first in a row format that
 starts with ``%d``, is not formatted per row from 10^4 on: its text is cut
 from a template of 10^4 fixed-width rows (a NUL marker, the four low digits,
 the rest of the row format with ``%`` escaped), the marker replaced by the
-digits above the low four; the bytes are the same.
+digits above the low four; the bytes are the same.  ``generate`` without
+``--with-derivative`` does not format the rows where f_a is f_3 past the
+first 30031 indices (from 30032 and the classify witness of a c3 seed on):
+each block of 30030 of them is the text of one ``decimal.Decimal`` whose
+fixed-width lanes hold n and f_3(n), with the separator and LF put over the
+0 after each field; only the rows within 10^k - 52 < n <= 10^k, where n and
+f_3(n) may differ in width, are read off it as ints and formatted by one
+``%``.  The head, every row of an identity seed and every
+``--with-derivative`` row keep the index template.
 """
 
 from __future__ import annotations
@@ -25,10 +33,11 @@ import threading
 from contextlib import nullcontext
 
 from . import __version__
-from .classify import BudgetExhaustedError, prefix_terms, scan_identity_seeds
+from .classify import C3, BudgetExhaustedError, classify, prefix_terms, scan_identity_seeds
 from .cycles import twin_cycle_gaps
+from .primes import _WHEEL
 from .primorial import prime_ratio_series, primes_within_records_series
-from .records import FIRST_RECORD, _annotated, cached_records
+from .records import FIRST_RECORD, _annotated, _row_digits, cached_records
 from .sequence import MAX_TERMS_ENV, LimitExceededError, check_cap, short_int
 from .suites import SUITES, TABLE
 
@@ -42,8 +51,8 @@ EXIT_IO = 3
 WRITE_CHUNK_LINES = 16_384
 
 
-def _write_stdout(data: bytes) -> None:
-    sys.stdout.write(data.decode("ascii"))
+def _write_stdout(data) -> None:
+    sys.stdout.write(str(data, "ascii"))
 
 
 def _usable_cpus() -> int:
@@ -129,10 +138,70 @@ def _formatted(row_format: str, spans, columns):
         yield b"".join(pieces) % tuple(values)
 
 
-def _fork_share(children: list, row_format: str, share: list, columns):
-    """Fork a child that formats share and writes its bytes to a new pipe.
+def _rows(row_format: str, columns):
+    """The chunk renderer that formats a share's chunks by ``_formatted``."""
+    return lambda spans: _formatted(row_format, spans, columns)
 
-    Returns (pid, read end of the pipe).  The child formats its whole share
+
+def _f3_rows(head, sep: bytes, start: int):
+    """The chunk renderer of ``generate``'s rows when f_a is f_3 from the
+    index start >= 30032 on: the rows below start come from the renderer
+    head, the others from f_3's decimal lanes, a block of 30030 at a time.
+
+    Block j >= 1 holds the rows of the indices 30030 j + 2..30030 j + 30031,
+    read at a width w off ``records._row_digits``, with the separator and
+    LF stride-assigned over the 0 after each field.  A row reads right at
+    the width of both its n and f_3(n): f_3(n) - n is at least -1 and,
+    below 2^63, at most 51, so their widths differ only within
+    10^k - 52 < n <= 10^k.  There n and f_3(n) are read at the larger
+    width and formatted by one ``%``.  Each process keeps the text of the
+    last block and width it read, so it reads each once.  Lane rows come
+    as memoryview slices of that text, one per stretch of a chunk within a
+    block and width, not copied.
+    """
+    row = b"%d" + sep + b"%d\n"
+    last = None  # (block, width, text)
+
+    def text(j: int, w: int) -> memoryview:
+        nonlocal last
+        if last is None or last[:2] != (j, w):
+            size = 2 * w + 2
+            digits = bytearray(_row_digits(_WHEEL * j, w), "ascii")
+            digits[w + 1 :: size] = sep * _WHEEL
+            digits[size::size] = b"\n" * _WHEEL
+            last = j, w, memoryview(digits)
+        return last[2]
+
+    def render(spans):
+        heads = head([(s, min(e, start)) for s, e in spans if s < start])
+        for s, e in spans:
+            if s < start:
+                yield next(heads)
+            n = max(s, start)
+            while n < e:
+                w = len(str(n))
+                top = 10**w
+                if n > top - 52:  # f_3(n) may have w + 1 digits
+                    w, stop, mixed = w + 1, top, True
+                else:  # n = 10^(w - 1) may have f_3(n) = n - 1
+                    mixed = n == top // 10
+                    stop = n + 1 if mixed else top - 51
+                j = (n - 2) // _WHEEL
+                stop = min(stop, e, _WHEEL * j + _WHEEL + 2)
+                size, lane = 2 * w + 2, n - 2 - _WHEEL * j
+                piece = text(j, w)[1 + lane * size : 1 + (lane + stop - n) * size]
+                if mixed:  # the fields as ints, without their leading zeros
+                    piece = row * (stop - n) % tuple(map(int, bytes(piece).replace(sep, b" ").split()))
+                yield piece
+                n = stop
+
+    return render
+
+
+def _fork_share(children: list, share: list, render):
+    """Fork a child that renders share and writes its bytes to a new pipe.
+
+    Returns (pid, read end of the pipe).  The child renders its whole share
     before it writes, so it never waits on the parent while it works; it
     prints nothing, touches neither stdout nor the output file, and leaves
     by ``os._exit``: 0 once every byte is in the pipe, 1 on any error.
@@ -152,7 +221,7 @@ def _fork_share(children: list, row_format: str, share: list, columns):
         os.close(r)
         for _, pipe in children:
             pipe.close()
-        for data in list(_formatted(row_format, share, columns)):
+        for data in list(render(share)):
             view = memoryview(data)
             while view:
                 view = view[os.write(w, view):]
@@ -161,16 +230,17 @@ def _fork_share(children: list, row_format: str, share: list, columns):
         os._exit(code)
 
 
-def _write_rows(path: str | None, header: str | None, row_format: str, spans, columns) -> None:
+def _write_rows(path: str | None, header: str | None, spans, render) -> None:
     """Write an optional header line, then one line per row, to path or to stdout.
 
     spans holds the (start, stop) of each chunk of at most WRITE_CHUNK_LINES
-    rows, and columns(start, stop) the chunk's columns.  row_format formats
-    one row, one %-field per column, and ends in LF; a %s column holds
-    bytes.  The chunks are cut into contiguous shares (``_shares``): a
-    forked child formats each share after the first and sends its bytes
-    through a pipe, while this process formats and writes the first share
-    and then copies the pipes in order.  The bytes go to the file, opened
+    rows, and render(share), the chunk renderer, gives the bytes of the
+    chunks of a list of spans, in order, as bytes-like pieces: ``_rows``
+    one per chunk, from a row format and the chunks' columns, and
+    ``_f3_rows`` one per block or stretch of a chunk.  The chunks are cut into
+    contiguous shares (``_shares``): a forked child renders each share
+    after the first and sends its bytes through a pipe, while this process
+    renders and writes the first share and then copies the pipes in order.  The bytes go to the file, opened
     binary, as they are, and to stdout as ASCII text through
     ``sys.stdout.write``, whatever stdout is at the time.  Every child is
     reaped before this returns, and killed first if the writing failed; a
@@ -180,12 +250,12 @@ def _write_rows(path: str | None, header: str | None, row_format: str, spans, co
     children = []
     try:
         for share in shares[1:]:
-            children.append(_fork_share(children, row_format, share, columns))
+            children.append(_fork_share(children, share, render))
         with nullcontext() if path is None else open(path, "wb") as fh:
             write = _write_stdout if fh is None else fh.write
             if header is not None:
                 write(header.encode("ascii") + b"\n")
-            for data in _formatted(row_format, shares[0], columns):
+            for data in render(shares[0]):
                 write(data)
             for _, pipe in children:
                 while data := pipe.read(1 << 20):
@@ -218,16 +288,24 @@ def _differences(terms, s: int, e: int) -> list[int]:
     return list(map(operator.sub, terms[s + 1 : e + 1], terms[s:e]))
 
 
-def _row_chunks(rows):
-    """The spans and the column function of a list of rows, for the commands
+def _row_chunks(row_format: str, rows):
+    """The spans and the chunk renderer of a list of rows, for the commands
     that build rows: the chunk (s, e) holds rows[s - 1 : e - 1]."""
-    return _spans(len(rows)), lambda s, e: tuple(zip(*rows[s - 1 : e - 1]))
+    return _spans(len(rows)), _rows(row_format, lambda s, e: tuple(zip(*rows[s - 1 : e - 1])))
 
 
 def cmd_generate(args) -> int:
-    n, derivative = args.n, args.with_derivative
+    a, n, derivative = args.a, args.n, args.with_derivative
     stop = n + 1 if derivative else n  # g(n) needs f(n + 1)
-    terms = prefix_terms(args.a, stop)
+    check_cap(stop, f"{short_int(stop)} terms of f_{short_int(a)}")
+    # From the witness of a c3 seed on, f_a is f_3: past block 0 its rows are lanes.
+    start, label = n + 1, None
+    if not derivative and n > max(a, _WHEEL + 1):
+        label = classify(a)
+        if label.verdict == C3:
+            start = max(_WHEEL + 2, label.witness)
+            stop = min(n, start - 1)
+    terms = prefix_terms(a, stop, label)
     if args.format == "plain":
         header, row_format = None, "%d %d %d\n" if derivative else "%d %d\n"
     elif derivative:
@@ -240,7 +318,10 @@ def cmd_generate(args) -> int:
             return range(s, e), terms[s:e], _differences(terms, s, e)
         return range(s, e), terms[s:e]
 
-    _write_rows(args.out, header, row_format, _spans(n), columns)
+    render = _rows(row_format, columns)
+    if start <= n:
+        render = _f3_rows(render, row_format[2:3].encode("ascii"), start)
+    _write_rows(args.out, header, _spans(n), render)
     return EXIT_OK
 
 
@@ -257,8 +338,8 @@ def cmd_records(args) -> int:
         tail = operator.itemgetter(*keys)(tails) if len(keys) > 1 else (tails[keys[0]],)
         return range(s, e), rs, ts, tail
 
-    _write_rows(args.out, "index,record,turning_point,jump,is_composite", "%d,%d,%d,%s\n",
-                _spans(len(values)), columns)
+    _write_rows(args.out, "index,record,turning_point,jump,is_composite", _spans(len(values)),
+                _rows("%d,%d,%d,%s\n", columns))
     return EXIT_OK
 
 
@@ -344,22 +425,21 @@ def _check_figure_cap(which: str, limit: int | None) -> None:
 
 
 def _figure_rows(which: str, limit: int | None):
-    """(header, row format, spans, column function) of one figure's CSV."""
+    """(header, spans, chunk renderer) of one figure's CSV."""
     limit = limit or _FIGURE_LIMITS[which]
     if which == "fig1":
-        return ("j,m_j,M_j,gap_a,gap_b", "%d,%d,%d,%d,%d\n",
-                *_row_chunks(twin_cycle_gaps(limit)))
+        return "j,m_j,M_j,gap_a,gap_b", *_row_chunks("%d,%d,%d,%d,%d\n", twin_cycle_gaps(limit))
     if which == "fig2":
         terms = prefix_terms(3, limit + 1)
-        return ("t,g_t", "%d,%d\n", _spans(limit),
-                lambda s, e: (range(s, e), _differences(terms, s, e)))
+        return "t,g_t", _spans(limit), _rows(
+            "%d,%d\n", lambda s, e: (range(s, e), _differences(terms, s, e)))
     # The L-th record is at most 10 L + 100: tested up to the default cap, and past
     # it below 2^63 spnd(30030 j) <= 53, so each later block of 30030 holds at least 8,841.
     nth_value = cached_records(10 * limit + 100)[limit - 1]
     if which == "fig3":
-        return "n,ratio_ln", "%d,%r\n", *_row_chunks(prime_ratio_series(nth_value))
-    return ("n,primes_among_records", "%d,%d\n",
-            *_row_chunks(primes_within_records_series(nth_value)))
+        return "n,ratio_ln", *_row_chunks("%d,%r\n", prime_ratio_series(nth_value))
+    return "n,primes_among_records", *_row_chunks("%d,%d\n",
+                                                  primes_within_records_series(nth_value))
 
 
 def cmd_export_figures(args) -> int:
@@ -378,8 +458,7 @@ def cmd_export_figures(args) -> int:
 def cmd_scan(args) -> int:
     rows = scan_identity_seeds(args.bound)
     _write_rows(args.out, "a,verdict,witness,record_test,primorial_test,agree",
-                "%d,%s,%d,%d,%d,%d\n",
-                *_row_chunks([(r.a, r.verdict.encode("ascii"), r.witness, r.record_test,
+                *_row_chunks("%d,%s,%d,%d,%d,%d\n", [(r.a, r.verdict.encode("ascii"), r.witness, r.record_test,
                                r.primorial_test, r.agree) for r in rows]))
     disagreements = [r.a for r in rows if not r.agree]
     if disagreements:

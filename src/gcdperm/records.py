@@ -62,6 +62,22 @@ terms of a block also follow from the point where it enters C.  One
 pattern of block 0 per kind, and one block walker, ``_step_block``,
 append either kind, a block per int addition.
 
+The same identity gives f_3's rows as decimal text, with no term built.
+Block j >= 1 holds the indices n = 30030 j + 2..30030 j + 30031, and from
+its entry on, f_3(n) = 30030 j + f_3(n - 30030 j).  ``_row_digits`` reads
+them as the lanes n 10^(w+2) + f_3(n) 10 of 2w + 2 digits of one
+``decimal.Decimal``: block 0's lanes (a pattern per width) plus 30030 j
+times the lane 10^(w+2) + 10 in every lane, one ``fma``, and one ``str``.
+A leading 1 keeps the leading zeros.  The entry stretch, the first
+c = spnd(30030 j) - 1 lanes, differs from block 0: there f_3 is
+30030 j + c + 1 at 30030 j + 2 and then n - 1.  That correction depends
+on c and w alone, so it is added to the pattern once per (w, c).  Each
+lane is exact when n and f_3(n) have w digits; when one has more, the lane
+carries 1 into the last digit of the lane before it, a 0 that the writer
+overwrites.  The module imports ``decimal`` only when it first builds a
+width's lanes, and computes in one exact context of its own, never the
+thread's.
+
 The suites that check f_3 against its definition do not trust that walk:
 ``_certified_records`` proves the records against the greedy rule, by
 induction on H(q): "f_3(1..q) is a permutation of 1..q and f_3(q) = q - 1".
@@ -330,6 +346,75 @@ def _block_pattern(kind: int) -> tuple[array, int, int]:
     return lanes, _pack(lanes), _pack(_ONE * len(lanes))
 
 
+# The decimal lanes of f_3's rows: at the key 0 the five-digit decimals of
+# n and of f_3(n), n = 2..30031; at a width w, (context, pattern, ones) of
+# block 0; at (w, c), the same with the pattern corrected for a block that
+# enters C at c.  Filled by _row_lanes.
+_LANES: dict = {}
+
+
+def _row_lanes(w: int, c: int) -> tuple:
+    """(context, pattern, ones) of the lanes of 2w + 2 digits, 5 <= w, of
+    a block j >= 1 that enters C at its point c = spnd(30030 j) - 1.
+
+    pattern is a 1 and then block 0's lanes n 10^(w+2) + f_3(n) 10,
+    n = 2..30031, with the first c lanes set to block j's less 30030 j;
+    ones is 10^(w+2) + 10 in every lane.  The context is exact for both,
+    however long: no operation on them rounds.  The pattern is parsed from
+    one text, whose digit columns are set by stride from the five-digit
+    decimals of n and f_3(n); ones is built by doubling.
+    """
+    import decimal  # here, so that importing the package loads no decimal
+
+    if 0 not in _LANES:
+        digits = bytearray(5 * 10**5)  # the five-digit decimals of 0..99999
+        for d in range(5):
+            digits[4 - d :: 5] = b"".join(b"%d" % v * 10**d for v in range(10)) * 10 ** (4 - d)
+        fs = digits[5 : 5 * (_WHEEL + 1)]  # f_3(n) = n - 1 on the lane n - 2, except:
+        walk = [0, 2, *_block(FIRST_RECORD)[0]]
+        for c0, c1 in zip(walk, walk[1:]):  # f_3(q + 1) = q' for the records q = c0 + 1 < q'
+            fs[5 * c0 : 5 * c0 + 5] = digits[5 * c1 + 5 : 5 * c1 + 10]
+        _LANES[0] = digits[10 : 5 * (_WHEEL + 2)], bytes(fs)
+    ns, fs = _LANES[0]
+    size = 2 * w + 2
+    if w not in _LANES:
+        ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                              Emin=decimal.MIN_EMIN)
+        text = bytearray(b"0") * (1 + _WHEEL * size)
+        text[0] = ord("1")
+        for d in range(5):
+            text[w - 4 + d :: size] = ns[d::5]
+            text[2 * w - 3 + d :: size] = fs[d::5]
+        ones, lanes = decimal.Decimal(0), 0  # ones holds a 1 in each of its lanes
+        for bit in bin(_WHEEL)[2:]:
+            ones = ctx.add(ctx.scaleb(ones, lanes * size), ones)
+            lanes *= 2
+            if bit == "1":
+                ones = ctx.add(ctx.scaleb(ones, size), 1)
+                lanes += 1
+        _LANES[w] = ctx, decimal.Decimal(text.decode("ascii")), ctx.multiply(ones, 10**(w + 2) + 10)
+    ctx, pattern, ones = _LANES[w]
+    # Block j from its entry: f_3 is 30030 j + c + 1 on the lane 0, and n - 1 on the lanes 1..c - 1.
+    entry = 0
+    for k in range(c):
+        entry = entry * 10**size + ((k + 1 if k else c + 1) - int(fs[5 * k : 5 * k + 5])) * 10
+    pattern = ctx.add(pattern, ctx.scaleb(decimal.Decimal(entry), (_WHEEL - c) * size))
+    _LANES[w, c] = ctx, pattern, ones
+    return _LANES[w, c]
+
+
+def _row_digits(base: int, w: int) -> str:
+    """A 1 and then the lanes n 10^(w+2) + f_3(n) 10 of 2w + 2 digits each,
+    n = base + 2..base + 30031, for base = 30030 j with j >= 1 and w >= 5:
+    one ``str`` of ``pattern + base * ones`` (``_row_lanes``).  A lane whose
+    n and f_3(n) both have w digits reads them with a 0 after each; any
+    other lane is wrong, and a lane past 10^(2w+2) adds 1 to the last digit
+    of the lane before it."""
+    c = _block(base + 1)[3]
+    ctx, pattern, ones = _LANES.get((w, c)) or _row_lanes(w, c)
+    return str(ctx.fma(ones, base, pattern))
+
+
 def _step_block(out: array, r: int, kind: int, top: int) -> int:
     """Append to out what the record r fixes up to the first record past
     the block of r - 1, 30030 j + 30031, and return that record.
@@ -390,9 +475,13 @@ _GATHER_LANES = 1 << 14
 
 def _gather(flags, values) -> bytes:
     """flags[v] for each value v, a byte each, by one ``itemgetter`` per 16,384
-    values, each padded with index 0 to return a tuple for one value too."""
-    return b"".join(bytes(itemgetter(*values[i : i + _GATHER_LANES], 0)(flags))[:-1]
-                    for i in range(0, len(values), _GATHER_LANES))
+    values; values of at most 16,384 are not copied, and a chunk of one
+    value, for which ``itemgetter`` returns no tuple, is read by index."""
+    parts = []
+    for i in range(0, len(values), _GATHER_LANES):
+        part = values[i : i + _GATHER_LANES] if len(values) > _GATHER_LANES else values
+        parts.append(bytes(itemgetter(*part)(flags)) if len(part) > 1 else bytes((flags[part[0]],)))
+    return b"".join(parts)
 
 
 # A record row's key is 2 jump + is_composite, one byte: the jump of a

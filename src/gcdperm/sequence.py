@@ -45,15 +45,24 @@ class LimitExceededError(RuntimeError):
     """A generation or enumeration request exceeded the configured cap."""
 
 
+# The last (d, 10^(d - 5)) that short_int formed: neighbouring values share d.
+_SHORT_POWER = (0, 1)
+
+
 def short_int(value: int, most: int = 20) -> str:
     """str(value) for an int >= 0 of at most ``most`` digits.  A longer one
     shows as its first and last five digits and its digit count, and is
     never converted whole."""
+    global _SHORT_POWER
     if value.bit_length() <= 3 * most:
         return str(value)
     # 2^(b - 1) <= value < 2^b for b bits: the digit count is d or d + 1.
     d = int((value.bit_length() - 1) * math.log10(2)) + 1
-    head = value // 10 ** (d - 5)
+    last, power = _SHORT_POWER
+    if last != d:
+        power = 10 ** (d - 5)
+        _SHORT_POWER = d, power
+    head = value // power
     d += head >= 10**5  # a head of six digits
     return str(value) if d <= most else f"{str(head)[:5]}...{value % 10**5:05d} ({d} digits)"
 

@@ -16,8 +16,8 @@ import pytest
 
 from gcdperm import cli, generate_prefix, record_values, suites
 from gcdperm.cli import WRITE_CHUNK_LINES, _figure_rows, _write_rows, main
-from gcdperm.primes import is_prime, primorial
-from gcdperm.records import cached_records
+from gcdperm.primes import is_prime, primorial, smallest_prime_not_dividing
+from gcdperm.records import cached_records, reconstruct_f3
 from gcdperm.sequence import DEFAULT_MAX_TERMS
 from gcdperm.suites import TABLE
 
@@ -782,6 +782,17 @@ def test_generate_plain_with_derivative_writes_plain_lines(capsys):
     assert lines[0] == "1 1 2" and lines[6] == "7 6 5" and len(lines) == 8
 
 
+@pytest.mark.parametrize("a,witness", [(45_003, 45_008), (40_000, 40_004), (40_002, 40_003)])
+def test_generate_seeds_with_a_witness_past_block_0_match_simulation(capsys, a, witness):
+    # The c3 seeds 45003 (odd) and 40000 (even) write f_3's lanes from their
+    # witness on, inside block 1; the identity seed 40002 writes no lane.
+    label = cli.classify(a)
+    assert label.witness == witness and (label.verdict == "identity") == (a == 40_002)
+    for flags, kind in GENERATE_FORMATS[:2]:
+        code, out, _ = run(capsys, "generate", "--a", str(a), "--n", "70000", *flags)
+        assert code == 0 and _first_difference(out, _simulated_generate(70_000, a=a, **kind)) is None
+
+
 # SHA-256 of each CSV, pinned from the row-at-a-time writer that the column
 # writer replaced.
 SCAN_3000_SHA256 = "18d89117e362797797e18a26a9ee9e486eb20f578a8af3e861f70c865e8880ab"
@@ -924,6 +935,53 @@ def test_formatted_keeps_a_first_column_that_is_no_step_1_range():
         got = list(cli._formatted(row_format, spans, columns))
         assert got == [_one_percent(row_format, columns(*span)) for span in spans]
         assert got[1].startswith(b"%d," % columns(30_000, 30_001)[0][0])
+
+
+def _block_span(j):
+    """The span of the rows of block j, 30030 j + 2..30030 j + 30031."""
+    return [(30_030 * j + 2, 30_030 * j + 30_032)]
+
+
+def _around(power):
+    """Spans that cross power, and spans cut at the rows whose widths may differ."""
+    return [(power - 300, power + 300), (power - 300, power - 52), (power - 52, power - 51),
+            (power - 51, power), (power, power + 1), (power + 1, power + 300)]
+
+
+LANE_SPANS = {
+    "1 row at block 1": [(30_032, 30_033)],
+    "1 row at block 2": [(60_062, 60_063)],
+    "across 10^5": _around(10**5),
+    "across 10^6": _around(10**6),
+    "across 10^7": _around(10**7),
+    "block 1, spnd 17": _block_span(1),
+    "block 17, spnd 19": _block_span(17),
+    "block 323, spnd 23": _block_span(323),
+    "block 7429, spnd 29": _block_span(7_429),
+}
+
+
+@pytest.mark.parametrize("sep", [",", " "])
+@pytest.mark.parametrize("name", list(LANE_SPANS))
+def test_lane_rows_match_the_formatted_rows(name, sep):
+    # Each case renders from its own base, with no row from index 1 before it.
+    spans = LANE_SPANS[name]
+    if name.startswith("block"):
+        j, p = (int(word.strip(",")) for word in name.split()[1::2])
+        assert smallest_prime_not_dividing(30_030 * j) == p
+
+    def columns(s, e):
+        return range(s, e), [reconstruct_f3(n) for n in range(s, e)]
+
+    def head(spans):
+        assert not spans, "no row is below the lanes"
+        return iter(())
+
+    row_format = f"%d{sep}%d\n"
+    render = cli._f3_rows(head, sep.encode("ascii"), spans[0][0])
+    for span in spans:
+        want = b"".join(cli._formatted(row_format, [span], columns))
+        assert b"".join(render([span])) == want, span
 
 
 @pytest.mark.parametrize("n", [9_999, 10_000, 10_001, 100_000, 100_001])
@@ -1219,15 +1277,18 @@ def test_forked_writer_writes_the_bytes_of_one_process(tmp_path, capsys, monkeyp
 
 
 def _fail_in_children(monkeypatch, failure):
-    """Make the chunk formatting call failure() first in every process but this one."""
-    parent, formatted = os.getpid(), cli._formatted
+    """Make the chunk renderer call failure() first in every process but this one."""
+    parent, write_rows = os.getpid(), cli._write_rows
 
-    def patched(*args):
-        if os.getpid() != parent:
-            failure()
-        return formatted(*args)
+    def patched(path, header, spans, render):
+        def failing(share):
+            if os.getpid() != parent:
+                failure()
+            return render(share)
 
-    monkeypatch.setattr(cli, "_formatted", patched)
+        return write_rows(path, header, spans, failing)
+
+    monkeypatch.setattr(cli, "_write_rows", patched)
 
 
 def test_a_failed_formatting_process_exits_3(tmp_path, capsys, monkeypatch):
