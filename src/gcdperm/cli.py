@@ -13,14 +13,14 @@ starts with ``%d``, is not formatted per row from 10^4 on: its text is cut
 from a template of 10^4 fixed-width rows (a NUL marker, the four low digits,
 the rest of the row format with ``%`` escaped), the marker replaced by the
 digits above the low four; the bytes are the same.  ``generate`` without
-``--with-derivative`` does not format the rows where f_a is f_3 past the
-first 30031 indices (from 30032 and the classify witness of a c3 seed on):
-each block of 30030 of them is the text of one ``decimal.Decimal`` whose
-fixed-width lanes hold n and f_3(n), with the separator and LF put over the
-0 after each field; only the rows within 10^k - 52 < n <= 10^k, where n and
-f_3(n) may differ in width, are read off it as ints and formatted by one
-``%``.  The head, every row of an identity seed and every
-``--with-derivative`` row keep the index template.
+``--with-derivative`` does not format the rows of a c3 seed from its
+classify witness on, where f_a is f_3: each block of 30030 of them is the
+text of one ``decimal.Decimal`` whose fixed-width lanes hold n and f_3(n),
+with the separator and LF put over the 0 after each field; only the rows
+within 10^k - 52 < n <= 10^k, where n and f_3(n) may differ in width, are
+read off it as ints and formatted by one ``%``.  The head below the
+witness, every row of an identity seed and every ``--with-derivative`` row
+keep the index template.
 """
 
 from __future__ import annotations
@@ -145,10 +145,10 @@ def _rows(row_format: str, columns):
 
 def _f3_rows(head, sep: bytes, start: int):
     """The chunk renderer of ``generate``'s rows when f_a is f_3 from the
-    index start >= 30032 on: the rows below start come from the renderer
-    head, the others from f_3's decimal lanes, a block of 30030 at a time.
+    index start >= 2 on: the rows below start come from the renderer head,
+    the others from f_3's decimal lanes, a block of 30030 at a time.
 
-    Block j >= 1 holds the rows of the indices 30030 j + 2..30030 j + 30031,
+    Block j holds the rows of the 30030 indices from 30030 j + 2 on,
     read at a width w off ``records._row_digits``, with the separator and
     LF stride-assigned over the 0 after each field.  A row reads right at
     the width of both its n and f_3(n): f_3(n) - n is at least -1 and,
@@ -187,7 +187,7 @@ def _f3_rows(head, sep: bytes, start: int):
                     mixed = n == top // 10
                     stop = n + 1 if mixed else top - 51
                 j = (n - 2) // _WHEEL
-                stop = min(stop, e, _WHEEL * j + _WHEEL + 2)
+                stop = min(stop, e, _WHEEL * (j + 1) + 2)
                 size, lane = 2 * w + 2, n - 2 - _WHEEL * j
                 piece = text(j, w)[1 + lane * size : 1 + (lane + stop - n) * size]
                 if mixed:  # the fields as ints, without their leading zeros
@@ -298,12 +298,12 @@ def cmd_generate(args) -> int:
     a, n, derivative = args.a, args.n, args.with_derivative
     stop = n + 1 if derivative else n  # g(n) needs f(n + 1)
     check_cap(stop, f"{short_int(stop)} terms of f_{short_int(a)}")
-    # From the witness of a c3 seed on, f_a is f_3: past block 0 its rows are lanes.
+    # From the witness of a c3 seed on, f_a is f_3: its rows are lanes.
     start, label = n + 1, None
-    if not derivative and n > max(a, _WHEEL + 1):
+    if not derivative and n > a:
         label = classify(a)
         if label.verdict == C3:
-            start = max(_WHEEL + 2, label.witness)
+            start = label.witness
             stop = min(n, start - 1)
     terms = prefix_terms(a, stop, label)
     if args.format == "plain":

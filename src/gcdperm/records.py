@@ -63,20 +63,20 @@ pattern of block 0 per kind, and one block walker, ``_step_block``,
 append either kind, a block per int addition.
 
 The same identity gives f_3's rows as decimal text, with no term built.
-Block j >= 1 holds the indices n = 30030 j + 2..30030 j + 30031, and from
-its entry on, f_3(n) = 30030 j + f_3(n - 30030 j).  ``_row_digits`` reads
-them as the lanes n 10^(w+2) + f_3(n) 10 of 2w + 2 digits of one
+Block j holds the 30030 indices n from 30030 j + 2 on, and from its entry
+on, f_3(n) = 30030 j + f_3(n - 30030 j).  ``_row_digits`` reads them as
+the lanes n 10^(w+2) + f_3(n) 10 of 2w + 2 digits of one
 ``decimal.Decimal``: block 0's lanes (a pattern per width) plus 30030 j
 times the lane 10^(w+2) + 10 in every lane, one ``fma``, and one ``str``.
-A leading 1 keeps the leading zeros.  The entry stretch, the first
-c = spnd(30030 j) - 1 lanes, differs from block 0: there f_3 is
-30030 j + c + 1 at 30030 j + 2 and then n - 1.  That correction depends
-on c and w alone, so it is added to the pattern once per (w, c).  Each
-lane is exact when n and f_3(n) have w digits; when one has more, the lane
-carries 1 into the last digit of the lane before it, a 0 that the writer
-overwrites.  The module imports ``decimal`` only when it first builds a
-width's lanes, and computes in one exact context of its own, never the
-thread's.
+A leading 1 keeps the leading zeros.  The entry stretch, the first c =
+spnd(30030 j) - 1 lanes of a block j >= 1, differs from block 0: there f_3
+is 30030 j + c + 1 at 30030 j + 2 and then n - 1.  That correction depends
+on c and w alone, so it is added to the pattern once per (w, c), c = 0 in
+block 0.  Each lane is exact when n and f_3(n) have w digits; when one has
+more, the lane carries 1 into the last digit of the lane before it, a 0
+that the writer overwrites (block 0 below w = 5 keeps their low w digits).
+The module imports ``decimal`` only when it first builds a width's lanes,
+and computes in one exact context of its own, never the thread's.
 
 The suites that check f_3 against its definition do not trust that walk:
 ``_certified_records`` proves the records against the greedy rule, by
@@ -202,7 +202,7 @@ PRIMORIAL_CEILING = 3248
 def _block(v: int) -> tuple[list[int], int, int, int]:
     """(C, 30030 j, v - 1 - 30030 j, c) for the block j of m = v - 1
     (v < P_3248): block j holds 30030 j + C[:-1] from its point c on, and
-    block j >= 1 holds 30030 j too, with c = spnd(30030 j) - 1."""
+    block j >= 1 holds 30030 j too, with c = spnd(30030 j) - 1 (0 in block 0)."""
     if not _WALK:
         m, walk = 4, [4]
         while m < _WHEEL:
@@ -214,7 +214,7 @@ def _block(v: int) -> tuple[list[int], int, int, int]:
         raise ValueError(f"the f_3 records are exact only below P_{PRIMORIAL_CEILING}, the "
                          "product of the primes up to 30029 (about 6.9e12933)")
     j, off = divmod(v - 1, _WHEEL)
-    return _WALK, v - 1 - off, off, smallest_prime_not_dividing(_WHEEL * j) - 1 if j else 4
+    return _WALK, v - 1 - off, off, smallest_prime_not_dividing(_WHEEL * j) - 1 if j else 0
 
 
 def _records_around(v: int) -> tuple[int, int]:
@@ -347,22 +347,22 @@ def _block_pattern(kind: int) -> tuple[array, int, int]:
 
 
 # The decimal lanes of f_3's rows: at the key 0 the five-digit decimals of
-# n and of f_3(n), n = 2..30031; at a width w, (context, pattern, ones) of
-# block 0; at (w, c), the same with the pattern corrected for a block that
-# enters C at c.  Filled by _row_lanes.
+# n and of f_3(n) on block 0's 30030 lanes n = 2, 3, ...; at a width w,
+# (context, pattern, ones) of block 0; at (w, c), the same with the pattern
+# corrected for a block that enters C at c.  Filled by _row_lanes.
 _LANES: dict = {}
 
 
 def _row_lanes(w: int, c: int) -> tuple:
-    """(context, pattern, ones) of the lanes of 2w + 2 digits, 5 <= w, of
-    a block j >= 1 that enters C at its point c = spnd(30030 j) - 1.
+    """(context, pattern, ones) of the lanes of 2w + 2 digits of a block j
+    that enters C at its point c (``_block``: 0 for block 0).
 
-    pattern is a 1 and then block 0's lanes n 10^(w+2) + f_3(n) 10,
-    n = 2..30031, with the first c lanes set to block j's less 30030 j;
+    pattern is a 1 and then block 0's 30030 lanes n 10^(w+2) + f_3(n) 10
+    from n = 2 on, with the first c lanes set to block j's less 30030 j;
     ones is 10^(w+2) + 10 in every lane.  The context is exact for both,
     however long: no operation on them rounds.  The pattern is parsed from
-    one text, whose digit columns are set by stride from the five-digit
-    decimals of n and f_3(n); ones is built by doubling.
+    one text, whose digit columns are set by stride from the low w of the
+    five-digit decimals of n and f_3(n); ones is built by doubling.
     """
     import decimal  # here, so that importing the package loads no decimal
 
@@ -370,11 +370,11 @@ def _row_lanes(w: int, c: int) -> tuple:
         digits = bytearray(5 * 10**5)  # the five-digit decimals of 0..99999
         for d in range(5):
             digits[4 - d :: 5] = b"".join(b"%d" % v * 10**d for v in range(10)) * 10 ** (4 - d)
-        fs = digits[5 : 5 * (_WHEEL + 1)]  # f_3(n) = n - 1 on the lane n - 2, except:
+        fs = digits[5 : 5 + 5 * _WHEEL]  # f_3(n) = n - 1 on the lane n - 2, except:
         walk = [0, 2, *_block(FIRST_RECORD)[0]]
         for c0, c1 in zip(walk, walk[1:]):  # f_3(q + 1) = q' for the records q = c0 + 1 < q'
             fs[5 * c0 : 5 * c0 + 5] = digits[5 * c1 + 5 : 5 * c1 + 10]
-        _LANES[0] = digits[10 : 5 * (_WHEEL + 2)], bytes(fs)
+        _LANES[0] = digits[10 : 10 + 5 * _WHEEL], bytes(fs)
     ns, fs = _LANES[0]
     size = 2 * w + 2
     if w not in _LANES:
@@ -382,7 +382,7 @@ def _row_lanes(w: int, c: int) -> tuple:
                               Emin=decimal.MIN_EMIN)
         text = bytearray(b"0") * (1 + _WHEEL * size)
         text[0] = ord("1")
-        for d in range(5):
+        for d in range(max(0, 5 - w), 5):
             text[w - 4 + d :: size] = ns[d::5]
             text[2 * w - 3 + d :: size] = fs[d::5]
         ones, lanes = decimal.Decimal(0), 0  # ones holds a 1 in each of its lanes
@@ -404,12 +404,12 @@ def _row_lanes(w: int, c: int) -> tuple:
 
 
 def _row_digits(base: int, w: int) -> str:
-    """A 1 and then the lanes n 10^(w+2) + f_3(n) 10 of 2w + 2 digits each,
-    n = base + 2..base + 30031, for base = 30030 j with j >= 1 and w >= 5:
-    one ``str`` of ``pattern + base * ones`` (``_row_lanes``).  A lane whose
-    n and f_3(n) both have w digits reads them with a 0 after each; any
-    other lane is wrong, and a lane past 10^(2w+2) adds 1 to the last digit
-    of the lane before it."""
+    """A 1 and then the 30030 lanes n 10^(w+2) + f_3(n) 10 of 2w + 2 digits
+    each from n = base + 2 on, for base = 30030 j: one ``str`` of
+    ``pattern + base * ones`` (``_row_lanes``).  A lane whose n and f_3(n)
+    both have w digits reads them with a 0 after each; any other lane is
+    wrong, and a lane past 10^(2w+2) adds 1 to the last digit of the lane
+    before it."""
     c = _block(base + 1)[3]
     ctx, pattern, ones = _LANES.get((w, c)) or _row_lanes(w, c)
     return str(ctx.fma(ones, base, pattern))

@@ -782,15 +782,30 @@ def test_generate_plain_with_derivative_writes_plain_lines(capsys):
     assert lines[0] == "1 1 2" and lines[6] == "7 6 5" and len(lines) == 8
 
 
-@pytest.mark.parametrize("a,witness", [(45_003, 45_008), (40_000, 40_004), (40_002, 40_003)])
-def test_generate_seeds_with_a_witness_past_block_0_match_simulation(capsys, a, witness):
+@pytest.mark.parametrize("a,witness", [(45_003, 45_008), (40_000, 40_004), (40_002, 40_003),
+                                       (5, 6), (8, 12), (46, 50), (98, 102), (999, 1_002),
+                                       (9_998, 10_002), (29_999, 30_000)])
+def test_generate_seeds_from_their_witness_on_match_simulation(capsys, a, witness):
     # The c3 seeds 45003 (odd) and 40000 (even) write f_3's lanes from their
     # witness on, inside block 1; the identity seed 40002 writes no lane.
+    # The c3 seeds below them start their lanes in block 0, at each width;
+    # the witness 50 lies inside the rows 49..100 of mixed width.
     label = cli.classify(a)
     assert label.witness == witness and (label.verdict == "identity") == (a == 40_002)
     for flags, kind in GENERATE_FORMATS[:2]:
         code, out, _ = run(capsys, "generate", "--a", str(a), "--n", "70000", *flags)
         assert code == 0 and _first_difference(out, _simulated_generate(70_000, a=a, **kind)) is None
+
+
+def test_generate_f3_builds_only_its_head(capsys, monkeypatch):
+    # From the witness 4 of the seed 3 on, every row is read off f_3's lanes.
+    asked = []
+    prefix_terms = cli.prefix_terms
+    monkeypatch.setattr(cli, "prefix_terms",
+                        lambda a, n, label=None: asked.append(n) or prefix_terms(a, n, label))
+    code, out, _ = run(capsys, "generate", "--a", "3", "--n", "100000")
+    assert code == 0 and out.count("\n") == 100_001
+    assert asked and max(asked) <= 3
 
 
 # SHA-256 of each CSV, pinned from the row-at-a-time writer that the column
@@ -943,12 +958,21 @@ def _block_span(j):
 
 
 def _around(power):
-    """Spans that cross power, and spans cut at the rows whose widths may differ."""
-    return [(power - 300, power + 300), (power - 300, power - 52), (power - 52, power - 51),
-            (power - 51, power), (power, power + 1), (power + 1, power + 300)]
+    """Spans that cross power, and spans cut at the rows whose widths may
+    differ, from the row 2 on."""
+    spans = [(power - 300, power + 300), (power - 300, power - 52), (power - 52, power - 51),
+             (power - 51, power), (power, power + 1), (power + 1, power + 300)]
+    return [(max(2, s), e) for s, e in spans if e > 2]
 
 
 LANE_SPANS = {
+    "all of block 0 from 4": [(4, 30_032)],
+    "a chunk edge in block 0": [(4, WRITE_CHUNK_LINES + 1),
+                                    (WRITE_CHUNK_LINES + 1, 2 * WRITE_CHUNK_LINES + 1)],
+    "across 10": _around(10),
+    "across 10^2": _around(10**2),
+    "across 10^3": _around(10**3),
+    "across 10^4": _around(10**4),
     "1 row at block 1": [(30_032, 30_033)],
     "1 row at block 2": [(60_062, 60_063)],
     "across 10^5": _around(10**5),
@@ -985,10 +1009,22 @@ def test_lane_rows_match_the_formatted_rows(name, sep):
 
 
 @pytest.mark.parametrize("n", [9_999, 10_000, 10_001, 100_000, 100_001])
-def test_generate_around_the_index_template_matches_simulation(capsys, n):
-    for flags, kind in GENERATE_FORMATS:
-        code, out, _ = run(capsys, "generate", "--a", "3", "--n", str(n), *flags)
-        assert code == 0 and _first_difference(out, _simulated_generate(n, **kind)) is None, flags
+def test_generate_around_the_index_template_matches_simulation(capsys, monkeypatch, n):
+    # The rows of seed 3 with their derivative and every row of the identity
+    # seed 2 come from the index template; seed 3's other rows past its head
+    # f_3(1..3) come from f_3's lanes.
+    spans = []
+    formatted = cli._formatted
+    monkeypatch.setattr(cli, "_formatted", lambda row_format, chunks, columns:
+                        spans.extend(chunks) or formatted(row_format, chunks, columns))
+    for a in (3, 2):
+        for flags, kind in GENERATE_FORMATS:
+            spans.clear()
+            code, out, _ = run(capsys, "generate", "--a", str(a), "--n", str(n), *flags)
+            assert code == 0
+            assert _first_difference(out, _simulated_generate(n, a=a, **kind)) is None, (a, flags)
+            template = a == 2 or "with_derivative" in kind
+            assert (max(e for _, e in spans) > 4) == template, (a, flags)
 
 
 def test_records_around_the_index_template_match_a_row_by_row_oracle(capsys):
